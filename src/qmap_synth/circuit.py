@@ -175,46 +175,36 @@ def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     return [g for g in out if g is not None]
 
 
-def lower_mct(circuit: Circuit, max_controls: int = 2) -> Circuit:
+def lower_mct(circuit: Circuit) -> Circuit:
     """Expand every gate with more than two controls into Toffolis via an
     ancilla compute/uncompute sandwich: the two highest-order controls
     are ANDed into an ancilla, and the gate recurses with the ancilla as
     a control.  Ancilla lines are pooled, so a circuit of 3-control gates
     costs one ancilla total; every sandwich restores its ancilla to 0.
     """
-    if max_controls != 2:
-        raise ValueError("only lowering to 2-control Toffolis is supported")
     base = circuit.total_width
     free: list[int] = []
     allocated = 0
     out: list[Gate] = []
-
-    def acquire() -> int:
-        nonlocal allocated
-        if free:
-            return free.pop()
-        line = base + allocated
-        allocated += 1
-        return line
-
-    def expand(controls: tuple[int, ...], target: int) -> None:
-        if len(controls) <= 2:
-            out.append(Gate.mct(controls, target))
-            return
-        x, y = controls[-2], controls[-1]
-        a = acquire()
-        out.append(Gate.ccx(x, y, a))
-        expand(controls[:-2] + (a,), target)
-        out.append(Gate.ccx(x, y, a))
-        free.append(a)
-
     for g in circuit.gates:
         if any(not c.positive for c in g.controls):
             raise ValueError("lower_polarity must run before lower_mct")
-        if len(g.controls) <= max_controls:
+        if len(g.controls) <= 2:
             out.append(g)
-        else:
-            expand(tuple(c.line for c in g.controls), g.target)
+            continue
+        # a loop, not a recursive closure: a closure that calls itself is a
+        # reference cycle, which keeps `out` alive until the cyclic GC runs
+        controls = tuple(c.line for c in g.controls)
+        compute: list[Gate] = []
+        while len(controls) > 2:
+            if not free:
+                free.append(base + allocated)
+                allocated += 1
+            a = free.pop()
+            compute.append(Gate.ccx(controls[-2], controls[-1], a))
+            controls = controls[:-2] + (a,)
+        out += compute + [Gate.mct(controls, g.target)] + compute[::-1]
+        free += [c.target for c in compute[::-1]]
 
     return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
                    tuple(out))
@@ -223,8 +213,7 @@ def lower_mct(circuit: Circuit, max_controls: int = 2) -> Circuit:
 def synthesize(f: ReversibleFunction, *,
                mode: CoverMode | str = CoverMode.ESOP,
                order: StageOrder | str | None = None,
-               lower: Literal["none", "toffoli2"] = "toffoli2",
-               exact_limit: int = 4) -> Circuit:
+               lower: Literal["none", "toffoli2"] = "toffoli2") -> Circuit:
     """Compile a reversible function to a circuit: decompose into stages,
     minimize each stage's toggle function on its grid, realize the covers
     as gates, and lower to the NOT/CNOT/Toffoli basis.
@@ -249,7 +238,7 @@ def synthesize(f: ReversibleFunction, *,
     tables = decompose(f, stage_order)
     gates: list[Gate] = []
     for table in tables:
-        gates += _stage_gates(table, mode, exact_limit)
+        gates += _stage_gates(table, mode)
     gates = lower_polarity(gates)
     circuit = Circuit(f.width, 0, tuple(gates))
     if lower == "toffoli2":
@@ -257,8 +246,7 @@ def synthesize(f: ReversibleFunction, *,
     return circuit
 
 
-def _stage_gates(table: ToggleTable, mode: CoverMode,
-                 exact_limit: int) -> list[Gate]:
+def _stage_gates(table: ToggleTable, mode: CoverMode) -> list[Gate]:
     if table.is_zero():
         return []
     if not can_avoid_variable(table.entries, table.width, table.target):
@@ -268,8 +256,7 @@ def _stage_gates(table: ToggleTable, mode: CoverMode,
     if mode is CoverMode.DISJOINT:
         cover = minimize_disjoint(grid, forbidden=forbidden)
     else:
-        cover = minimize_esop(grid, exact_limit=exact_limit,
-                              forbidden=forbidden)
+        cover = minimize_esop(grid, forbidden=forbidden)
     return realize_stage(cover, table.target, table.width)
 
 

@@ -47,7 +47,6 @@ class RunConfig:
     mode: str = "esop"
     order: str = "natural"
     lower: str = "toffoli2"
-    exact_limit: int = 4
     cost_mode: str = "count"
     out: Path | None = None
     stage: int = 0
@@ -76,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", choices=["natural", "search"],
                            default="natural",
                            help="stage order: fixed 0..n-1 or exhaustive search")
-            p.add_argument("--exact-limit", type=int, default=4,
-                           dest="exact_limit",
-                           help="widest grid minimized exactly (capped at 4)")
 
     p_synth = sub.add_parser("synth", help="compile a truth table to QASM")
     add_common(p_synth, needs_input=True, pipeline=True)
@@ -118,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("input", "circuit", "mode", "order", "lower", "exact_limit",
-                 "cost_mode", "out", "stage", "overlay", "diagram"):
+    for name in ("input", "circuit", "mode", "order", "lower", "cost_mode",
+                 "out", "stage", "overlay", "diagram"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     for path in (cfg.input, cfg.circuit):
@@ -172,8 +168,7 @@ def _diagram(c: Circuit) -> str:
 
 def cmd_synth(cfg: RunConfig) -> int:
     f = _read_function(cfg)
-    circuit = synthesize(f, mode=cfg.mode, order=cfg.order,
-                         lower=cfg.lower, exact_limit=cfg.exact_limit)
+    circuit = synthesize(f, mode=cfg.mode, order=cfg.order, lower=cfg.lower)
     mismatch = verify(circuit, f)
     if mismatch is not None:  # internal invariant, never expected
         print(f"synthesis self-check failed: {mismatch}", file=sys.stderr)
@@ -272,8 +267,7 @@ def cmd_show(cfg: RunConfig) -> int:
         if cfg.mode == "disjoint":
             cover = minimize_disjoint(grid, forbidden=forbidden)
         else:
-            cover = minimize_esop(grid, exact_limit=cfg.exact_limit,
-                                  forbidden=forbidden)
+            cover = minimize_esop(grid, forbidden=forbidden)
         names = [f"q{i}'" if grid.primed[i] else f"q{i}"
                  for i in range(grid.width)]
         print(f"\n{cfg.mode} cover groups:")

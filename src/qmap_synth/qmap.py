@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -385,31 +386,39 @@ def _merge_terms(terms: list[tuple[int, int]],
     return sorted(pool)
 
 
+@cache
+def _blocks(m: int) -> tuple[tuple[int, int], ...]:
+    """(mask, base) for every mask over m variables, fewest literals
+    first; base has bit s set for each cell s with s & mask == 0, so the
+    cells of cube (mask, value) are the bits of base << value."""
+    base = [(1 << (1 << m)) - 1]
+    for mask in range(1, 1 << m):
+        low = mask & -mask  # cells with this bit clear: runs of `low`
+        base.append(base[mask ^ low]
+                    & base[0] // ((1 << 2 * low) - 1) * ((1 << low) - 1))
+    return tuple(sorted(enumerate(base),
+                        key=lambda mb: (mb[0].bit_count(), mb[0])))
+
+
 def _greedy_disjoint(values: Sequence[int | None], m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
     1-cell and take the biggest cube that fits in uncovered 1/don't-care
-    cells, so the result is disjoint by construction."""
-    size = 1 << m
-    need = {s for s in range(size) if values[s] == 1}
-    blocked = {s for s in range(size) if values[s] == 0}
-    covered: set[int] = set()
+    cells, so the result is disjoint by construction.  Cell sets are
+    ints, bit s for cell s."""
+    need = sum(1 << s for s, v in enumerate(values) if v == 1)
+    # cells no new cube may touch: the 0-cells, then every covered cell
+    taken = sum(1 << s for s, v in enumerate(values) if v == 0)
     out: list[tuple[int, int]] = []
-    masks = sorted(range(size), key=lambda mk: (mk.bit_count(), mk))
     while need:
-        seed = min(need)
-        choice = None
-        for mk in masks:  # fewest literals first, i.e. largest blocks first
-            cand = Cube(m, mk, seed & mk)
-            cs = list(cand.cells())
-            if any(s in blocked or s in covered for s in cs):
-                continue
-            choice = (mk, seed & mk, cs)
-            break
-        assert choice is not None, "the seed's own minterm is always free"
-        mk, val, cs = choice
-        out.append((mk, val))
-        covered.update(cs)
-        need.difference_update(cs)
+        seed = (need & -need).bit_length() - 1
+        # the full mask, the seed's own minterm, always fits
+        for mk, base in _blocks(m):
+            cells = base << (seed & mk)
+            if not cells & taken:
+                break
+        out.append((mk, seed & mk))
+        taken |= cells
+        need &= ~cells
     return out
 
 
@@ -497,13 +506,12 @@ def minimize_disjoint(g: QMapGrid,
     return _finish(terms, removed, g.width, CoverMode.DISJOINT)
 
 
-def minimize_esop(g: QMapGrid, exact_limit: int = EXACT_WIDTH_CAP,
+def minimize_esop(g: QMapGrid,
                   forbidden: frozenset[int] = frozenset()) -> Cover:
-    """ESOP cover; exact in (cubes, literals) when the grid width is
-    within exact_limit (capped at 4, where exhaustion is affordable),
-    otherwise a Reed-Muller seed reduced by greedy term merging."""
+    """ESOP cover; exact in (cubes, literals) for grids of up to 4
+    variables, a Reed-Muller seed reduced by greedy term merging beyond."""
     values, m, removed = _prepare(g, forbidden)
-    if g.width <= min(exact_limit, EXACT_WIDTH_CAP):
+    if g.width <= EXACT_WIDTH_CAP:
         terms = _exact_cubes("esop", values, m)
     else:
         terms = _merge_terms(_pprm_terms([v or 0 for v in values], m), m)

@@ -1,13 +1,16 @@
 """Basis-state simulation, permutation extraction, equivalence checking.
 
 States are plain bit words (no amplitudes); a gate flips its target iff
-every control matches its polarity.  Gates compile to mask triples once
-per circuit, so sweeping all 2^n inputs stays cheap well past n = 8.
+every control matches its polarity.  Simulation is bit-sliced: line i is
+one int whose bit x is its value for input x, and a gate is one AND over
+its control lines (negatives complemented) XORed into its target line.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .boolfn import BitWord, ReversibleFunction
 from .circuit import Circuit, Gate
@@ -22,37 +25,48 @@ __all__ = [
 ]
 
 
-def _compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
-    """(positive control mask, negative control mask, target bit)."""
-    if any(l >= width for l in g.lines):
-        raise LineOutOfRange(
-            f"gate {g} does not fit in {width} lines")
-    pos = neg = 0
-    for c in g.controls:
-        if c.positive:
-            pos |= 1 << c.line
-        else:
-            neg |= 1 << c.line
-    return pos, neg, 1 << g.target
+def _slice(words: Sequence[int], width: int) -> list[int]:
+    """Bit-slice words: bit x of line j is bit j of words[x]."""
+    bits = np.asarray(words, dtype=np.int64)
+    return [int.from_bytes(np.packbits(bits >> j & 1, bitorder="little"),
+                           "little") for j in range(width)]
 
 
-def _step(state: int, pos: int, neg: int, tbit: int) -> int:
-    if (state & pos) == pos and (state & neg) == 0:
-        return state ^ tbit
-    return state
+def _word(lines: Sequence[int], x: int) -> int:
+    """The word that bit-sliced lines hold for input x."""
+    return sum((line >> x & 1) << j for j, line in enumerate(lines))
+
+
+def _simulate(c: Circuit, inputs: Sequence[int],
+              expected: Sequence[int] | None = None
+              ) -> tuple[list[int], int | None]:
+    """Run c on all inputs at once, ancillas at 0.  Returns the data
+    lines and the first input index whose output differs from `expected`
+    (or None); a dirty ancilla at or before it raises AncillaNotRestored."""
+    n, full = c.data_width, (1 << len(inputs)) - 1
+    lines = _slice(inputs, n) + [0] * c.ancilla_count
+    for g in c.gates:
+        hit = full
+        for ctl in g.controls:
+            hit &= lines[ctl.line] if ctl.positive else full ^ lines[ctl.line]
+        lines[g.target] ^= hit
+    faults = lines[n:]
+    if expected is not None:
+        faults += [a ^ b for a, b in zip(lines, _slice(expected, n))]
+    bad = 0
+    for line in faults:
+        bad |= line
+    x = (bad & -bad).bit_length() - 1
+    if bad and _word(lines[n:], x):
+        raise AncillaNotRestored(inputs[x], _word(lines[n:], x))
+    return lines[:n], x if bad else None
 
 
 def apply_gate(s: BitWord, g: Gate) -> BitWord:
     """Flip the target bit iff every control matches its polarity."""
-    pos, neg, tbit = _compile_gate(g, s.width)
-    return BitWord(s.width, _step(s.value, pos, neg, tbit))
-
-
-def _run_int(compiled: Sequence[tuple[int, int, int]], value: int) -> int:
-    for pos, neg, tbit in compiled:
-        if (value & pos) == pos and (value & neg) == 0:
-            value ^= tbit
-    return value
+    if any(l >= s.width for l in g.lines):
+        raise LineOutOfRange(f"gate {g} does not fit in {s.width} lines")
+    return run(Circuit(s.width, 0, (g,)), s)
 
 
 def run(c: Circuit, input: BitWord | int) -> BitWord:
@@ -64,24 +78,15 @@ def run(c: Circuit, input: BitWord | int) -> BitWord:
             f"input width {input.width} != data width {c.data_width}")
     if not 0 <= x < (1 << c.data_width):
         raise ValueError(f"input {x} does not fit in {c.data_width} bits")
-    compiled = [_compile_gate(g, c.total_width) for g in c.gates]
-    out = _run_int(compiled, x)
-    if out >> c.data_width:
-        raise AncillaNotRestored(x, out >> c.data_width)
-    return BitWord(c.data_width, out)
+    data, _ = _simulate(c, [x])
+    return BitWord(c.data_width, _word(data, 0))
 
 
 def permutation_of(c: Circuit) -> list[BitWord]:
     """The circuit's action on every data input, in ascending order."""
-    compiled = [_compile_gate(g, c.total_width) for g in c.gates]
     n = c.data_width
-    table = []
-    for x in range(1 << n):
-        out = _run_int(compiled, x)
-        if out >> n:
-            raise AncillaNotRestored(x, out >> n)
-        table.append(BitWord(n, out))
-    return table
+    data, _ = _simulate(c, range(1 << n))
+    return [BitWord(n, _word(data, x)) for x in range(1 << n)]
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,9 @@ def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
     if c.data_width != f.width:
         raise ValueError(
             f"circuit width {c.data_width} != function width {f.width}")
-    compiled = [_compile_gate(g, c.total_width) for g in c.gates]
     n = c.data_width
-    for x in range(1 << n):
-        out = _run_int(compiled, x)
-        if out >> n:
-            raise AncillaNotRestored(x, out >> n)
-        if out != f.table[x]:
-            return Counterexample(BitWord(n, x), BitWord(n, out),
-                                  BitWord(n, f.table[x]))
-    return None
+    data, x = _simulate(c, range(1 << n), f.table)
+    if x is None:
+        return None
+    return Counterexample(BitWord(n, x), BitWord(n, _word(data, x)),
+                          BitWord(n, f.table[x]))

@@ -174,6 +174,14 @@ class TestLowerMct:
         assert lowered.ancilla_count == 1
         assert permutation_of(lowered) == permutation_of(c)
 
+    def test_pool_hands_back_outermost_ancilla_first(self):
+        c = Circuit(6, 0, (Gate.mct([1, 2, 3, 4, 5], 0), Gate.mct([0, 2, 3], 1)))
+        lowered = lower_mct(c)
+        assert lowered.ancilla_count == 3
+        assert lowered.gates[7:] == (
+            Gate.ccx(2, 3, 6), Gate.ccx(0, 6, 1), Gate.ccx(2, 3, 6))
+        assert permutation_of(lowered) == permutation_of(c)
+
     def test_requires_positive_polarity(self):
         c = Circuit(4, 0, (Gate(0, (Control(1), Control(2), Control(3, False))),))
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from qmap_synth import (
     Cover,
     CoverMode,
@@ -16,7 +19,7 @@ from qmap_synth import (
     verify_cover,
 )
 from qmap_synth.cascade import ToggleTable
-from qmap_synth.qmap import can_avoid_variable, gray_sequence
+from qmap_synth.qmap import _greedy_disjoint, can_avoid_variable, gray_sequence
 
 
 def make_table(entries, width, target=None):
@@ -459,3 +462,24 @@ class TestForbiddenVariable:
         cover = minimize_esop(grid, forbidden=frozenset((0,)))
         assert verify_cover(cover, grid)
         assert all(not c.mask & 1 for c in cover.cubes)
+
+
+@st.composite
+def incomplete_functions(draw):
+    """(values, m) for 1 <= m <= 8, with a drawn mix of 1s, 0s and
+    don't-cares so that both scattered and large blocks occur."""
+    m = draw(st.integers(1, 8))
+    mix = draw(st.sampled_from([(0, 1, None), (0, 1), (1, 1, 1, 0),
+                                (1, 1, 1, None), (1, None, None, 0)]))
+    values = draw(st.lists(st.sampled_from(mix), min_size=1 << m,
+                           max_size=1 << m))
+    return values, m
+
+
+class TestGreedyDisjointReference:
+    @settings(max_examples=300, deadline=None)
+    @given(incomplete_functions())
+    def test_same_cubes_in_same_order(self, case):
+        values, m = case
+        assert _greedy_disjoint(values, m) == \
+            reference.greedy_disjoint(values, m)

@@ -2,13 +2,17 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import optimized_reference_circuit, unoptimized_reference_circuit
 from qmap_synth import (
     BitWord,
     Circuit,
     Control,
     Gate,
+    ReversibleFunction,
     apply_gate,
     gray_to_binary_function,
     identity_function,
@@ -153,3 +157,100 @@ class TestThroughput:
         elapsed = time.perf_counter() - t0
         assert [w.value for w in table] == list(f.table)
         assert elapsed < 1.0
+
+
+# --- differential properties against the scalar reference -------------------
+
+@st.composite
+def gates_on(draw, lines, targets=None, max_controls=4):
+    """A gate with a target from `targets` (default: any of `lines`) and
+    up to max_controls distinct controls from the rest, either polarity."""
+    target = draw(st.sampled_from(targets or lines))
+    others = [l for l in lines if l != target]
+    ctl = draw(st.lists(st.sampled_from(others), unique=True,
+                        max_size=min(max_controls, len(others)))
+               if others else st.just([]))
+    return Gate(target, tuple(Control(l, draw(st.booleans())) for l in ctl))
+
+
+@st.composite
+def circuits(draw):
+    """Data width 1-6 plus 0-3 ancillas.  Either gates on any lines (an
+    ancilla is then usually left dirty), or a clean circuit: data gates,
+    then ancilla compute, gates on one data target, ancilla uncompute,
+    where the compute part never reads that target.  Either kind may
+    then get one gate replaced by a random one."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    everything = list(range(n + k))
+    if draw(st.booleans()):
+        gates = draw(st.lists(gates_on(everything), max_size=16))
+    else:
+        data = list(range(n))
+        t = draw(st.sampled_from(data))
+        gates = draw(st.lists(gates_on(data), max_size=6))
+        compute = []
+        for a in range(n, n + k):
+            readable = [l for l in range(a) if l != t]
+            compute.append(draw(gates_on(readable + [a], targets=[a])))
+        gates += compute
+        gates += draw(st.lists(gates_on(everything, targets=[t]),
+                               max_size=6))
+        gates += reversed(compute)
+    if gates and draw(st.booleans()):
+        i = draw(st.integers(0, len(gates) - 1))
+        gates[i] = draw(gates_on(everything))
+    return Circuit(n, k, tuple(gates))
+
+
+def outcome(fn, *args):
+    """The result, or the exception with what it reports."""
+    try:
+        return "ok", fn(*args)
+    except AncillaNotRestored as exc:
+        return "ancilla", exc.input, exc.ancilla_bits
+    except LineOutOfRange:
+        return "out of range"
+
+
+def near_function(c: Circuit, rng: random.Random) -> ReversibleFunction:
+    """The circuit's own data permutation when it has one, with two
+    entries swapped half the time; otherwise a random bijection."""
+    try:
+        table = [w.value for w in reference.permutation_of(c)]
+    except AncillaNotRestored:
+        table = list(range(1 << c.data_width))
+        rng.shuffle(table)
+    if len(table) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(table)), 2)
+        table[i], table[j] = table[j], table[i]
+    return ReversibleFunction(c.data_width, tuple(table))
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(circuits(), st.randoms(use_true_random=False))
+    def test_verify(self, c, rng):
+        f = near_function(c, rng)
+        assert outcome(verify, c, f) == outcome(reference.verify, c, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits())
+    def test_permutation_of(self, c):
+        assert outcome(permutation_of, c) == \
+            outcome(reference.permutation_of, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits())
+    def test_run_on_every_input(self, c):
+        for x in range(1 << c.data_width):
+            assert outcome(run, c, x) == outcome(reference.run, c, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+        st.builds(BitWord, st.just(w), st.integers(0, (1 << w) - 1)),
+        gates_on(list(range(w + 2))))))
+    def test_apply_gate(self, case):
+        s, g = case  # lines w and w + 1 are out of range
+        assert outcome(apply_gate, s, g) == \
+            outcome(reference.apply_gate, s, g)
