@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .boolfn import ReversibleFunction
-from .cascade import StageOrder, ToggleTable, decompose, find_feasible_order
+from .cascade import StageOrder, ToggleTable, decompose, resolve_order
 from .errors import TargetReadWrite, UnloweredMct
 from .qmap import (
     Cover,
@@ -226,16 +226,7 @@ def synthesize(f: ReversibleFunction, *,
     mode = CoverMode(mode) if not isinstance(mode, CoverMode) else mode
     if lower not in ("none", "toffoli2"):
         raise ValueError(f"unknown lowering: {lower!r}")
-    if order is None or order == "natural":
-        stage_order = StageOrder.natural(f.width)
-    elif order == "search":
-        stage_order = find_feasible_order(f)
-    elif isinstance(order, StageOrder):
-        stage_order = order
-    else:
-        raise ValueError(f"unknown order: {order!r}")
-
-    tables = decompose(f, stage_order)
+    tables = decompose(f, resolve_order(f, order))
     gates: list[Gate] = []
     for table in tables:
         gates += _stage_gates(table, mode)

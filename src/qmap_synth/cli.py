@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import string
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .boolfn import ReversibleFunction, parse_truth_table
-from .cascade import StageOrder, decompose, find_feasible_order
+from .cascade import decompose, resolve_order
 from .circuit import Circuit, CostModel, GateKind, cost, synthesize
 from .errors import (
     AncillaNotRestored,
@@ -36,22 +35,7 @@ EXIT_INFEASIBLE = 3
 EXIT_TARGET_READ_WRITE = 4
 EXIT_MISMATCH = 5
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: Path | None = None
-    circuit: Path | None = None
-    mode: str = "esop"
-    order: str = "natural"
-    lower: str = "toffoli2"
-    cost_mode: str = "count"
-    out: Path | None = None
-    stage: int = 0
-    overlay: bool = False
-    diagram: bool = False
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="esop", help="cover style per stage")
             p.add_argument("--order", choices=["natural", "search"],
                            default="natural",
-                           help="stage order: fixed 0..n-1 or exhaustive search")
+                           help="stage order: fixed 0..n-1, or the first "
+                                "feasible one, found by a walk over the "
+                                "sets of bits rewritten so far")
 
     p_synth = sub.add_parser("synth", help="compile a truth table to QASM")
     add_common(p_synth, needs_input=True, pipeline=True)
@@ -112,26 +98,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("input", "circuit", "mode", "order", "lower", "cost_mode",
-                 "out", "stage", "overlay", "diagram"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    for path in (cfg.input, cfg.circuit):
+def _check_files(args: argparse.Namespace) -> None:
+    for name in ("input", "circuit"):
+        path = getattr(args, name, None)
         if path is not None and not path.is_file():
             raise FileNotFoundError(f"no such file: {path}")
-    return cfg
 
 
-def _read_function(cfg: RunConfig) -> ReversibleFunction:
-    assert cfg.input is not None
-    return parse_truth_table(cfg.input.read_text())
+def _read_function(args: argparse.Namespace) -> ReversibleFunction:
+    return parse_truth_table(args.input.read_text())
 
 
-def _read_circuit(cfg: RunConfig) -> Circuit:
-    assert cfg.circuit is not None
-    return parse_qasm(cfg.circuit.read_text())
+def _read_circuit(args: argparse.Namespace) -> Circuit:
+    return parse_qasm(args.circuit.read_text())
 
 
 def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
@@ -166,9 +145,10 @@ def _diagram(c: Circuit) -> str:
     return "\n".join("".join(r) for r in rows)
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    f = _read_function(cfg)
-    circuit = synthesize(f, mode=cfg.mode, order=cfg.order, lower=cfg.lower)
+def cmd_synth(args: argparse.Namespace) -> int:
+    f = _read_function(args)
+    circuit = synthesize(f, mode=args.mode, order=args.order,
+                         lower=args.lower)
     mismatch = verify(circuit, f)
     if mismatch is not None:  # internal invariant, never expected
         print(f"synthesis self-check failed: {mismatch}", file=sys.stderr)
@@ -178,21 +158,21 @@ def cmd_synth(cfg: RunConfig) -> int:
     except UnloweredMct as exc:
         print(f"error: {exc}; rerun with --lower toffoli2", file=sys.stderr)
         return EXIT_PARSE
-    summary = _census_lines(circuit, cfg.cost_mode)
-    if cfg.out is not None:
-        cfg.out.write_text(qasm)
+    summary = _census_lines(circuit, args.cost_mode)
+    if args.out is not None:
+        args.out.write_text(qasm)
         print("\n".join(summary))
     else:
         sys.stdout.write(qasm)
         print("\n".join(summary), file=sys.stderr)
-    if cfg.diagram:
+    if args.diagram:
         print(_diagram(circuit), file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    f = _read_function(cfg)
-    raw = _read_circuit(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    f = _read_function(args)
+    raw = _read_circuit(args)
     if raw.total_width < f.width:
         print(f"error: circuit has {raw.total_width} lines but the table "
               f"needs {f.width}", file=sys.stderr)
@@ -248,48 +228,45 @@ def _grid_text(grid: QMapGrid, overlay_cubes=None) -> str:
     return "\n".join(lines)
 
 
-def cmd_show(cfg: RunConfig) -> int:
-    f = _read_function(cfg)
-    if cfg.order == "search":
-        order = find_feasible_order(f)
-    else:
-        order = StageOrder.natural(f.width)
-    if not 0 <= cfg.stage < f.width:
+def cmd_show(args: argparse.Namespace) -> int:
+    f = _read_function(args)
+    order = resolve_order(f, args.order)
+    if not 0 <= args.stage < f.width:
         raise StageOutOfRange(
-            f"stage {cfg.stage} not in [0, {f.width})")
+            f"stage {args.stage} not in [0, {f.width})")
     tables = decompose(f, order)
-    table = tables[cfg.stage]
+    table = tables[args.stage]
     grid = build_qmap(table)
     print(f"stage {table.stage}, target q{table.target}, toggle map:")
     print(_grid_text(grid))
-    if cfg.overlay:
+    if args.overlay:
         forbidden = frozenset((table.target,))
-        if cfg.mode == "disjoint":
+        if args.mode == "disjoint":
             cover = minimize_disjoint(grid, forbidden=forbidden)
         else:
             cover = minimize_esop(grid, forbidden=forbidden)
         names = [f"q{i}'" if grid.primed[i] else f"q{i}"
                  for i in range(grid.width)]
-        print(f"\n{cfg.mode} cover groups:")
+        print(f"\n{args.mode} cover groups:")
         print(_grid_text(grid, overlay_cubes=cover.cubes))
         for i, cube in enumerate(cover.cubes):
             print(f"  {_group_symbol(i)}: {cube.render(names)}")
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    circuit = _read_circuit(cfg)
+def cmd_export(args: argparse.Namespace) -> int:
+    circuit = _read_circuit(args)
     qasm = export_qasm(circuit)
-    if cfg.out is not None:
-        cfg.out.write_text(qasm)
+    if args.out is not None:
+        args.out.write_text(qasm)
     else:
         sys.stdout.write(qasm)
     return EXIT_OK
 
 
-def cmd_cost(cfg: RunConfig) -> int:
-    circuit = _read_circuit(cfg)
-    print("\n".join(_census_lines(circuit, cfg.cost_mode)))
+def cmd_cost(args: argparse.Namespace) -> int:
+    circuit = _read_circuit(args)
+    print("\n".join(_census_lines(circuit, args.cost_mode)))
     return EXIT_OK
 
 
@@ -306,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        _check_files(args)
+        return _COMMANDS[args.subcommand](args)
     except (TruthTableError, QasmSyntaxError, WidthOutOfRange,
             StageOutOfRange, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,6 +119,32 @@ def random_bijection(n: int, rng: random.Random) -> ReversibleFunction:
     return ReversibleFunction(n, tuple(table))
 
 
+def random_feasible_function(n: int, rng: random.Random) -> ReversibleFunction:
+    """Build a bijection by composing random single-target stages; each
+    stage's toggle ignores its own target bit, so the natural-order
+    cascade always succeeds on the result."""
+    table = list(range(1 << n))
+    for target in range(n):
+        tbit = 1 << target
+        toggle = [rng.randint(0, 1) for _ in range(1 << n)]
+        for v in range(1 << n):
+            if v & tbit:
+                toggle[v] = toggle[v ^ tbit]
+        table = [v ^ (toggle[v] << target) for v in table]
+    return ReversibleFunction(n, tuple(table))
+
+
+def bit_swap_function(n: int, i: int, j: int) -> ReversibleFunction:
+    """Exchange bits i and j, keep the rest: infeasible for every stage
+    order, since whichever of the two an order rewrites first takes the
+    other's value and its own input value is lost."""
+    table = []
+    for x in range(1 << n):
+        d = ((x >> i) ^ (x >> j)) & 1
+        table.append(x ^ (d << i | d << j))
+    return ReversibleFunction(n, tuple(table))
+
+
 def swap2_function() -> ReversibleFunction:
     """f(q1, q0) = (q0, q1): infeasible for every stage order."""
     return ReversibleFunction(2, (0b00, 0b10, 0b01, 0b11))

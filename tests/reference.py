@@ -1,16 +1,33 @@
-"""Slow scalar references for the library's bitset kernels.
+"""Slow references for the library's fast kernels.
 
-These are the simulator and the greedy disjoint cover as they were
-before both became bitset code: one input word at a time through every
-gate, and one cell at a time through every candidate cube.  The property
-tests require the library to agree with them exactly.
+These are the simulator, the greedy disjoint cover and the stage-order
+search as they were before they became bitset or prefix-set code: one
+input word at a time through every gate, one cell at a time through
+every candidate cube, and a full decomposition for every one of the n!
+stage orders.  The property tests require the library to agree with them
+exactly.
 """
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Sequence
 
-from qmap_synth import BitWord, Circuit, Counterexample, Cube, Gate, ReversibleFunction
-from qmap_synth.errors import AncillaNotRestored, LineOutOfRange
+from qmap_synth import (
+    BitWord,
+    Circuit,
+    Counterexample,
+    Cube,
+    Gate,
+    ReversibleFunction,
+    StageOrder,
+    decompose,
+)
+from qmap_synth.errors import (
+    AncillaNotRestored,
+    CascadeInfeasible,
+    LineOutOfRange,
+    NoFeasibleOrder,
+)
 
 
 def compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
@@ -82,3 +99,16 @@ def greedy_disjoint(values: Sequence[int | None],
         covered.update(cs)
         need.difference_update(cs)
     return out
+
+
+def find_feasible_order(f: ReversibleFunction) -> StageOrder:
+    """First of the n! stage orders, in lexicographic order, for which
+    decompose succeeds."""
+    for perm in permutations(range(f.width)):
+        order = StageOrder(perm)
+        try:
+            decompose(f, order)
+        except CascadeInfeasible:
+            continue
+        return order
+    raise NoFeasibleOrder(f"all {f.width}! stage orders fail")

@@ -11,9 +11,9 @@ from conftest import (
     GRAY4_TOGGLES,
     gray4_function,
     gray4_text,
+    random_feasible_function,
     swap2_function,
 )
-from test_circuit import random_feasible_function
 from qmap_synth import (
     BitWord,
     Circuit,

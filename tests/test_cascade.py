@@ -1,8 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import GRAY4_TOGGLES, random_bijection, swap2_function
+import reference
+from conftest import (
+    GRAY4_TOGGLES,
+    bit_swap_function,
+    random_bijection,
+    random_feasible_function,
+    swap2_function,
+)
 from qmap_synth import (
     ReversibleFunction,
     StageOrder,
@@ -10,7 +20,8 @@ from qmap_synth import (
     find_feasible_order,
     identity_function,
 )
-from qmap_synth.cascade import replay
+from qmap_synth import cascade
+from qmap_synth.cascade import MAX_SEARCH_WIDTH, replay
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, WidthOutOfRange
 
 
@@ -128,7 +139,7 @@ class TestFeasibleOrder:
 
     def test_width_cap(self):
         with pytest.raises(WidthOutOfRange):
-            find_feasible_order(identity_function(9))
+            find_feasible_order(identity_function(MAX_SEARCH_WIDTH + 1))
 
     def test_returns_first_lexicographic(self):
         # q0' = q1 and q1' = q0^q1: stage order (0,1) collapses inputs 00
@@ -139,3 +150,53 @@ class TestFeasibleOrder:
         order = find_feasible_order(f)
         assert order.order == (1, 0)
         assert len(decompose(f, order)) == 2
+
+
+def relabel(f: ReversibleFunction, perm: list[int]) -> ReversibleFunction:
+    """f with bit i renamed perm[i]: a cascade in order o becomes one in
+    order (perm[t] for t in o)."""
+    def move(x: int) -> int:
+        return sum(((x >> i) & 1) << perm[i] for i in range(f.width))
+    table = [0] * (1 << f.width)
+    for x, y in enumerate(f.table):
+        table[move(x)] = move(y)
+    return ReversibleFunction(f.width, tuple(table))
+
+
+@st.composite
+def search_inputs(draw) -> ReversibleFunction:
+    kind = draw(st.sampled_from(["bijection", "relabelled", "swap"]))
+    n = draw(st.integers(2 if kind == "swap" else 1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "bijection":
+        return random_bijection(n, rng)
+    if kind == "relabelled":
+        return relabel(random_feasible_function(n, rng),
+                       rng.sample(range(n), n))
+    i, j = rng.sample(range(n), 2)
+    return bit_swap_function(n, i, j)
+
+
+def outcome(search, f):
+    try:
+        return search(f).order
+    except NoFeasibleOrder:
+        return NoFeasibleOrder
+
+
+class TestAgainstExhaustiveReference:
+    @settings(max_examples=200, deadline=None)
+    @given(search_inputs())
+    # set 011 fails and is a child of both 001 and 010, which pass
+    @example(ReversibleFunction(3, (6, 5, 1, 2, 4, 3, 7, 0)))
+    def test_same_order_or_same_refusal(self, f):
+        with mock.patch.object(cascade, "_prefix_injective",
+                               wraps=cascade._prefix_injective) as spy:
+            got = outcome(find_feasible_order, f)
+        assert got == outcome(reference.find_feasible_order, f)
+        if got is not NoFeasibleOrder:
+            assert len(decompose(f, StageOrder(got))) == f.width
+        # each proper non-empty prefix set is tested at most once
+        tested = [call.args[2] for call in spy.call_args_list]
+        assert len(tested) == len(set(tested))
+        assert all(0 < p < (1 << f.width) - 1 for p in tested)

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import optimized_reference_circuit, unoptimized_reference_circuit
+from conftest import (
+    bit_swap_function,
+    optimized_reference_circuit,
+    random_feasible_function,
+    unoptimized_reference_circuit,
+)
 from qmap_synth import (
     Circuit,
     Control,
@@ -24,22 +29,7 @@ from qmap_synth import (
     synthesize,
     verify,
 )
-from qmap_synth.errors import TargetReadWrite, UnloweredMct
-
-
-def random_feasible_function(n: int, rng: random.Random) -> ReversibleFunction:
-    """Build a bijection by composing random single-target stages; each
-    stage's toggle ignores its own target bit, so the natural-order
-    cascade always succeeds on the result."""
-    table = list(range(1 << n))
-    for target in range(n):
-        tbit = 1 << target
-        toggle = [rng.randint(0, 1) for _ in range(1 << n)]
-        for v in range(1 << n):
-            if v & tbit:
-                toggle[v] = toggle[v ^ tbit]
-        table = [v ^ (toggle[v] << target) for v in table]
-    return ReversibleFunction(n, tuple(table))
+from qmap_synth.errors import NoFeasibleOrder, TargetReadWrite, UnloweredMct
 
 
 class TestGate:
@@ -217,6 +207,10 @@ class TestSynthesize:
         f = ReversibleFunction(2, (0b00, 0b10, 0b11, 0b01))
         c = synthesize(f, order="search")
         assert verify(c, f) is None
+
+    def test_search_refuses_wide_swap(self):
+        with pytest.raises(NoFeasibleOrder):
+            synthesize(bit_swap_function(8, 7, 6), order="search")
 
     @pytest.mark.parametrize("mode", ["esop", "disjoint"])
     @pytest.mark.parametrize("seed", range(10))

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import swap2_function
+from conftest import bit_swap_function, swap2_function
 from qmap_synth import render_truth_table, identity_function, parse_qasm
 from qmap_synth.cli import main
 
@@ -92,6 +92,13 @@ class TestSynth:
 
     def test_swap_search_exit3(self, swap_file, capsys):
         code = main(["synth", "--input", str(swap_file), "--order", "search"])
+        assert code == 3
+        assert "order" in capsys.readouterr().err
+
+    def test_wide_swap_search_exit3(self, tmp_path, capsys):
+        path = tmp_path / "swap8.tt"
+        path.write_text(render_truth_table(bit_swap_function(8, 7, 6)))
+        code = main(["synth", "--input", str(path), "--order", "search"])
         assert code == 3
         assert "order" in capsys.readouterr().err
 
