@@ -57,29 +57,31 @@ class Control(NamedTuple):
 class Gate:
     """Controlled bit flip.  The kind is derived: 0/1/2 all-positive
     controls are X/CX/CCX; anything with a negative control or three or
-    more controls is the internal MCT form awaiting lowering."""
+    more controls is the internal MCT form awaiting lowering.  `kind`
+    and `lines` (controls, then target) are computed once, at
+    construction, and take no part in ==, hash or repr."""
 
     target: int
     controls: tuple[Control, ...] = ()
+    kind: GateKind = field(init=False, repr=False, compare=False)
+    lines: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lines = [c.line for c in self.controls]
-        if self.target in lines:
-            raise ValueError(f"target line {self.target} is also a control")
+        # each Control is a (line, positive) pair
+        ctl, pos = zip(*self.controls) if self.controls else ((), ())
+        lines = ctl + (self.target,)
         if len(set(lines)) != len(lines):
-            raise ValueError(f"duplicate control lines in {lines}")
-        if self.target < 0 or any(l < 0 for l in lines):
+            if self.target in ctl:
+                raise ValueError(f"target line {self.target} is also a control")
+            raise ValueError(f"duplicate control lines in {list(ctl)}")
+        if min(lines) < 0:
             raise ValueError("negative line index")
-
-    @property
-    def kind(self) -> GateKind:
-        if len(self.controls) >= 3 or any(not c.positive for c in self.controls):
-            return GateKind.MCT
-        return (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)[len(self.controls)]
-
-    @property
-    def lines(self) -> tuple[int, ...]:
-        return tuple(c.line for c in self.controls) + (self.target,)
+        if len(ctl) < 3 and all(pos):
+            kind = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)[len(ctl)]
+        else:
+            kind = GateKind.MCT
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lines", lines)
 
     @classmethod
     def x(cls, target: int) -> "Gate":
@@ -112,7 +114,7 @@ class Circuit:
     def __post_init__(self) -> None:
         width = self.total_width
         for g in self.gates:
-            if any(l >= width for l in g.lines):
+            if max(g.lines) >= width:
                 raise ValueError(
                     f"gate {g} uses a line >= total width {width}")
 
@@ -154,7 +156,8 @@ def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     for g in gates:
         neg = sorted(c.line for c in g.controls if not c.positive)
         expanded += [Gate.x(l) for l in neg]
-        expanded.append(Gate(g.target, tuple(Control(c.line) for c in g.controls)))
+        expanded.append(Gate(g.target, tuple(Control(c.line) for c in g.controls))
+                        if neg else g)
         expanded += [Gate.x(l) for l in reversed(neg)]
 
     out: list[Gate | None] = []

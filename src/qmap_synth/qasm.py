@@ -28,13 +28,19 @@ def export_qasm(c: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{c.total_width}];",
     ]
+    # a lowered gate's kind follows from its line count, so each distinct
+    # `lines` tuple is rendered once; lowered circuits repeat a few tuples
+    # (X/CX/CCX on the same lines) for most of their gates
+    rendered: dict[tuple[int, ...], str] = {}
     for g in c.gates:
-        kind = g.kind
-        if kind is GateKind.MCT:
+        if g.kind is GateKind.MCT:
             raise UnloweredMct(
                 f"gate {g} must be lowered before QASM export")
-        args = [c2.line for c2 in g.controls] + [g.target]
-        lines.append(f"{kind.value} " + ",".join(f"q[{a}]" for a in args) + ";")
+        text = rendered.get(g.lines)
+        if text is None:
+            text = rendered[g.lines] = (
+                f"{g.kind.value} " + ",".join(f"q[{a}]" for a in g.lines) + ";")
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 

@@ -9,16 +9,19 @@ in one variable.  Covers of the grid come in two flavours:
 - ESOP: terms may overlap as long as each 1-cell is covered an odd
   number of times and each covered 0-cell an even number of times.
 
-For up to 4 variables both minimizers are exact in (cube count, then
-total literal count).  The exact engine is a dynamic program over the
-cofactor decomposition  f = P xor x'Q xor xR  of every subfunction,
-tabulated once per mode and reused; don't-cares are handled by taking
-the best completion.  Above 4 variables a documented greedy heuristic
-applies: largest-block-first for disjoint covers, and a positive-polarity
-Reed-Muller seed with pairwise term merging for ESOP.
+On grids of up to 4 variables both minimizers are exact in (cube count,
+then total literal count).  The grid width counts every variable, forbidden
+ones included, so a width-5 grid with one forbidden variable is not exact
+even though its cover has 4 free variables.  The exact engine is a dynamic
+program over the cofactor decomposition  f = P xor x'Q xor xR  of every
+subfunction, tabulated once per mode and reused; don't-cares are handled
+by taking the best completion.  On wider grids a documented greedy
+heuristic applies: largest-block-first for disjoint covers, and a
+positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -365,24 +368,35 @@ def _merge_partners(term: tuple[int, int],
 
 def _merge_terms(terms: list[tuple[int, int]],
                  m: int) -> list[tuple[int, int]]:
-    """Greedy pairwise reduction to a fixpoint; every step removes at
-    least one term, and equal terms cancel outright (XOR semantics)."""
+    """Greedy pairwise reduction to a fixpoint: the smallest term that
+    has a partner merges with its first partner in `_merge_partners`
+    order, and equal terms cancel outright (XOR semantics).
+
+    A min-heap holds every term that may have a partner.  A term gains
+    one only when a term enters the pool, and the relation is symmetric,
+    so pushing the entering term and its partners keeps that true; stale
+    entries are skipped when popped."""
     pool: set[tuple[int, int]] = set()
     for t in terms:
         pool.symmetric_difference_update((t,))
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(pool):
-            for partner, merged in _merge_partners(t, m):
-                if partner in pool:
-                    pool.remove(t)
-                    pool.remove(partner)
-                    pool.symmetric_difference_update((merged,))
-                    changed = True
-                    break
-            if changed:
+    heap = list(pool)
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap)
+        if t not in pool:
+            continue
+        for partner, merged in _merge_partners(t, m):
+            if partner in pool:
                 break
+        else:
+            continue
+        pool -= {t, partner}
+        pool ^= {merged}
+        if merged in pool:
+            heapq.heappush(heap, merged)
+            for other, _ in _merge_partners(merged, m):
+                if other in pool:
+                    heapq.heappush(heap, other)
     return sorted(pool)
 
 
@@ -496,8 +510,9 @@ def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
 
 def minimize_disjoint(g: QMapGrid,
                       forbidden: frozenset[int] = frozenset()) -> Cover:
-    """Disjoint SOP cover; exact in (cubes, literals) up to 4 variables,
-    largest-block-first greedy beyond."""
+    """Disjoint SOP cover; exact in (cubes, literals) for grids of up to
+    4 variables, forbidden ones included, largest-block-first greedy
+    beyond."""
     values, m, removed = _prepare(g, forbidden)
     if g.width <= EXACT_WIDTH_CAP:
         terms = _exact_cubes("disjoint", values, m)
@@ -509,7 +524,8 @@ def minimize_disjoint(g: QMapGrid,
 def minimize_esop(g: QMapGrid,
                   forbidden: frozenset[int] = frozenset()) -> Cover:
     """ESOP cover; exact in (cubes, literals) for grids of up to 4
-    variables, a Reed-Muller seed reduced by greedy term merging beyond."""
+    variables, forbidden ones included, a Reed-Muller seed reduced by
+    greedy term merging beyond."""
     values, m, removed = _prepare(g, forbidden)
     if g.width <= EXACT_WIDTH_CAP:
         terms = _exact_cubes("esop", values, m)

@@ -1,12 +1,14 @@
 """Shared fixtures: the 4-bit Gray-to-binary worked example and the two
-hand-built reference circuits for it, plus small oracle helpers."""
+hand-built reference circuits for it, plus small oracle helpers and
+hypothesis strategies."""
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from qmap_synth import Circuit, Gate, ReversibleFunction
+from qmap_synth import Circuit, Control, Gate, ReversibleFunction
 
 # 4-bit Gray code -> binary, input q3q2q1q0 -> output, one row per line.
 GRAY4_ROWS = [
@@ -143,6 +145,18 @@ def bit_swap_function(n: int, i: int, j: int) -> ReversibleFunction:
         d = ((x >> i) ^ (x >> j)) & 1
         table.append(x ^ (d << i | d << j))
     return ReversibleFunction(n, tuple(table))
+
+
+@st.composite
+def gates_on(draw, lines, targets=None, max_controls=4):
+    """A gate with a target from `targets` (default: any of `lines`) and
+    up to max_controls distinct controls from the rest, either polarity."""
+    target = draw(st.sampled_from(targets or lines))
+    others = [l for l in lines if l != target]
+    ctl = draw(st.lists(st.sampled_from(others), unique=True,
+                        max_size=min(max_controls, len(others)))
+               if others else st.just([]))
+    return Gate(target, tuple(Control(l, draw(st.booleans())) for l in ctl))
 
 
 def swap2_function() -> ReversibleFunction:

@@ -4,8 +4,10 @@ These are the simulator, the greedy disjoint cover and the stage-order
 search as they were before they became bitset or prefix-set code: one
 input word at a time through every gate, one cell at a time through
 every candidate cube, and a full decomposition for every one of the n!
-stage orders.  The property tests require the library to agree with them
-exactly.
+stage orders.  Beside them are the ESOP merge loop that rescans the
+sorted pool after every merge, a gate's kind, lines and checks derived
+on demand, and a QASM renderer that formats every gate afresh.  The
+property tests require the library to agree with them exactly.
 """
 from __future__ import annotations
 
@@ -15,9 +17,11 @@ from typing import Sequence
 from qmap_synth import (
     BitWord,
     Circuit,
+    Control,
     Counterexample,
     Cube,
     Gate,
+    GateKind,
     ReversibleFunction,
     StageOrder,
     decompose,
@@ -27,12 +31,14 @@ from qmap_synth.errors import (
     CascadeInfeasible,
     LineOutOfRange,
     NoFeasibleOrder,
+    UnloweredMct,
 )
+from qmap_synth.qmap import _merge_partners
 
 
 def compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
     """(positive control mask, negative control mask, target bit)."""
-    if any(l >= width for l in g.lines):
+    if any(l >= width for l in gate_lines(g)):
         raise LineOutOfRange(f"gate {g} does not fit in {width} lines")
     pos = neg = 0
     for c in g.controls:
@@ -112,3 +118,67 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
             continue
         return order
     raise NoFeasibleOrder(f"all {f.width}! stage orders fail")
+
+
+def merge_terms(terms: list[tuple[int, int]],
+                m: int) -> list[tuple[int, int]]:
+    """Greedy pairwise ESOP reduction that restarts from the sorted pool
+    after every merge: the smallest term with a partner merges with its
+    first partner."""
+    pool: set[tuple[int, int]] = set()
+    for t in terms:
+        pool.symmetric_difference_update((t,))
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(pool):
+            for partner, merged in _merge_partners(t, m):
+                if partner in pool:
+                    pool.remove(t)
+                    pool.remove(partner)
+                    pool.symmetric_difference_update((merged,))
+                    changed = True
+                    break
+            if changed:
+                break
+    return sorted(pool)
+
+
+def gate_kind(g: Gate) -> GateKind:
+    if len(g.controls) >= 3 or any(not c.positive for c in g.controls):
+        return GateKind.MCT
+    return (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)[len(g.controls)]
+
+
+def gate_lines(g: Gate) -> tuple[int, ...]:
+    return tuple(c.line for c in g.controls) + (g.target,)
+
+
+def gate_error(target: int, controls: tuple[Control, ...]) -> str | None:
+    """The ValueError message a gate with these lines must raise, or
+    None when it is valid."""
+    lines = [c.line for c in controls]
+    if target in lines:
+        return f"target line {target} is also a control"
+    if len(set(lines)) != len(lines):
+        return f"duplicate control lines in {lines}"
+    if target < 0 or any(l < 0 for l in lines):
+        return "negative line index"
+    return None
+
+
+def export_qasm(c: Circuit) -> str:
+    """Render every gate on its own, refusing unlowered ones."""
+    lines = [
+        "OPENQASM 2.0;",
+        'include "qelib1.inc";',
+        f"qreg q[{c.total_width}];",
+    ]
+    for g in c.gates:
+        kind = gate_kind(g)
+        if kind is GateKind.MCT:
+            raise UnloweredMct(
+                f"gate {g} must be lowered before QASM export")
+        args = [c2.line for c2 in g.controls] + [g.target]
+        lines.append(f"{kind.value} " + ",".join(f"q[{a}]" for a in args) + ";")
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRAY4_ROWS, gray4_text, random_bijection
 from qmap_synth import (
@@ -149,6 +151,13 @@ class TestRoundTrip:
     def test_parse_render_roundtrip(self, seed):
         rng = random.Random(seed)
         f = random_bijection(rng.randint(1, 6), rng)
+        assert parse_truth_table(render_truth_table(f)) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.permutations(range(1 << n))))
+    def test_parse_render_property(self, table):
+        f = ReversibleFunction(len(table).bit_length() - 1, tuple(table))
         assert parse_truth_table(render_truth_table(f)) == f
 
     def test_output_column_is_full_range(self):

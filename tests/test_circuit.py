@@ -1,9 +1,14 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import (
     bit_swap_function,
+    gates_on,
     optimized_reference_circuit,
     random_feasible_function,
     unoptimized_reference_circuit,
@@ -53,6 +58,56 @@ class TestGate:
     def test_circuit_width_check(self):
         with pytest.raises(ValueError):
             Circuit(2, 0, (Gate.ccx(1, 2, 0),))
+
+
+# lines -1..7 with up to four controls: valid gates and each kind of
+# invalid one (target among the controls, a repeated control, a negative
+# line) all occur
+gate_specs = st.tuples(
+    st.integers(-1, 7),
+    st.lists(st.builds(Control, st.integers(-1, 7), st.booleans()),
+             max_size=4).map(tuple))
+
+valid_gates = st.integers(1, 8).flatmap(lambda n: gates_on(list(range(n))))
+
+
+class TestGateAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_specs)
+    def test_kind_lines_and_errors(self, spec):
+        target, controls = spec
+        error = reference.gate_error(target, controls)
+        if error is not None:
+            with pytest.raises(ValueError) as exc:
+                Gate(target, controls)
+            assert str(exc.value) == error
+            return
+        g = Gate(target, controls)
+        assert g.kind is reference.gate_kind(g)
+        assert g.lines == reference.gate_lines(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_gates)
+    def test_identity_is_target_and_controls(self, g):
+        twin = Gate(g.target, tuple(Control(*c) for c in g.controls))
+        assert twin == g
+        assert hash(twin) == hash(g) == hash((g.target, g.controls))
+        assert repr(g) == f"Gate(target={g.target!r}, controls={g.controls!r})"
+        assert Gate(8, g.controls) != g
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_gates, st.data())
+    def test_replace_recomputes_derived_fields(self, g, data):
+        changes = data.draw(st.sampled_from([
+            {"target": max(g.lines) + 1},
+            {"controls": ()},
+            {"controls": tuple(Control(c.line, not c.positive)
+                               for c in g.controls)},
+            {"controls": g.controls[:2]},
+        ]))
+        r = dataclasses.replace(g, **changes)
+        assert r.kind is reference.gate_kind(r)
+        assert r.lines == reference.gate_lines(r)
 
 
 class TestRealizeStage:

@@ -1,10 +1,48 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import optimized_reference_circuit, unoptimized_reference_circuit
-from qmap_synth import Circuit, Gate, export_qasm, parse_qasm, split_ancillas
+import reference
+from conftest import (
+    gates_on,
+    optimized_reference_circuit,
+    unoptimized_reference_circuit,
+)
+from qmap_synth import (
+    Circuit,
+    Control,
+    Gate,
+    export_qasm,
+    lower_mct,
+    lower_polarity,
+    parse_qasm,
+    split_ancillas,
+)
 from qmap_synth.errors import QasmSyntaxError, UnloweredMct
+
+
+@st.composite
+def raw_circuits(draw):
+    """1-6 data lines and up to 20 gates of 0-4 controls, either
+    polarity: mostly not in the exported subset."""
+    n = draw(st.integers(1, 6))
+    gates = draw(st.lists(gates_on(list(range(n))), max_size=20))
+    return Circuit(n, 0, tuple(gates))
+
+
+lowered_circuits = raw_circuits().map(
+    lambda c: lower_mct(Circuit(c.data_width, 0,
+                                tuple(lower_polarity(c.gates)))))
+
+
+def rendered(export, c):
+    """The QASM text, or the refusal."""
+    try:
+        return export(c)
+    except UnloweredMct:
+        return UnloweredMct
 
 
 class TestExport:
@@ -39,6 +77,24 @@ class TestExport:
         c = unoptimized_reference_circuit()
         assert export_qasm(c) == export_qasm(c)
 
+    def test_rejects_mct_on_lines_already_rendered(self):
+        c = Circuit(3, 0, (Gate.ccx(1, 2, 0),
+                           Gate(0, (Control(1), Control(2, False)))))
+        with pytest.raises(UnloweredMct):
+            export_qasm(c)
+
+
+class TestAgainstPerGateRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(lowered_circuits)
+    def test_same_bytes_on_lowered_circuits(self, c):
+        assert export_qasm(c) == reference.export_qasm(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_circuits())
+    def test_same_bytes_or_same_refusal(self, c):
+        assert rendered(export_qasm, c) == rendered(reference.export_qasm, c)
+
 
 class TestParse:
     def test_roundtrip_reference_circuits(self):
@@ -60,6 +116,11 @@ class TestParse:
             gates.append(Gate.mct(lines[1:], lines[0]))
         c = Circuit(width, 0, tuple(gates))
         assert parse_qasm(export_qasm(c)) == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(lowered_circuits)
+    def test_roundtrip_property(self, c):
+        assert parse_qasm(export_qasm(c)).gates == c.gates
 
     def test_comments_and_blanks_ignored(self):
         text = (

@@ -19,7 +19,13 @@ from qmap_synth import (
     verify_cover,
 )
 from qmap_synth.cascade import ToggleTable
-from qmap_synth.qmap import _greedy_disjoint, can_avoid_variable, gray_sequence
+from qmap_synth.qmap import (
+    _greedy_disjoint,
+    _merge_terms,
+    _pprm_terms,
+    can_avoid_variable,
+    gray_sequence,
+)
 
 
 def make_table(entries, width, target=None):
@@ -483,3 +489,46 @@ class TestGreedyDisjointReference:
         values, m = case
         assert _greedy_disjoint(values, m) == \
             reference.greedy_disjoint(values, m)
+
+
+@st.composite
+def term_lists(draw):
+    """(terms, m) for 1 <= m <= 7: short walks through the term space,
+    each step setting one variable slot to absent, negative or positive
+    (possibly its current state), so that merge partners, chains of
+    merges and duplicates are common; shuffled."""
+    m = draw(st.integers(1, 7))
+    terms = []
+    for _ in range(draw(st.integers(0, 10))):
+        mask = draw(st.integers(0, (1 << m) - 1))
+        t = (mask, draw(st.integers(0, (1 << m) - 1)) & mask)
+        for _ in range(draw(st.integers(1, 8))):
+            terms.append(t)
+            bit = 1 << draw(st.integers(0, m - 1))
+            slot_mask, slot_value = draw(
+                st.sampled_from([(0, 0), (bit, 0), (bit, bit)]))
+            t = ((t[0] & ~bit) | slot_mask, (t[1] & ~bit) | slot_value)
+    return draw(st.permutations(terms)), m
+
+
+@st.composite
+def pprm_seeds(draw):
+    """(terms, m): the Reed-Muller monomials of a random 0/1 vector."""
+    m = draw(st.integers(1, 7))
+    values = draw(st.lists(st.integers(0, 1), min_size=1 << m,
+                           max_size=1 << m))
+    return _pprm_terms(values, m), m
+
+
+class TestMergeTermsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists())
+    def test_same_terms_on_term_lists(self, case):
+        terms, m = case
+        assert _merge_terms(terms, m) == reference.merge_terms(terms, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pprm_seeds())
+    def test_same_terms_on_reed_muller_seeds(self, case):
+        terms, m = case
+        assert _merge_terms(terms, m) == reference.merge_terms(terms, m)

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import optimized_reference_circuit, unoptimized_reference_circuit
+from conftest import (
+    gates_on,
+    optimized_reference_circuit,
+    unoptimized_reference_circuit,
+)
 from qmap_synth import (
     BitWord,
     Circuit,
@@ -160,18 +164,6 @@ class TestThroughput:
 
 
 # --- differential properties against the scalar reference -------------------
-
-@st.composite
-def gates_on(draw, lines, targets=None, max_controls=4):
-    """A gate with a target from `targets` (default: any of `lines`) and
-    up to max_controls distinct controls from the rest, either polarity."""
-    target = draw(st.sampled_from(targets or lines))
-    others = [l for l in lines if l != target]
-    ctl = draw(st.lists(st.sampled_from(others), unique=True,
-                        max_size=min(max_controls, len(others)))
-               if others else st.just([]))
-    return Gate(target, tuple(Control(l, draw(st.booleans())) for l in ctl))
-
 
 @st.composite
 def circuits(draw):
