@@ -37,7 +37,6 @@ from .qmap import (
     Cube,
     QMapGrid,
     build_qmap,
-    cube_cells,
     minimize_disjoint,
     minimize_esop,
     pprm_cover,
@@ -79,7 +78,6 @@ __all__ = [
     "Cube",
     "QMapGrid",
     "build_qmap",
-    "cube_cells",
     "minimize_disjoint",
     "minimize_esop",
     "pprm_cover",

@@ -76,9 +76,6 @@ class ToggleTable:
         if len(self.primed) != self.width:
             raise ValueError("primed flags must cover every bit")
 
-    def defined_states(self) -> list[int]:
-        return [v for v, t in enumerate(self.entries) if t is not None]
-
     def is_zero(self) -> bool:
         return all(t in (0, None) for t in self.entries)
 

@@ -210,11 +210,12 @@ def _grid_text(grid: QMapGrid, overlay_cubes=None) -> str:
     header = " " * left + "".join(
         f"{cl:0{len(grid.colvars)}b}".rjust(4) for cl in grid.collabels)
     lines.append(header)
+    cols = range(len(grid.collabels))
     for r, rl in enumerate(grid.rowlabels):
         label = format(rl, f"0{rbits}b") if rbits else ""
         cells = []
-        for c in range(len(grid.collabels)):
-            v = grid.cells[r][c]
+        for c in cols:
+            v = grid.cell(r, c)
             if overlay_cubes is None:
                 text = "-" if v is None else str(v)
             else:

@@ -1,8 +1,13 @@
-"""Karnaugh-style grids for toggle functions and cover minimization.
+"""Cover minimization for toggle functions, and their Karnaugh-style view.
 
-A toggle function over n bits is laid out on a 2-D grid whose row and
-column labels follow reflected Gray order, so neighbouring cells differ
-in one variable.  Covers of the grid come in two flavours:
+A toggle function over m variables is held as two truth-vector ints:
+`on` has bit s set when f(s) = 1 and `dc` marks the don't-cares.  A
+cube's cells are the bits of base(mask) << value, where base(mask) has
+a bit for each cell s with s & mask == 0, so the minimizers and the
+cover check are shifts and masks over these ints.  The Gray-labelled
+2-D grid of the paper (row and column labels in reflected Gray order, so
+neighbouring cells differ in one variable) is derived from the ints on
+demand, for display only.  Covers come in two flavours:
 
 - disjoint sum-of-products: product terms that never share a cell, each
   1-cell covered exactly once (OR and XOR of the terms coincide);
@@ -40,7 +45,6 @@ __all__ = [
     "Cover",
     "QMapGrid",
     "build_qmap",
-    "cube_cells",
     "gray_sequence",
     "minimize_disjoint",
     "minimize_esop",
@@ -109,13 +113,6 @@ class Cube:
         return " ".join(parts)
 
 
-def cube_cells(c: Cube, n: int) -> set[int]:
-    """All states agreeing with every literal of the cube."""
-    if c.width != n:
-        raise ValueError(f"cube width {c.width} != {n}")
-    return set(c.cells())
-
-
 @dataclass(frozen=True)
 class Cover:
     mode: CoverMode
@@ -128,73 +125,88 @@ class Cover:
     def literal_count(self) -> int:
         return sum(c.literal_count for c in self.cubes)
 
-    def eval_xor(self, state: int) -> int:
-        return sum(c.covers(state) for c in self.cubes) & 1
-
-    def eval_or(self, state: int) -> int:
-        return int(any(c.covers(state) for c in self.cubes))
-
 
 @dataclass(frozen=True)
 class QMapGrid:
-    """Gray-labelled 2-D layout of a toggle function.
+    """A stage's toggle function: bit s of `on` is set when the target
+    must flip at state s, bit s of `dc` when no input reaches s.
 
-    Row labels assign the high variables q_{n-1}..q_k, column labels the
-    low variables q_{k-1}..q_0; the cell at (r, c) holds the function
-    value at state (rowlabel << k) | collabel, or None for don't-care.
+    The Gray layout is a view derived on demand: row labels assign the
+    high variables q_{n-1}..q_k, column labels the low variables
+    q_{k-1}..q_0, and the cell at (r, c) shows state
+    (rowlabel << k) | collabel.
     """
 
     width: int
-    split: int
-    rowvars: tuple[int, ...]
-    colvars: tuple[int, ...]
-    rowlabels: tuple[int, ...]
-    collabels: tuple[int, ...]
-    cells: tuple[tuple[int | None, ...], ...]
+    on: int
+    dc: int
     primed: tuple[bool, ...]
     stage: int
     target: int
 
+    @property
+    def split(self) -> int:
+        """k: the column block takes the low ceil(n/2) variables."""
+        return (self.width + 1) // 2
+
+    @property
+    def rowvars(self) -> tuple[int, ...]:
+        return tuple(range(self.width - 1, self.split - 1, -1))
+
+    @property
+    def colvars(self) -> tuple[int, ...]:
+        return tuple(range(self.split - 1, -1, -1))
+
+    @property
+    def rowlabels(self) -> tuple[int, ...]:
+        return gray_sequence(self.width - self.split)
+
+    @property
+    def collabels(self) -> tuple[int, ...]:
+        return gray_sequence(self.split)
+
     def state_at(self, r: int, c: int) -> int:
-        return (self.rowlabels[r] << self.split) | self.collabels[c]
+        """The state shown at (r, c); label i of a Gray block is i ^ i >> 1."""
+        return ((r ^ r >> 1) << self.split) | (c ^ c >> 1)
 
-    def value_at_state(self, state: int) -> int | None:
-        return self.values_by_state()[state]
+    def cell(self, r: int, c: int) -> int | None:
+        """The value shown at (r, c); None for a don't-care."""
+        s = self.state_at(r, c)
+        return None if self.dc >> s & 1 else self.on >> s & 1
 
-    def values_by_state(self) -> list[int | None]:
-        vals: list[int | None] = [None] * (1 << self.width)
-        for r, rl in enumerate(self.rowlabels):
-            for c, cl in enumerate(self.collabels):
-                vals[(rl << self.split) | cl] = self.cells[r][c]
-        return vals
+
+def _truth_vectors(entries: Sequence[int | None]) -> tuple[int, int]:
+    """(on, dc) of a toggle table's entries."""
+    on = int("".join("1" if v == 1 else "0" for v in reversed(entries)), 2)
+    dc = int("".join("1" if v is None else "0" for v in reversed(entries)), 2)
+    return on, dc
 
 
 def build_qmap(t: ToggleTable) -> QMapGrid:
-    """Lay a toggle table out on its Gray-labelled grid; the column
-    block takes the low ceil(n/2) variables."""
-    n = t.width
-    k = (n + 1) // 2
-    rowlabels = gray_sequence(n - k)
-    collabels = gray_sequence(k)
-    cells = tuple(
-        tuple(t.entries[(rl << k) | cl] for cl in collabels)
-        for rl in rowlabels)
-    return QMapGrid(
-        width=n,
-        split=k,
-        rowvars=tuple(range(n - 1, k - 1, -1)),
-        colvars=tuple(range(k - 1, -1, -1)),
-        rowlabels=rowlabels,
-        collabels=collabels,
-        cells=cells,
-        primed=t.primed,
-        stage=t.stage,
-        target=t.target,
-    )
+    """The toggle table's function as truth vectors, with its stage
+    bookkeeping for display."""
+    on, dc = _truth_vectors(t.entries)
+    return QMapGrid(t.width, on, dc, t.primed, t.stage, t.target)
+
+
+def _clear(m: int, bit: int) -> int:
+    """Cells s < 2^m with s & bit == 0 (bit a power of two): runs of
+    `bit` set bits alternating with runs of `bit` clear ones."""
+    return ((1 << (1 << m)) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+
+
+def _base(m: int, mask: int) -> int:
+    """Cells s < 2^m with s & mask == 0: the cells of cube (mask, 0)."""
+    base = (1 << (1 << m)) - 1
+    while mask:
+        low = mask & -mask
+        base &= _clear(m, low)
+        mask ^= low
+    return base
 
 
 def verify_cover(cover: Cover, g: QMapGrid) -> bool:
-    """Check the mode's covering invariant cell by cell.
+    """Check the mode's covering invariant.
 
     Disjoint: no two cubes share any cell, every 1 covered exactly once,
     no 0 covered.  ESOP: every 1 covered an odd number of times, every 0
@@ -203,18 +215,13 @@ def verify_cover(cover: Cover, g: QMapGrid) -> bool:
     """
     if any(c.width != g.width for c in cover.cubes):
         return False
-    values = g.values_by_state()
-    for state, v in enumerate(values):
-        count = sum(c.covers(state) for c in cover.cubes)
-        if cover.mode is CoverMode.DISJOINT:
-            if count > 1:
-                return False
-            if v is not None and count != v:
-                return False
-        else:
-            if v is not None and count % 2 != v:
-                return False
-    return True
+    acc = 0  # the cells covered an odd number of times
+    for c in cover.cubes:
+        cells = _base(g.width, c.mask) << c.value
+        if cover.mode is CoverMode.DISJOINT and acc & cells:
+            return False
+        acc ^= cells
+    return not (acc ^ g.on) & ~g.dc
 
 
 # --- exact minimization ----------------------------------------------------
@@ -311,43 +318,38 @@ def _reconstruct(kind: str, tabs: list[np.ndarray], f: int,
     return cubes
 
 
-def _exact_cubes(kind: str, values: Sequence[int | None],
+def _exact_cubes(kind: str, on: int, dc: int,
                  m: int) -> list[tuple[int, int]]:
     """Exact minimum cover of a possibly-incomplete function on m <= 4
-    variables, taking the best completion of the don't-cares."""
+    variables, taking the best completion of the don't-cares; the
+    completions are tried in increasing order and the first best wins."""
     tabs = _tables(kind, m)
-    base = 0
-    dc: list[int] = []
-    for state, v in enumerate(values):
-        if v is None:
-            dc.append(state)
-        elif v:
-            base |= 1 << state
     table = tabs[m]
-    best_f = base
-    best_key = int(table[base])
-    for assign in range(1, 1 << len(dc)):
-        f = base
-        for j, state in enumerate(dc):
-            if assign >> j & 1:
-                f |= 1 << state
-        key = int(table[f])
+    best_f = on
+    best_key = int(table[on])
+    sub = 0
+    while sub != dc:
+        sub = (sub - dc) & dc  # the next submask of dc
+        key = int(table[on | sub])
         if key < best_key:
-            best_key, best_f = key, f
+            best_key, best_f = key, on | sub
     return _reconstruct(kind, tabs, best_f, m)
 
 
 # --- heuristic minimization ------------------------------------------------
 
-def _pprm_terms(values: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Positive-polarity Reed-Muller monomials of a 0/1 vector."""
-    coeff = list(values)
-    for i in range(n):
+def _pprm_terms(f: int, m: int) -> list[tuple[int, int]]:
+    """Positive-polarity Reed-Muller monomials of a truth vector, lowest
+    first."""
+    for i in range(m):
         bit = 1 << i
-        for x in range(1 << n):
-            if x & bit:
-                coeff[x] ^= coeff[x ^ bit]
-    return [(s, s) for s in range(1 << n) if coeff[s]]
+        f ^= (f & _clear(m, bit)) << bit
+    terms = []
+    while f:
+        s = (f & -f).bit_length() - 1
+        terms.append((s, s))
+        f &= f - 1
+    return terms
 
 
 def _merge_partners(term: tuple[int, int],
@@ -402,26 +404,19 @@ def _merge_terms(terms: list[tuple[int, int]],
 
 @cache
 def _blocks(m: int) -> tuple[tuple[int, int], ...]:
-    """(mask, base) for every mask over m variables, fewest literals
-    first; base has bit s set for each cell s with s & mask == 0, so the
-    cells of cube (mask, value) are the bits of base << value."""
-    base = [(1 << (1 << m)) - 1]
-    for mask in range(1, 1 << m):
-        low = mask & -mask  # cells with this bit clear: runs of `low`
-        base.append(base[mask ^ low]
-                    & base[0] // ((1 << 2 * low) - 1) * ((1 << low) - 1))
-    return tuple(sorted(enumerate(base),
-                        key=lambda mb: (mb[0].bit_count(), mb[0])))
+    """(mask, base(mask)) for every mask over m variables, fewest
+    literals first."""
+    return tuple((mask, _base(m, mask)) for mask in
+                 sorted(range(1 << m), key=lambda mk: (mk.bit_count(), mk)))
 
 
-def _greedy_disjoint(values: Sequence[int | None], m: int) -> list[tuple[int, int]]:
+def _greedy_disjoint(on: int, dc: int, m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
     1-cell and take the biggest cube that fits in uncovered 1/don't-care
-    cells, so the result is disjoint by construction.  Cell sets are
-    ints, bit s for cell s."""
-    need = sum(1 << s for s, v in enumerate(values) if v == 1)
+    cells, so the result is disjoint by construction."""
+    need = on
     # cells no new cube may touch: the 0-cells, then every covered cell
-    taken = sum(1 << s for s, v in enumerate(values) if v == 0)
+    taken = ((1 << (1 << m)) - 1) & ~(on | dc)
     out: list[tuple[int, int]] = []
     while need:
         seed = (need & -need).bit_length() - 1
@@ -438,29 +433,30 @@ def _greedy_disjoint(values: Sequence[int | None], m: int) -> list[tuple[int, in
 
 # --- variable elimination and lifting --------------------------------------
 
-def _remove_var(values: Sequence[int | None], m: int,
-                var: int) -> list[int | None] | None:
+def _remove_var(on: int, dc: int, m: int,
+                var: int) -> tuple[int, int] | None:
     """Project out one variable; None when the two cofactors conflict on
     a defined cell (no completion is independent of the variable)."""
     bit = 1 << var
-    out: list[int | None] = []
-    for x in range(1 << (m - 1)):
-        low = x & (bit - 1)
-        s0 = ((x >> var) << (var + 1)) | low
-        a, b = values[s0], values[s0 | bit]
-        if a is None:
-            out.append(b)
-        elif b is None or a == b:
-            out.append(a)
-        else:
-            return None
-    return out
+    low = _clear(m, bit)
+    on0, on1 = on & low, on >> bit & low
+    dc0, dc1 = dc & low, dc >> bit & low
+    if (on0 ^ on1) & ~(dc0 | dc1):
+        return None
+    on, dc = on0 | on1, dc0 & dc1
+    # squeeze out the empty runs: at step j, runs of 2^j cells sit at
+    # stride 2^(j+1) and each pair of runs joins into one
+    for j in range(var, m - 1):
+        keep = _clear(m, 2 << j)
+        on = (on | on >> (1 << j)) & keep
+        dc = (dc | dc >> (1 << j)) & keep
+    return on, dc
 
 
 def can_avoid_variable(entries: Sequence[int | None], width: int,
                        var: int) -> bool:
     """True iff some completion of the function ignores the variable."""
-    return _remove_var(entries, width, var) is not None
+    return _remove_var(*_truth_vectors(entries), width, var) is not None
 
 
 def _insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
@@ -488,16 +484,15 @@ def _normalize_single_negatives(terms: list[tuple[int, int]],
 # --- public minimizers ------------------------------------------------------
 
 def _prepare(g: QMapGrid, forbidden: frozenset[int]):
-    values: Sequence[int | None] = g.values_by_state()
-    m = g.width
+    on, dc, m = g.on, g.dc, g.width
     removed: list[int] = []
     for var in sorted(forbidden, reverse=True):
-        reduced = _remove_var(values, m, var)
+        reduced = _remove_var(on, dc, m, var)
         if reduced is None:
             raise ValueError(f"no cover of this grid can avoid q{var}")
-        values, m = reduced, m - 1
+        (on, dc), m = reduced, m - 1
         removed.append(var)
-    return values, m, sorted(removed)
+    return on, dc, m, sorted(removed)
 
 
 def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
@@ -513,11 +508,11 @@ def minimize_disjoint(g: QMapGrid,
     """Disjoint SOP cover; exact in (cubes, literals) for grids of up to
     4 variables, forbidden ones included, largest-block-first greedy
     beyond."""
-    values, m, removed = _prepare(g, forbidden)
+    on, dc, m, removed = _prepare(g, forbidden)
     if g.width <= EXACT_WIDTH_CAP:
-        terms = _exact_cubes("disjoint", values, m)
+        terms = _exact_cubes("disjoint", on, dc, m)
     else:
-        terms = _greedy_disjoint(values, m)
+        terms = _greedy_disjoint(on, dc, m)
     return _finish(terms, removed, g.width, CoverMode.DISJOINT)
 
 
@@ -526,11 +521,11 @@ def minimize_esop(g: QMapGrid,
     """ESOP cover; exact in (cubes, literals) for grids of up to 4
     variables, forbidden ones included, a Reed-Muller seed reduced by
     greedy term merging beyond."""
-    values, m, removed = _prepare(g, forbidden)
+    on, dc, m, removed = _prepare(g, forbidden)
     if g.width <= EXACT_WIDTH_CAP:
-        terms = _exact_cubes("esop", values, m)
+        terms = _exact_cubes("esop", on, dc, m)
     else:
-        terms = _merge_terms(_pprm_terms([v or 0 for v in values], m), m)
+        terms = _merge_terms(_pprm_terms(on, m), m)
     terms = _normalize_single_negatives(terms, m)
     return _finish(terms, removed, g.width, CoverMode.ESOP)
 
@@ -538,7 +533,7 @@ def minimize_esop(g: QMapGrid,
 def pprm_cover(t: ToggleTable) -> Cover:
     """Positive-polarity Reed-Muller expansion as an ESOP cover;
     don't-care entries are taken as 0."""
-    values = [v or 0 for v in t.entries]
-    terms = _pprm_terms(values, t.width)
+    on, _ = _truth_vectors(t.entries)
+    terms = _pprm_terms(on, t.width)
     cubes = tuple(Cube(t.width, mk, v) for mk, v in sorted(terms))
     return Cover(CoverMode.ESOP, cubes)

@@ -7,7 +7,11 @@ every candidate cube, and a full decomposition for every one of the n!
 stage orders.  Beside them are the ESOP merge loop that rescans the
 sorted pool after every merge, a gate's kind, lines and checks derived
 on demand, and a QASM renderer that formats every gate afresh.  The
-property tests require the library to agree with them exactly.
+cover code that now works on truth-vector ints keeps its list form
+here too: variable projection, the Reed-Muller transform, the cover
+check and the don't-care completion of the exact engine, one cell at a
+time over `list[int | None]`.  The property tests
+require the library to agree with them exactly.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from qmap_synth import (
     Circuit,
     Control,
     Counterexample,
+    Cover,
+    CoverMode,
     Cube,
     Gate,
     GateKind,
@@ -33,7 +39,7 @@ from qmap_synth.errors import (
     NoFeasibleOrder,
     UnloweredMct,
 )
-from qmap_synth.qmap import _merge_partners
+from qmap_synth.qmap import _merge_partners, _reconstruct, _tables
 
 
 def compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
@@ -105,6 +111,80 @@ def greedy_disjoint(values: Sequence[int | None],
         covered.update(cs)
         need.difference_update(cs)
     return out
+
+
+def remove_var(values: Sequence[int | None], m: int,
+               var: int) -> list[int | None] | None:
+    """Project out one variable; None when the two cofactors conflict on
+    a defined cell."""
+    bit = 1 << var
+    out: list[int | None] = []
+    for x in range(1 << (m - 1)):
+        low = x & (bit - 1)
+        s0 = ((x >> var) << (var + 1)) | low
+        a, b = values[s0], values[s0 | bit]
+        if a is None:
+            out.append(b)
+        elif b is None or a == b:
+            out.append(a)
+        else:
+            return None
+    return out
+
+
+def pprm_terms(values: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Positive-polarity Reed-Muller monomials of a 0/1 vector, by the
+    in-place butterfly one cell at a time."""
+    coeff = list(values)
+    for i in range(n):
+        bit = 1 << i
+        for x in range(1 << n):
+            if x & bit:
+                coeff[x] ^= coeff[x ^ bit]
+    return [(s, s) for s in range(1 << n) if coeff[s]]
+
+
+def verify_cover(cover: Cover, values: Sequence[int | None],
+                 width: int) -> bool:
+    """The covering invariant of `qmap.verify_cover`, counted cell by
+    cell."""
+    if any(c.width != width for c in cover.cubes):
+        return False
+    for state, v in enumerate(values):
+        count = sum(c.covers(state) for c in cover.cubes)
+        if cover.mode is CoverMode.DISJOINT:
+            if count > 1:
+                return False
+            if v is not None and count != v:
+                return False
+        else:
+            if v is not None and count % 2 != v:
+                return False
+    return True
+
+
+def exact_cubes(kind: str, values: Sequence[int | None],
+                m: int) -> list[tuple[int, int]]:
+    """Exact cover of the best completion of the don't-cares, trying the
+    completions in the order of a counter whose bit j fills the j-th
+    don't-care cell; the first best wins."""
+    tabs = _tables(kind, m)
+    base = 0
+    dc: list[int] = []
+    for state, v in enumerate(values):
+        if v is None:
+            dc.append(state)
+        elif v:
+            base |= 1 << state
+    best_f, best_key = base, int(tabs[m][base])
+    for assign in range(1, 1 << len(dc)):
+        f = base
+        for j, state in enumerate(dc):
+            if assign >> j & 1:
+                f |= 1 << state
+        if int(tabs[m][f]) < best_key:
+            best_key, best_f = int(tabs[m][f]), f
+    return _reconstruct(kind, tabs, best_f, m)
 
 
 def find_feasible_order(f: ReversibleFunction) -> StageOrder:

@@ -1,0 +1,218 @@
+"""Exact output pins: the text of `qmap-synth show` and the sha256 of the
+QASM `synthesize` emits.  A refactor of the minimizers or of the grid
+layout must leave both byte-identical; a change that alters them on
+purpose must record the new values and say why."""
+import hashlib
+import random
+
+import pytest
+
+from conftest import random_feasible_function
+from qmap_synth import (
+    build_qmap,
+    export_qasm,
+    gray_to_binary_function,
+    minimize_esop,
+    render_truth_table,
+    synthesize,
+)
+from qmap_synth.cascade import ToggleTable
+from qmap_synth.cli import _grid_text, main
+from test_cascade import relabel
+
+GRAY4_MAPS = {
+    0: """\
+stage 0, target q0, toggle map:
+rows: q3 q2 | cols: q1 q0
+         00  01  11  10
+     00   0   0   1   1
+     01   1   1   0   0
+     11   0   0   1   1
+     10   1   1   0   0
+""",
+    1: """\
+stage 1, target q1, toggle map:
+rows: q3 q2 | cols: q1 q0'
+         00  01  11  10
+     00   0   0   0   0
+     01   1   1   1   1
+     11   0   0   0   0
+     10   1   1   1   1
+""",
+}
+
+GRAY4_OVERLAYS = {
+    (0, "esop"): """
+esop cover groups:
+rows: q3 q2 | cols: q1 q0
+         00  01  11  10
+     00   .   .   A   A
+     01   B   B  AB  AB
+     11  BC  BC ABC ABC
+     10   C   C  AC  AC
+  A: q1
+  B: q2
+  C: q3
+""",
+    (0, "disjoint"): """
+disjoint cover groups:
+rows: q3 q2 | cols: q1 q0
+         00  01  11  10
+     00   .   .   A   A
+     01   B   B   .   .
+     11   .   .   D   D
+     10   C   C   .   .
+  A: !q3 !q2 q1
+  B: !q3 q2 !q1
+  C: q3 !q2 !q1
+  D: q3 q2 q1
+""",
+    (1, "esop"): """
+esop cover groups:
+rows: q3 q2 | cols: q1 q0'
+         00  01  11  10
+     00   .   .   .   .
+     01   A   A   A   A
+     11  AB  AB  AB  AB
+     10   B   B   B   B
+  A: q2
+  B: q3
+""",
+    (1, "disjoint"): """
+disjoint cover groups:
+rows: q3 q2 | cols: q1 q0'
+         00  01  11  10
+     00   .   .   .   .
+     01   A   A   A   A
+     11   .   .   .   .
+     10   B   B   B   B
+  A: !q3 q2
+  B: q3 !q2
+""",
+}
+
+GRAY5_STAGE1 = """\
+stage 1, target q1, toggle map:
+rows: q4 q3 | cols: q2 q1 q0'
+        000 001 011 010 110 111 101 100
+     00   0   0   0   0   1   1   1   1
+     01   1   1   1   1   0   0   0   0
+     11   0   0   0   0   1   1   1   1
+     10   1   1   1   1   0   0   0   0
+"""
+
+GRAY5_OVERLAYS = {
+    "esop": """
+esop cover groups:
+rows: q4 q3 | cols: q2 q1 q0'
+        000 001 011 010 110 111 101 100
+     00   .   .   .   .   A   A   A   A
+     01   B   B   B   B  AB  AB  AB  AB
+     11  BC  BC  BC  BC ABC ABC ABC ABC
+     10   C   C   C   C  AC  AC  AC  AC
+  A: q2
+  B: q3
+  C: q4
+""",
+    "disjoint": """
+disjoint cover groups:
+rows: q4 q3 | cols: q2 q1 q0'
+        000 001 011 010 110 111 101 100
+     00   .   .   .   .   A   A   A   A
+     01   B   B   B   B   .   .   .   .
+     11   .   .   .   .   D   D   D   D
+     10   C   C   C   C   .   .   .   .
+  A: !q4 !q3 q2
+  B: !q4 q3 !q2
+  C: q4 !q3 !q2
+  D: q4 q3 q2
+""",
+}
+
+
+def show(capsys, path, *args):
+    assert main(["show", "--input", str(path), *args]) == 0
+    return capsys.readouterr().out
+
+
+class TestShowText:
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_gray4(self, gray4_file, capsys, stage, mode):
+        args = ["--stage", str(stage), "--mode", mode]
+        assert show(capsys, gray4_file, *args) == GRAY4_MAPS[stage]
+        assert show(capsys, gray4_file, *args, "--overlay") == \
+            GRAY4_MAPS[stage] + GRAY4_OVERLAYS[stage, mode]
+
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    def test_width5_grid_is_not_square(self, tmp_path, capsys, mode):
+        path = tmp_path / "gray5.tt"
+        path.write_text(render_truth_table(gray_to_binary_function(5)))
+        assert show(capsys, path, "--stage", "1", "--mode", mode,
+                    "--overlay") == GRAY5_STAGE1 + GRAY5_OVERLAYS[mode]
+
+    def test_dontcare_cells(self):
+        table = ToggleTable(stage=1, target=1, width=3,
+                            entries=(0, 1, None, 1, None, None, 0, 1),
+                            primed=(True, False, False))
+        grid = build_qmap(table)
+        assert _grid_text(grid) == """\
+rows: q2 | cols: q1 q0'
+      00  01  11  10
+   0   0   1   1   -
+   1   -   -   1   0"""
+        cover = minimize_esop(grid, forbidden=frozenset((1,)))
+        assert _grid_text(grid, overlay_cubes=cover.cubes) == """\
+rows: q2 | cols: q1 q0'
+      00  01  11  10
+   0   .   A   A   -
+   1   -   A   A   ."""
+
+    def test_width1_has_no_row_variables(self):
+        table = ToggleTable(stage=0, target=0, width=1, entries=(None, 1),
+                            primed=(False,))
+        assert _grid_text(build_qmap(table)) == """\
+rows: - | cols: q0
+      0   1
+      -   1"""
+
+
+# sha256 of export_qasm(synthesize(random_feasible_function(n,
+# random.Random(n)), mode)); widths 2-4 take the exact minimizers, 5-9
+# the heuristics
+QASM_SHA256 = {
+    ("esop", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
+    ("esop", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
+    ("esop", 4): "c2801c6cde511328e3a9b20f4d69d6e5df93d281956007ef385c60f4718c6dbe",
+    ("esop", 5): "8348c0c8685447f6c29bab85a9fbb45c284a938977d6c6abec46ac7eafc5b2bc",
+    ("esop", 6): "897e3d1342cd104faf531a5b667d8f18c0356e78635e4472ffcc34f252f81ed3",
+    ("esop", 7): "67c32423174c35156eb70d5cfa6d83fbff101e526581e28d986eb474772d659c",
+    ("esop", 8): "0f98dbe435ae07a6e82b778079de842f7c6af3db676e881c140bb492e735784f",
+    ("esop", 9): "8af27832f54821014a4dd89f7a45625f411e47af31b18270ad8b50bde5ca4eda",
+    ("disjoint", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
+    ("disjoint", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
+    ("disjoint", 4): "45f1adc356e4324657f451986ce2ec0d5f992e908e8c08c8326009c36064bb84",
+    ("disjoint", 5): "7de47d7a465059c67e12c54bb231a94a9460db3b3d92ee96b2d0c12627501c4d",
+    ("disjoint", 6): "0008e455a17c8a8f9efed1b05bf018ccdddfaa7c2293914b993b1ca34af277aa",
+    ("disjoint", 7): "011096edde54432d3ddf5a357f5f152848621f3c327f040ac18f31055992745e",
+    ("disjoint", 8): "508e432b71e1375e03f0f9eddc01a846f9ba2b3050712b06d91e505fec0e309a",
+    ("disjoint", 9): "eb5c038256905434f8c98c56c480bc97cd3571ff624e2bbc40c8674dafd8efc1",
+}
+
+
+def qasm_sha256(f, **kw) -> str:
+    return hashlib.sha256(export_qasm(synthesize(f, **kw)).encode()).hexdigest()
+
+
+class TestSynthDigest:
+    @pytest.mark.parametrize("mode, n", sorted(QASM_SHA256))
+    def test_natural_order(self, mode, n):
+        f = random_feasible_function(n, random.Random(n))
+        assert qasm_sha256(f, mode=mode) == QASM_SHA256[mode, n]
+
+    def test_order_search(self):
+        # the relabelled cascade is found in order (3, 0, 4, 1, 2)
+        f = relabel(random_feasible_function(5, random.Random(5)),
+                    [3, 0, 4, 1, 2])
+        assert qasm_sha256(f, mode="esop", order="search") == \
+            "b88ab3463b4f027d1fd2a9ced3c07e06d5945ea87ce4a2f8be7b1ab4bb167512"

@@ -11,7 +11,6 @@ from qmap_synth import (
     CoverMode,
     Cube,
     build_qmap,
-    cube_cells,
     decompose,
     minimize_disjoint,
     minimize_esop,
@@ -20,22 +19,26 @@ from qmap_synth import (
 )
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.qmap import (
+    _exact_cubes,
     _greedy_disjoint,
     _merge_terms,
     _pprm_terms,
+    _remove_var,
+    _truth_vectors,
     can_avoid_variable,
     gray_sequence,
 )
 
 
-def make_table(entries, width, target=None):
+def make_table(entries, width):
     """Wrap raw toggle values for tests that bypass the cascade."""
-    if target is None:
-        target = width  # outside the variable range: no bit is the target
-        # ToggleTable requires target info only for bookkeeping; reuse 0
-        target = 0
-    return ToggleTable(stage=0, target=target, width=width,
+    return ToggleTable(stage=0, target=0, width=width,
                        entries=tuple(entries), primed=(False,) * width)
+
+
+def values_of(on, dc, m):
+    """The list form of a truth-vector pair."""
+    return [None if dc >> s & 1 else on >> s & 1 for s in range(1 << m)]
 
 
 def cube(width, spec):
@@ -140,7 +143,7 @@ def random_values(n, rng, dc_chance=0.0):
 class TestBuildQmap:
     def test_gray_stage0_is_odd_parity_pattern(self, gray4):
         grid = build_qmap(decompose(gray4)[0])
-        ones = {s for s, v in enumerate(grid.values_by_state()) if v == 1}
+        ones = {s for s in range(16) if grid.on >> s & 1}
         expected = {s for s in range(16)
                     if (bin(s >> 1).count("1")) % 2 == 1}
         assert ones == expected
@@ -150,11 +153,17 @@ class TestBuildQmap:
         tables = decompose(gray4)
         for stage in range(4):
             grid = build_qmap(tables[stage])
-            assert grid.values_by_state() == list(tables[stage].entries)
+            assert values_of(grid.on, grid.dc, 4) == list(tables[stage].entries)
+            for r, rl in enumerate(grid.rowlabels):
+                for c, cl in enumerate(grid.collabels):
+                    state = (rl << grid.split) | cl
+                    assert grid.state_at(r, c) == state
+                    assert grid.cell(r, c) == tables[stage].entries[state]
 
     def test_all_zero(self):
         grid = build_qmap(make_table([0] * 8, 3))
-        assert all(v == 0 for row in grid.cells for v in row)
+        assert grid.on == grid.dc == 0
+        assert all(grid.cell(r, c) == 0 for r in range(2) for c in range(4))
 
     def test_width1_degenerate(self):
         grid = build_qmap(make_table([0, 1], 1))
@@ -190,15 +199,15 @@ class TestBuildQmap:
 class TestCubeCells:
     def test_two_free_vars_example(self):
         c = cube(4, {3: False, 2: False, 1: True})
-        assert cube_cells(c, 4) == {0b0010, 0b0011}
+        assert set(c.cells()) == {0b0010, 0b0011}
 
     def test_all_absent(self):
         c = Cube(2, 0, 0)
-        assert cube_cells(c, 2) == {0, 1, 2, 3}
+        assert set(c.cells()) == {0, 1, 2, 3}
 
     def test_full_minterm(self):
         c = Cube(3, 0b111, 0b101)
-        assert cube_cells(c, 3) == {0b101}
+        assert set(c.cells()) == {0b101}
 
     def test_cell_count_is_power_of_two(self):
         rng = random.Random(7)
@@ -207,11 +216,7 @@ class TestCubeCells:
             mask = rng.randrange(1 << n)
             value = rng.randrange(1 << n) & mask
             c = Cube(n, mask, value)
-            assert len(cube_cells(c, n)) == 1 << (n - c.literal_count)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            cube_cells(Cube(3, 0, 0), 4)
+            assert len(set(c.cells())) == 1 << (n - c.literal_count)
 
     def test_value_outside_mask_rejected(self):
         with pytest.raises(ValueError):
@@ -265,7 +270,8 @@ class TestGrayCovers:
             grid = build_qmap(tables[stage])
             cover = minimize_esop(grid, forbidden=frozenset((stage,)))
             for state in range(16):
-                assert cover.eval_xor(state) == tables[stage].entries[state]
+                count = sum(c.covers(state) for c in cover.cubes)
+                assert count % 2 == tables[stage].entries[state]
 
     def test_stage1_complemented_alternative_verifies(self, gray4):
         grid = build_qmap(decompose(gray4)[1])
@@ -398,10 +404,12 @@ class TestMinimizerProperties:
         assert verify_cover(es, grid)
         assert verify_cover(dis, grid)
         for state in range(1 << n):
-            assert dis.eval_or(state) == dis.eval_xor(state)
+            dis_count = sum(c.covers(state) for c in dis.cubes)
+            assert dis_count <= 1
             if values[state] is not None:
-                assert es.eval_xor(state) == values[state]
-                assert dis.eval_or(state) == values[state]
+                assert sum(c.covers(state) for c in es.cubes) % 2 == \
+                    values[state]
+                assert dis_count == values[state]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_grids_heuristic_widths(self, seed):
@@ -414,7 +422,7 @@ class TestMinimizerProperties:
         assert verify_cover(es, grid)
         assert verify_cover(dis, grid)
         for state in range(1 << n):
-            assert dis.eval_or(state) == dis.eval_xor(state)
+            assert sum(c.covers(state) for c in dis.cubes) <= 1
 
     def test_esop_heuristic_parity_stays_linear(self):
         # parity of five variables: the Reed-Muller seed is already the
@@ -471,10 +479,10 @@ class TestForbiddenVariable:
 
 
 @st.composite
-def incomplete_functions(draw):
-    """(values, m) for 1 <= m <= 8, with a drawn mix of 1s, 0s and
+def incomplete_functions(draw, max_m=8):
+    """(values, m) for 1 <= m <= max_m, with a drawn mix of 1s, 0s and
     don't-cares so that both scattered and large blocks occur."""
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, max_m))
     mix = draw(st.sampled_from([(0, 1, None), (0, 1), (1, 1, 1, 0),
                                 (1, 1, 1, None), (1, None, None, 0)]))
     values = draw(st.lists(st.sampled_from(mix), min_size=1 << m,
@@ -487,7 +495,7 @@ class TestGreedyDisjointReference:
     @given(incomplete_functions())
     def test_same_cubes_in_same_order(self, case):
         values, m = case
-        assert _greedy_disjoint(values, m) == \
+        assert _greedy_disjoint(*_truth_vectors(values), m) == \
             reference.greedy_disjoint(values, m)
 
 
@@ -515,9 +523,7 @@ def term_lists(draw):
 def pprm_seeds(draw):
     """(terms, m): the Reed-Muller monomials of a random 0/1 vector."""
     m = draw(st.integers(1, 7))
-    values = draw(st.lists(st.integers(0, 1), min_size=1 << m,
-                           max_size=1 << m))
-    return _pprm_terms(values, m), m
+    return _pprm_terms(draw(st.integers(0, (1 << (1 << m)) - 1)), m), m
 
 
 class TestMergeTermsReference:
@@ -532,3 +538,88 @@ class TestMergeTermsReference:
     def test_same_terms_on_reed_muller_seeds(self, case):
         terms, m = case
         assert _merge_terms(terms, m) == reference.merge_terms(terms, m)
+
+
+class TestRemoveVarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(incomplete_functions(), st.data())
+    def test_same_function_or_same_refusal(self, case, data):
+        values, m = case
+        var = data.draw(st.integers(0, m - 1))
+        reduced = _remove_var(*_truth_vectors(values), m, var)
+        expected = reference.remove_var(values, m, var)
+        if expected is None:
+            assert reduced is None
+        else:
+            assert reduced is not None
+            assert values_of(*reduced, m - 1) == expected
+        assert can_avoid_variable(values, m, var) == (expected is not None)
+
+
+class TestExactCubesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(incomplete_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
+    def test_same_completion_and_cubes(self, case, kind):
+        values, m = case
+        assert _exact_cubes(kind, *_truth_vectors(values), m) == \
+            reference.exact_cubes(kind, values, m)
+
+
+class TestPprmReference:
+    @settings(max_examples=200, deadline=None)
+    @given(incomplete_functions())
+    def test_same_terms(self, case):
+        values, m = case
+        zeroed = [v or 0 for v in values]
+        assert _pprm_terms(_truth_vectors(values)[0], m) == \
+            reference.pprm_terms(zeroed, m)
+        assert [(c.mask, c.value) for c in
+                pprm_cover(make_table(values, m)).cubes] == \
+            reference.pprm_terms(zeroed, m)
+
+
+@st.composite
+def covers_to_check(draw):
+    """(cover, values, m): a minimized cover of a random incompletely
+    specified function (avoiding a random variable when some completion
+    can), checked in either mode, as it is or with a cube duplicated,
+    added, dropped, widened or with one literal flipped."""
+    values, m = draw(incomplete_functions())
+    var = draw(st.integers(0, m - 1))
+    forbidden = (frozenset((var,)) if can_avoid_variable(values, m, var)
+                 else frozenset())
+    minimize = draw(st.sampled_from([minimize_disjoint, minimize_esop]))
+    cubes = list(minimize(build_qmap(make_table(values, m)),
+                          forbidden=forbidden).cubes)
+    change = draw(st.sampled_from(
+        ["none", "duplicate", "add", "drop", "wider", "narrower", "flip"]))
+    i = draw(st.integers(0, max(len(cubes) - 1, 0)))
+    if change == "add" or not cubes and change != "none":
+        mask = draw(st.integers(0, (1 << m) - 1))
+        cubes.append(Cube(m, mask, draw(st.integers(0, (1 << m) - 1)) & mask))
+    elif change == "duplicate":
+        cubes.append(cubes[i])
+    elif change == "drop":
+        del cubes[i]
+    elif change in ("wider", "narrower"):
+        width = m + 1 if change == "wider" else m - 1
+        full = (1 << width) - 1
+        cubes[i] = Cube(width, cubes[i].mask & full, cubes[i].value & full)
+    elif change == "flip":
+        bit = 1 << draw(st.integers(0, m - 1))
+        c = cubes[i]
+        if draw(st.booleans()):  # drop the literal, or add it negative
+            cubes[i] = Cube(m, c.mask ^ bit, c.value & ~bit)
+        else:  # flip its polarity, or add it positive
+            cubes[i] = Cube(m, c.mask | bit, c.value ^ bit)
+    mode = draw(st.sampled_from(list(CoverMode)))
+    return Cover(mode, tuple(cubes)), values, m
+
+
+class TestVerifyCoverReference:
+    @settings(max_examples=400, deadline=None)
+    @given(covers_to_check())
+    def test_same_verdict(self, case):
+        cover, values, m = case
+        assert verify_cover(cover, build_qmap(make_table(values, m))) == \
+            reference.verify_cover(cover, values, m)
