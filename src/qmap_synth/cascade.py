@@ -14,7 +14,7 @@ with a concrete witness pair instead of producing a wrong circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -121,19 +121,6 @@ def decompose(f: ReversibleFunction,
         processed.append(target)
 
     return tables
-
-
-def replay(f_width: int, tables: Sequence[ToggleTable], x: int) -> int:
-    """Apply the stage toggles to input x; the defining contract is
-    replay(decompose(f)) == f on every input."""
-    v = x
-    for table in tables:
-        t = table.entries[v]
-        if t is None:
-            raise ValueError(
-                f"state {v:0{f_width}b} undefined at stage {table.stage}")
-        v ^= t << table.target
-    return v
 
 
 def _prefix_injective(inputs: np.ndarray, diff: np.ndarray,

@@ -6,12 +6,14 @@ controls and any control count, so minimized covers map one-to-one onto
 gates; two lowering passes bring a circuit into the NOT/CNOT/Toffoli
 basis: `lower_polarity` rewrites negative controls as X-conjugation and
 `lower_mct` expands wide gates through a compute/uncompute ancilla
-sandwich.
+sandwich.  Each pass builds each distinct gate once per call and shares
+it across positions (gates are frozen); no memo outlives the call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .boolfn import ReversibleFunction
@@ -137,28 +139,42 @@ class Circuit:
 
 def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
     """One gate per cube: the cube's literals become controls with their
-    polarities, all writing the stage target."""
-    gates = []
+    polarities, lowest variable first, all writing the stage target.
+    Each distinct control is built once per call.  Raises ValueError when
+    a cube is not n wide or the cover reads the target."""
+    reads = 0
     for cube in cover.cubes:
         if cube.width != n:
             raise ValueError(f"cube width {cube.width} != stage width {n}")
-        if cube.mask >> target & 1:
-            raise TargetReadWrite(target, target)
-        controls = tuple(Control(var, pos) for var, pos in cube.literals())
-        gates.append(Gate(target, controls))
+        reads |= cube.mask
+    if reads >> target & 1:
+        raise ValueError(f"the cover reads its target line {target}")
+    literal = [(Control(var, False), Control(var, True)) for var in range(n)]
+    gates = []
+    for cube in cover.cubes:
+        controls = []
+        mask = cube.mask
+        while mask:
+            low = mask & -mask
+            controls.append(literal[low.bit_length() - 1][cube.value & low != 0])
+            mask ^= low
+        gates.append(Gate(target, tuple(controls)))
     return gates
 
 
 def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     """Rewrite negative controls as X-conjugation, then drop X pairs on a
-    line with no gate touching that line in between."""
+    line with no gate touching that line in between.  Each distinct
+    gate is built once per call."""
+    flips = cache(Gate.x)
+    positive = cache(lambda lines: Gate.mct(lines[:-1], lines[-1]))
     expanded: list[Gate] = []
     for g in gates:
-        neg = sorted(c.line for c in g.controls if not c.positive)
-        expanded += [Gate.x(l) for l in neg]
-        expanded.append(Gate(g.target, tuple(Control(c.line) for c in g.controls))
-                        if neg else g)
-        expanded += [Gate.x(l) for l in reversed(neg)]
+        neg = [flips(l) for l in sorted(c.line for c in g.controls
+                                        if not c.positive)]
+        expanded += neg
+        expanded.append(positive(g.lines) if neg else g)
+        expanded += reversed(neg)
 
     out: list[Gate | None] = []
     pending: dict[int, int] = {}  # line -> index of an unmatched X
@@ -184,30 +200,35 @@ def lower_mct(circuit: Circuit) -> Circuit:
     are ANDed into an ancilla, and the gate recurses with the ancilla as
     a control.  Ancilla lines are pooled, so a circuit of 3-control gates
     costs one ancilla total; every sandwich restores its ancilla to 0.
+    Each distinct gate is built once per call.
     """
     base = circuit.total_width
     free: list[int] = []
     allocated = 0
     out: list[Gate] = []
+    toffolis = cache(Gate.ccx)
+    finals = cache(Gate.mct)
     for g in circuit.gates:
-        if any(not c.positive for c in g.controls):
-            raise ValueError("lower_polarity must run before lower_mct")
-        if len(g.controls) <= 2:
+        if g.kind is not GateKind.MCT:
             out.append(g)
             continue
+        if any(not c.positive for c in g.controls):
+            raise ValueError("lower_polarity must run before lower_mct")
         # a loop, not a recursive closure: a closure that calls itself is a
         # reference cycle, which keeps `out` alive until the cyclic GC runs
-        controls = tuple(c.line for c in g.controls)
+        controls = g.lines[:-1]
         compute: list[Gate] = []
         while len(controls) > 2:
             if not free:
                 free.append(base + allocated)
                 allocated += 1
             a = free.pop()
-            compute.append(Gate.ccx(controls[-2], controls[-1], a))
+            compute.append(toffolis(controls[-2], controls[-1], a))
             controls = controls[:-2] + (a,)
-        out += compute + [Gate.mct(controls, g.target)] + compute[::-1]
-        free += [c.target for c in compute[::-1]]
+        out += compute
+        out.append(finals(controls, g.target))
+        out += reversed(compute)
+        free += [c.target for c in reversed(compute)]
 
     return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
                    tuple(out))

@@ -96,11 +96,6 @@ class Cube:
                 return
             s = (s - free) & free
 
-    def literals(self) -> list[tuple[int, bool]]:
-        """(variable, is_positive) pairs, lowest variable first."""
-        return [(i, bool(self.value >> i & 1))
-                for i in range(self.width) if self.mask >> i & 1]
-
     def render(self, names: Sequence[str] | None = None) -> str:
         if self.mask == 0:
             return "1"

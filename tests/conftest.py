@@ -3,12 +3,19 @@ hand-built reference circuits for it, plus small oracle helpers and
 hypothesis strategies."""
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from qmap_synth import Circuit, Control, Gate, ReversibleFunction
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and machine,
+# so a CI failure reproduces anywhere; unset, hypothesis draws afresh.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # 4-bit Gray code -> binary, input q3q2q1q0 -> output, one row per line.
 GRAY4_ROWS = [

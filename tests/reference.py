@@ -6,12 +6,15 @@ input word at a time through every gate, one cell at a time through
 every candidate cube, and a full decomposition for every one of the n!
 stage orders.  Beside them are the ESOP merge loop that rescans the
 sorted pool after every merge, a gate's kind, lines and checks derived
-on demand, and a QASM renderer that formats every gate afresh.  The
+on demand, a QASM renderer that formats every gate afresh, and the
+realize and lowering passes that build every gate anew, per cube and
+per literal.  The
 cover code that now works on truth-vector ints keeps its list form
 here too: variable projection, the Reed-Muller transform, the cover
 check and the don't-care completion of the exact engine, one cell at a
-time over `list[int | None]`.  The property tests
-require the library to agree with them exactly.
+time over `list[int | None]`.  `replay` runs a decomposition's toggle
+tables on one input.  The property tests require the library to agree
+with them exactly.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from qmap_synth import (
     GateKind,
     ReversibleFunction,
     StageOrder,
+    ToggleTable,
     decompose,
 )
 from qmap_synth.errors import (
@@ -262,3 +266,88 @@ def export_qasm(c: Circuit) -> str:
         args = [c2.line for c2 in g.controls] + [g.target]
         lines.append(f"{kind.value} " + ",".join(f"q[{a}]" for a in args) + ";")
     return "\n".join(lines) + "\n"
+
+
+def replay(f_width: int, tables: Sequence[ToggleTable], x: int) -> int:
+    """Apply the stage toggles to input x; the defining contract is
+    replay(decompose(f)) == f on every input."""
+    v = x
+    for table in tables:
+        t = table.entries[v]
+        if t is None:
+            raise ValueError(
+                f"state {v:0{f_width}b} undefined at stage {table.stage}")
+        v ^= t << table.target
+    return v
+
+
+def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
+    """One gate per cube, its controls read off the cube one variable at
+    a time, each cube checked on its own."""
+    gates = []
+    for cube in cover.cubes:
+        if cube.width != n:
+            raise ValueError(f"cube width {cube.width} != stage width {n}")
+        if cube.mask >> target & 1:
+            raise ValueError(f"the cover reads its target line {target}")
+        controls = tuple(Control(i, bool(cube.value >> i & 1))
+                         for i in range(cube.width) if cube.mask >> i & 1)
+        gates.append(Gate(target, controls))
+    return gates
+
+
+def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
+    """X-conjugate every negative control with freshly built gates, then
+    drop X pairs with nothing on their line in between."""
+    expanded: list[Gate] = []
+    for g in gates:
+        neg = sorted(c.line for c in g.controls if not c.positive)
+        expanded += [Gate.x(l) for l in neg]
+        expanded.append(Gate(g.target, tuple(Control(c.line) for c in g.controls))
+                        if neg else g)
+        expanded += [Gate.x(l) for l in reversed(neg)]
+
+    out: list[Gate | None] = []
+    pending: dict[int, int] = {}  # line -> index of an unmatched X
+    for g in expanded:
+        if gate_kind(g) is GateKind.NOT:
+            l = g.target
+            prev = pending.pop(l, None)
+            if prev is not None:
+                out[prev] = None
+                continue
+            pending[l] = len(out)
+            out.append(g)
+        else:
+            for l in gate_lines(g):
+                pending.pop(l, None)
+            out.append(g)
+    return [g for g in out if g is not None]
+
+
+def lower_mct(circuit: Circuit) -> Circuit:
+    """Compute/uncompute sandwich per wide gate over a pooled ancilla
+    stack, every Toffoli built anew."""
+    base = circuit.total_width
+    free: list[int] = []
+    allocated = 0
+    out: list[Gate] = []
+    for g in circuit.gates:
+        if any(not c.positive for c in g.controls):
+            raise ValueError("lower_polarity must run before lower_mct")
+        if len(g.controls) <= 2:
+            out.append(g)
+            continue
+        controls = tuple(c.line for c in g.controls)
+        compute: list[Gate] = []
+        while len(controls) > 2:
+            if not free:
+                free.append(base + allocated)
+                allocated += 1
+            a = free.pop()
+            compute.append(Gate.ccx(controls[-2], controls[-1], a))
+            controls = controls[:-2] + (a,)
+        out += compute + [Gate.mct(controls, g.target)] + compute[::-1]
+        free += [c.target for c in compute[::-1]]
+    return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
+                   tuple(out))

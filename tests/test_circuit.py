@@ -34,7 +34,7 @@ from qmap_synth import (
     synthesize,
     verify,
 )
-from qmap_synth.errors import NoFeasibleOrder, TargetReadWrite, UnloweredMct
+from qmap_synth.errors import NoFeasibleOrder, UnloweredMct
 
 
 class TestGate:
@@ -136,8 +136,97 @@ class TestRealizeStage:
 
     def test_target_read_rejected(self):
         cover = Cover(CoverMode.ESOP, (Cube(4, 0b0001, 0b0001),))
-        with pytest.raises(TargetReadWrite):
+        with pytest.raises(ValueError, match="reads its target line 0"):
             realize_stage(cover, 0, 4)
+
+
+@st.composite
+def stage_covers(draw):
+    """(cover, target, n): n <= 8, cubes of 0-6 literals drawn from a
+    small pool so that repeats occur; in about a quarter of the covers a
+    cube may read the target, and about one cube in ten is one variable
+    too wide or too narrow."""
+    n = draw(st.integers(1, 8))
+    target = draw(st.integers(0, n - 1))
+    may_read = draw(st.integers(0, 3)) == 0
+
+    @st.composite
+    def cubes(draw):
+        width = draw(st.sampled_from([n] * 8 + [max(n - 1, 0), n + 1]))
+        allowed = [v for v in range(width) if may_read or v != target]
+        vars_ = draw(st.lists(st.sampled_from(allowed), unique=True,
+                              max_size=min(6, len(allowed)))
+                     if allowed else st.just([]))
+        mask = sum(1 << v for v in vars_)
+        return Cube(width, mask, mask & draw(st.integers(0, 255)))
+
+    pool = draw(st.lists(cubes(), min_size=1, max_size=6))
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=10))
+    mode = draw(st.sampled_from(CoverMode))
+    return Cover(mode, tuple(chosen)), target, n
+
+
+@st.composite
+def gate_lists(draw):
+    """(n, gates): up to 8 lines, gates of 0-6 controls of either
+    polarity, drawn from a small pool so that repeats occur.  The pool
+    also holds the first gate's controls on every other target, so that
+    a memo keyed by the controls alone shows."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(gates_on(list(range(n)), max_controls=6),
+                         min_size=1, max_size=8))
+    pool += [Gate(t, pool[0].controls) for t in range(n)
+             if t not in pool[0].lines]
+    return n, draw(st.lists(st.sampled_from(pool), max_size=24))
+
+
+class TestPassesAgainstReference:
+    """The realize and lowering passes build each distinct gate once per
+    call; the references build every gate anew."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage_covers())
+    def test_realize_stage(self, case):
+        cover, target, n = case
+        try:
+            want = reference.realize_stage(cover, target, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                realize_stage(cover, target, n)
+            wrong_width = any(c.width != n for c in cover.cubes)
+            reads = any(c.mask >> target & 1 for c in cover.cubes)
+            if not (wrong_width and reads):  # one kind of fault: one message
+                assert str(got.value) == str(exc)
+            return
+        assert realize_stage(cover, target, n) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_lists())
+    def test_lower_polarity(self, case):
+        _, gates = case
+        assert lower_polarity(gates) == reference.lower_polarity(gates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_lists(), st.integers(0, 2), st.booleans())
+    def test_lower_mct(self, case, ancillas, polarity_first):
+        n, gates = case
+        if polarity_first:
+            gates = reference.lower_polarity(gates)
+        c = Circuit(n, ancillas, tuple(gates))
+        try:
+            want = reference.lower_mct(c)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                lower_mct(c)
+            assert str(got.value) == str(exc)
+            return
+        assert lower_mct(c) == want  # same gates, same ancilla count
+
+    def test_equal_gates_are_one_object(self):
+        g = Gate(0, (Control(1, False), Control(2), Control(3)))
+        lowered = lower_mct(Circuit(4, 0, tuple(lower_polarity([g, g]))))
+        assert len(lowered) == 8
+        assert len({id(x) for x in lowered.gates}) == len(set(lowered.gates)) == 3
 
 
 class TestLowerPolarity:
@@ -285,6 +374,22 @@ class TestSynthesize:
             cover = minimize_esop(build_qmap(t), forbidden=frozenset((t.target,)))
             for g in realize_stage(cover, t.target, 4):
                 assert g.target == t.target
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from(["esop", "disjoint"]),
+           st.sampled_from(["natural", "search"]),
+           st.sampled_from(["toffoli2", "none"]))
+    def test_synthesize_then_verify(self, n, seed, mode, order, lower):
+        f = random_feasible_function(n, random.Random(seed))
+        c = synthesize(f, mode=mode, order=order, lower=lower)
+        assert verify(c, f) is None
+        # permutation_of raises AncillaNotRestored on a dirty ancilla
+        assert [w.value for w in permutation_of(c)] == list(f.table)
+        if lower == "toffoli2":
+            assert not c.has_mct()
+        else:
+            assert c.ancilla_count == 0
 
     def test_bad_options(self, gray4):
         with pytest.raises(ValueError):
