@@ -82,9 +82,6 @@ class ReversibleFunction:
     def __call__(self, x: int) -> int:
         return self.table[x]
 
-    def word(self, x: int) -> BitWord:
-        return BitWord(self.width, self.table[x])
-
     def inverse(self) -> "ReversibleFunction":
         inv = [0] * len(self.table)
         for x, y in enumerate(self.table):
@@ -131,7 +128,8 @@ def parse_truth_table(text: str | Iterable[str]) -> ReversibleFunction:
             if width is not None:
                 raise TruthTableSyntaxError("duplicate .width header", lineno)
             fields = line.split()
-            if len(fields) != 2 or not fields[1].isdigit():
+            # ASCII digits only, and few enough for int() to convert
+            if len(fields) != 2 or not re.fullmatch("[0-9]{1,9}", fields[1]):
                 raise TruthTableSyntaxError(f"malformed header: {line!r}", lineno)
             width = int(fields[1])
             try:

@@ -22,8 +22,8 @@ from .errors import TargetReadWrite, UnloweredMct
 from .qmap import (
     Cover,
     CoverMode,
+    _remove_var,
     build_qmap,
-    can_avoid_variable,
     minimize_disjoint,
     minimize_esop,
 )
@@ -264,9 +264,9 @@ def synthesize(f: ReversibleFunction, *,
 def _stage_gates(table: ToggleTable, mode: CoverMode) -> list[Gate]:
     if table.is_zero():
         return []
-    if not can_avoid_variable(table.entries, table.width, table.target):
-        raise TargetReadWrite(table.stage, table.target)
     grid = build_qmap(table)
+    if _remove_var(grid.on, grid.dc, grid.width, table.target) is None:
+        raise TargetReadWrite(table.stage, table.target)
     forbidden = frozenset((table.target,))
     if mode is CoverMode.DISJOINT:
         cover = minimize_disjoint(grid, forbidden=forbidden)

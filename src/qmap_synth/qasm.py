@@ -44,9 +44,9 @@ def export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;$")
+_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]\s*;$")
 _GATE_RE = re.compile(r"^([a-z]+)\s+(.*);$")
-_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]$")
 
 
 def parse_qasm(text: str | Iterable[str]) -> Circuit:

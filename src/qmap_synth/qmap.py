@@ -21,7 +21,8 @@ even though its cover has 4 free variables.  The exact engine is a dynamic
 program over the cofactor decomposition  f = P xor x'Q xor xR  of every
 subfunction, tabulated once per mode and reused; don't-cares are handled
 by taking the best completion.  On wider grids a documented greedy
-heuristic applies: largest-block-first for disjoint covers, and a
+heuristic applies: largest-block-first for disjoint covers, each block
+grown from its seed cell one free variable at a time, and a
 positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
 """
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -397,30 +397,31 @@ def _merge_terms(terms: list[tuple[int, int]],
     return sorted(pool)
 
 
-@cache
-def _blocks(m: int) -> tuple[tuple[int, int], ...]:
-    """(mask, base(mask)) for every mask over m variables, fewest
-    literals first."""
-    return tuple((mask, _base(m, mask)) for mask in
-                 sorted(range(1 << m), key=lambda mk: (mk.bit_count(), mk)))
-
-
 def _greedy_disjoint(on: int, dc: int, m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
     1-cell and take the biggest cube that fits in uncovered 1/don't-care
-    cells, so the result is disjoint by construction."""
+    cells, so the result is disjoint by construction.  The cubes that fit
+    grow level by level, one free variable at a time (a cube fits only if
+    it fits with its highest free variable fixed); the last level's
+    greatest free set leaves the first mask in (literal count, mask) order."""
     need = on
     # cells no new cube may touch: the 0-cells, then every covered cell
     taken = ((1 << (1 << m)) - 1) & ~(on | dc)
     out: list[tuple[int, int]] = []
     while need:
         seed = (need & -need).bit_length() - 1
-        # the full mask, the seed's own minterm, always fits
-        for mk, base in _blocks(m):
-            cells = base << (seed & mk)
-            if not cells & taken:
-                break
-        out.append((mk, seed & mk))
+        level = {0: 1 << seed}  # the seed's own minterm always fits
+        while level:
+            last, level = level, {}
+            for free, cells in last.items():
+                for v in range(free.bit_length(), m):
+                    grown = cells | (cells >> (1 << v) if seed >> v & 1
+                                     else cells << (1 << v))
+                    if not grown & taken:
+                        level[free | 1 << v] = grown
+        free, cells = max(last.items())
+        mask = ((1 << m) - 1) ^ free
+        out.append((mask, seed & mask))
         taken |= cells
         need &= ~cells
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 import pytest
 from hypothesis import settings
@@ -164,6 +165,26 @@ def gates_on(draw, lines, targets=None, max_controls=4):
                         max_size=min(max_controls, len(others)))
                if others else st.just([]))
     return Gate(target, tuple(Control(l, draw(st.booleans())) for l in ctl))
+
+
+@st.composite
+def edited_text(draw, lines, line, number):
+    """`lines` with up to four of them replaced by or preceded by a drawn
+    `line`, deleted, or renumbered (the first run of digits replaced by
+    a drawn `number`), joined into one text."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete",
+                                     "renumber"]))
+        if edit == "renumber" and at < len(lines):
+            lines[at] = re.sub("[0-9]+", draw(number), lines[at], count=1)
+            continue
+        if edit != "insert" and at < len(lines):
+            del lines[at]
+        if edit in ("replace", "insert"):
+            lines.insert(at, draw(line))
+    return "\n".join(lines)
 
 
 def swap2_function() -> ReversibleFunction:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAY4_ROWS, gray4_text, random_bijection
+from conftest import GRAY4_ROWS, edited_text, gray4_text, random_bijection
 from qmap_synth import (
     BitWord,
     ReversibleFunction,
@@ -18,6 +18,7 @@ from qmap_synth.errors import (
     DuplicateInputRow,
     MissingInputRow,
     NotBijective,
+    TruthTableError,
     TruthTableSyntaxError,
     WidthMismatch,
     WidthOutOfRange,
@@ -167,3 +168,43 @@ class TestRoundTrip:
     def test_rejects_non_permutation_table(self):
         with pytest.raises(ValueError):
             ReversibleFunction(2, (0, 1, 2, 2))
+
+
+# pieces of the truth-table grammar, with widths and words that are
+# valid, out of range, non-ASCII digits or longer than int() will parse
+TT_WIDTHS = ["0", "1", "2", "3", "16", "17", "01", "-1", "²", "٣", "9" * 5000]
+TT_TOKENS = TT_WIDTHS + [".width", ".depth", ".", "#", "->", "=>", "-", ">",
+                         "00", "01", "10", "11", "0 -> 1", " ", "\t", "\n",
+                         "\r", "\x0c"]
+
+
+@st.composite
+def truth_table_texts(draw):
+    """A valid table of 1-3 bits, rows in any order, with a few lines
+    edited.  A new line is a header, a row of the drawn width or not, a
+    comment, a blank or a run of grammar tokens."""
+    width = draw(st.integers(1, 3))
+    word = st.integers(0, (1 << width) - 1).map(
+        lambda v: format(v, f"0{width}b"))
+    table = draw(st.permutations(range(1 << width)))
+    lines = [f".width {width}"] + draw(st.permutations(
+        [f"{x:0{width}b} -> {y:0{width}b}" for x, y in enumerate(table)]))
+    line = st.one_of(
+        st.sampled_from(TT_WIDTHS).map(lambda w: f".width {w}"),
+        st.tuples(word | st.sampled_from(["", "0", "0101"]), word).map(
+            lambda p: f"{p[0]} -> {p[1]}"),
+        st.sampled_from(["", "# comment", "  # indented", ".width"]),
+        st.lists(st.sampled_from(TT_TOKENS), max_size=8).map("".join),
+    )
+    return draw(edited_text(lines, line, st.sampled_from(TT_WIDTHS)))
+
+
+class TestParseFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(truth_table_texts())
+    def test_only_typed_errors_escape(self, text):
+        try:
+            f = parse_truth_table(text)
+        except TruthTableError:
+            return
+        assert parse_truth_table(render_truth_table(f)) == f

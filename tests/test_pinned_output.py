@@ -178,7 +178,7 @@ rows: - | cols: q0
 
 
 # sha256 of export_qasm(synthesize(random_feasible_function(n,
-# random.Random(n)), mode)); widths 2-4 take the exact minimizers, 5-9
+# random.Random(n)), mode)); widths 2-4 take the exact minimizers, 5-12
 # the heuristics
 QASM_SHA256 = {
     ("esop", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
@@ -197,6 +197,9 @@ QASM_SHA256 = {
     ("disjoint", 7): "011096edde54432d3ddf5a357f5f152848621f3c327f040ac18f31055992745e",
     ("disjoint", 8): "508e432b71e1375e03f0f9eddc01a846f9ba2b3050712b06d91e505fec0e309a",
     ("disjoint", 9): "eb5c038256905434f8c98c56c480bc97cd3571ff624e2bbc40c8674dafd8efc1",
+    ("disjoint", 10): "29998e53e9478d779fb3d3be9761c117dc68d079c4addbe616fb8ed947cda0e8",
+    ("disjoint", 11): "49644d8f4140924895d602bee89b88b1f329c31d3107931de6202928f18db189",
+    ("disjoint", 12): "0db96280ca1d8efce97e0d5204d1fb1f73cf979b16d5723bf15598486fa71670",
 }
 
 

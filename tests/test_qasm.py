@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import (
+    edited_text,
     gates_on,
     optimized_reference_circuit,
     unoptimized_reference_circuit,
@@ -201,3 +202,42 @@ class TestSplitAncillas:
             split_ancillas(c, 4)
         with pytest.raises(ValueError):
             split_ancillas(c, 0)
+
+
+# pieces of the QASM grammar, with indices that are valid, out of range,
+# negative, non-ASCII digits or longer than int() will parse
+QASM_NUMBERS = ["0", "1", "2", "3", "00", "-1", "٣", "²", "9" * 5000]
+QASM_TOKENS = QASM_NUMBERS + [
+    "OPENQASM", "2.0", "include", '"qelib1.inc"', "qreg", "q", "r", "x",
+    "cx", "ccx", "h", "[", "]", ";", ",", "//", " ", "\t", "\r", "\x0b"]
+
+
+def qasm_texts():
+    """The export of a lowered circuit with a few lines edited.  A new
+    line is a header, a register or gate statement over drawn names and
+    numbers, a comment, a blank or a run of grammar tokens."""
+    number = st.sampled_from(QASM_NUMBERS)
+    reg = st.sampled_from(["q", "r", "q ", "1q"])
+    operand = st.tuples(reg, number).map(lambda p: f"{p[0]}[{p[1]}]")
+    line = st.one_of(
+        st.sampled_from(["OPENQASM 2.0;", 'include "qelib1.inc";', "",
+                         "// comment", "x q[0]; // flip"]),
+        st.tuples(reg, number).map(lambda p: f"qreg {p[0]}[{p[1]}];"),
+        st.tuples(st.sampled_from(["x", "cx", "ccx", "h"]),
+                  st.lists(operand, max_size=4)).map(
+            lambda p: f"{p[0]} {','.join(p[1])};"),
+        st.lists(st.sampled_from(QASM_TOKENS), max_size=8).map("".join),
+    )
+    return lowered_circuits.flatmap(lambda c: edited_text(
+        export_qasm(c).splitlines(), line, number))
+
+
+class TestParseFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(qasm_texts())
+    def test_only_typed_errors_escape(self, text):
+        try:
+            c = parse_qasm(text)
+        except QasmSyntaxError:
+            return
+        assert parse_qasm(export_qasm(c)) == c

@@ -1,8 +1,10 @@
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -493,10 +495,27 @@ def incomplete_functions(draw, max_m=8):
 class TestGreedyDisjointReference:
     @settings(max_examples=300, deadline=None)
     @given(incomplete_functions())
+    # m = 0 is reached when every variable of a grid is forbidden
+    @example(([1], 0))
     def test_same_cubes_in_same_order(self, case):
         values, m = case
         assert _greedy_disjoint(*_truth_vectors(values), m) == \
             reference.greedy_disjoint(values, m)
+
+    def test_holds_no_memory_after_return(self):
+        # no table or cache of the cover outlives the call
+        rng = random.Random(12)
+        on = rng.getrandbits(1 << 12)
+        dc = rng.getrandbits(1 << 12) & rng.getrandbits(1 << 12) & ~on
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _greedy_disjoint(on, dc, 12)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
 
 @st.composite
