@@ -124,10 +124,13 @@ def parse_truth_table(text: str | Iterable[str]) -> ReversibleFunction:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith(".width"):
+        if line.startswith("."):
+            fields = line.split()
+            if fields[0] != ".width":
+                raise TruthTableSyntaxError(
+                    f"unknown directive: {line!r}", lineno)
             if width is not None:
                 raise TruthTableSyntaxError("duplicate .width header", lineno)
-            fields = line.split()
             # ASCII digits only, and few enough for int() to convert
             if len(fields) != 2 or not re.fullmatch("[0-9]{1,9}", fields[1]):
                 raise TruthTableSyntaxError(f"malformed header: {line!r}", lineno)
@@ -138,8 +141,6 @@ def parse_truth_table(text: str | Iterable[str]) -> ReversibleFunction:
                 raise TruthTableSyntaxError(str(exc), lineno) from None
             table = [None] * (1 << width)
             continue
-        if line.startswith("."):
-            raise TruthTableSyntaxError(f"unknown directive: {line!r}", lineno)
 
         m = _ROW_RE.match(line)
         if m is None:

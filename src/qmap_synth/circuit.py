@@ -6,14 +6,18 @@ controls and any control count, so minimized covers map one-to-one onto
 gates; two lowering passes bring a circuit into the NOT/CNOT/Toffoli
 basis: `lower_polarity` rewrites negative controls as X-conjugation and
 `lower_mct` expands wide gates through a compute/uncompute ancilla
-sandwich.  Each pass builds each distinct gate once per call and shares
-it across positions (gates are frozen); no memo outlives the call.
+sandwich whose i-th Toffoli always computes into ancilla line i.  Gates
+are frozen and circuits repeat a few of them many times, so each pass
+(and the bounds check of `Circuit`) does one lookup per gate and its
+real work once per distinct gate, sharing the result across positions;
+no memo outlives the call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .boolfn import ReversibleFunction
@@ -115,8 +119,11 @@ class Circuit:
 
     def __post_init__(self) -> None:
         width = self.total_width
-        for g in self.gates:
-            if max(g.lines) >= width:
+        # distinct line tuples in order of first use, so the first one
+        # out of range belongs to the first offending gate
+        for lines in {g.lines: None for g in self.gates}:
+            if max(lines) >= width:
+                g = next(g for g in self.gates if g.lines == lines)
                 raise ValueError(
                     f"gate {g} uses a line >= total width {width}")
 
@@ -134,7 +141,7 @@ class Circuit:
         return counts
 
     def has_mct(self) -> bool:
-        return any(g.kind is GateKind.MCT for g in self.gates)
+        return GateKind.MCT in map(attrgetter("kind"), self.gates)
 
 
 def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
@@ -165,21 +172,22 @@ def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
 def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     """Rewrite negative controls as X-conjugation, then drop X pairs on a
     line with no gate touching that line in between.  Each distinct
-    gate is built once per call."""
-    flips = cache(Gate.x)
-    positive = cache(lambda lines: Gate.mct(lines[:-1], lines[-1]))
-    expanded: list[Gate] = []
-    for g in gates:
-        neg = [flips(l) for l in sorted(c.line for c in g.controls
-                                        if not c.positive)]
-        expanded += neg
-        expanded.append(positive(g.lines) if neg else g)
-        expanded += reversed(neg)
-
+    gate's X gates and all-positive rebuild are built once per call; the
+    rebuild is shared by every gate on the same lines."""
+    flip = cache(Gate.x)
+    control = cache(Control)
+    positive = cache(lambda lines: Gate(lines[-1],
+                                        tuple(map(control, lines[:-1]))))
+    # (controls, target) -> (X gates on the negative lines, lowest
+    # first; the gate with every control positive)
+    conjugated: dict[tuple, tuple[tuple[Gate, ...], Gate]] = {}
     out: list[Gate | None] = []
     pending: dict[int, int] = {}  # line -> index of an unmatched X
-    for g in expanded:
-        if g.kind is GateKind.NOT:
+    # enum members as locals: a member lookup costs ten times as much
+    not_, mct = GateKind.NOT, GateKind.MCT
+    for g in gates:
+        kind = g.kind
+        if kind is not_:
             l = g.target
             prev = pending.pop(l, None)
             if prev is not None:
@@ -187,10 +195,31 @@ def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
                 continue
             pending[l] = len(out)
             out.append(g)
-        else:
-            for l in g.lines:
-                pending.pop(l, None)
-            out.append(g)
+            continue
+        negs: tuple[Gate, ...] = ()
+        if kind is mct:
+            key = (g.controls, g.target)
+            entry = conjugated.get(key)
+            if entry is None:
+                neg = sorted(c.line for c in g.controls if not c.positive)
+                entry = conjugated[key] = (
+                    (tuple(map(flip, neg)), positive(g.lines)) if neg
+                    else ((), g))
+            negs, g = entry
+            # an X before the gate cancels an unmatched X on its line;
+            # one that does not is consumed by the gate at once
+            for x in negs:
+                prev = pending.pop(x.target, None)
+                if prev is None:
+                    out.append(x)
+                else:
+                    out[prev] = None
+        for l in g.lines:
+            pending.pop(l, None)
+        out.append(g)
+        for x in reversed(negs):
+            pending[x.target] = len(out)
+            out.append(x)
     return [g for g in out if g is not None]
 
 
@@ -198,37 +227,39 @@ def lower_mct(circuit: Circuit) -> Circuit:
     """Expand every gate with more than two controls into Toffolis via an
     ancilla compute/uncompute sandwich: the two highest-order controls
     are ANDed into an ancilla, and the gate recurses with the ancilla as
-    a control.  Ancilla lines are pooled, so a circuit of 3-control gates
-    costs one ancilla total; every sandwich restores its ancilla to 0.
-    Each distinct gate is built once per call.
+    a control.  Every sandwich restores its ancillas to 0, so the i-th
+    compute Toffoli of every sandwich uses ancilla line total_width + i:
+    a circuit of 3-control gates costs one ancilla total, and a gate of
+    k controls needs k - 2.  Each distinct gate is expanded once per call.
     """
     base = circuit.total_width
-    free: list[int] = []
     allocated = 0
     out: list[Gate] = []
     toffolis = cache(Gate.ccx)
-    finals = cache(Gate.mct)
+    sandwiches: dict[tuple, tuple[Gate, ...]] = {}
+    mct = GateKind.MCT  # a local: a member lookup costs ten times as much
     for g in circuit.gates:
-        if g.kind is not GateKind.MCT:
+        if g.kind is not mct:
             out.append(g)
             continue
-        if any(not c.positive for c in g.controls):
-            raise ValueError("lower_polarity must run before lower_mct")
-        # a loop, not a recursive closure: a closure that calls itself is a
-        # reference cycle, which keeps `out` alive until the cyclic GC runs
-        controls = g.lines[:-1]
-        compute: list[Gate] = []
-        while len(controls) > 2:
-            if not free:
-                free.append(base + allocated)
-                allocated += 1
-            a = free.pop()
-            compute.append(toffolis(controls[-2], controls[-1], a))
-            controls = controls[:-2] + (a,)
-        out += compute
-        out.append(finals(controls, g.target))
-        out += reversed(compute)
-        free += [c.target for c in reversed(compute)]
+        key = (g.controls, g.target)
+        sandwich = sandwiches.get(key)
+        if sandwich is None:
+            if any(not c.positive for c in g.controls):
+                raise ValueError("lower_polarity must run before lower_mct")
+            # a loop, not a recursive closure: a closure that calls itself
+            # is a reference cycle, which keeps `out` alive until the
+            # cyclic GC runs
+            controls = g.lines[:-1]
+            compute: list[Gate] = []
+            while len(controls) > 2:
+                a = base + len(compute)
+                compute.append(toffolis(controls[-2], controls[-1], a))
+                controls = controls[:-2] + (a,)
+            allocated = max(allocated, len(compute))
+            sandwich = sandwiches[key] = (
+                *compute, toffolis(*controls, g.target), *reversed(compute))
+        out += sandwich
 
     return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
                    tuple(out))

@@ -23,6 +23,9 @@ _MNEMONIC_ARITY = {"x": 1, "cx": 2, "ccx": 3}
 def export_qasm(c: Circuit) -> str:
     """Render a lowered circuit; gates with three or more controls (or
     negative polarities) have no encoding in the subset and are refused."""
+    if c.has_mct():
+        g = next(g for g in c.gates if g.kind is GateKind.MCT)
+        raise UnloweredMct(f"gate {g} must be lowered before QASM export")
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
@@ -33,9 +36,6 @@ def export_qasm(c: Circuit) -> str:
     # (X/CX/CCX on the same lines) for most of their gates
     rendered: dict[tuple[int, ...], str] = {}
     for g in c.gates:
-        if g.kind is GateKind.MCT:
-            raise UnloweredMct(
-                f"gate {g} must be lowered before QASM export")
         text = rendered.get(g.lines)
         if text is None:
             text = rendered[g.lines] = (

@@ -6,10 +6,10 @@ input word at a time through every gate, one cell at a time through
 every candidate cube, and a full decomposition for every one of the n!
 stage orders.  Beside them are the ESOP merge loop that rescans the
 sorted pool after every merge, a gate's kind, lines and checks derived
-on demand, a QASM renderer that formats every gate afresh, and the
-realize and lowering passes that build every gate anew, per cube and
-per literal.  The
-cover code that now works on truth-vector ints keeps its list form
+on demand, a circuit's bounds check run on every gate, a QASM renderer
+that formats every gate afresh, and the realize and lowering passes
+that build every gate anew, per cube and per literal.  The cover code
+that now works on truth-vector ints keeps its list form
 here too: variable projection, the Reed-Muller transform, the cover
 check and the don't-care completion of the exact engine, one cell at a
 time over `list[int | None]`.  `replay` runs a decomposition's toggle
@@ -248,6 +248,17 @@ def gate_error(target: int, controls: tuple[Control, ...]) -> str | None:
         return f"duplicate control lines in {lines}"
     if target < 0 or any(l < 0 for l in lines):
         return "negative line index"
+    return None
+
+
+def circuit_error(data_width: int, ancilla_count: int,
+                  gates: Sequence[Gate]) -> str | None:
+    """The ValueError message `Circuit` must raise for these gates, which
+    names the first gate past the total width, or None when all fit."""
+    width = data_width + ancilla_count
+    for g in gates:
+        if any(l >= width for l in gate_lines(g)):
+            return f"gate {g} uses a line >= total width {width}"
     return None
 
 

@@ -116,6 +116,12 @@ class TestParse:
         with pytest.raises(TruthTableSyntaxError):
             parse_truth_table(".depth 2\n")
 
+    def test_directive_that_extends_width_is_unknown(self):
+        with pytest.raises(TruthTableSyntaxError) as exc:
+            parse_truth_table(".widthfoo 1\n0 -> 0\n1 -> 1\n")
+        assert "unknown directive" in str(exc.value)
+        assert exc.value.line == 1
+
 
 class TestGenerators:
     def test_gray_matches_table_rows(self):
@@ -173,9 +179,9 @@ class TestRoundTrip:
 # pieces of the truth-table grammar, with widths and words that are
 # valid, out of range, non-ASCII digits or longer than int() will parse
 TT_WIDTHS = ["0", "1", "2", "3", "16", "17", "01", "-1", "²", "٣", "9" * 5000]
-TT_TOKENS = TT_WIDTHS + [".width", ".depth", ".", "#", "->", "=>", "-", ">",
-                         "00", "01", "10", "11", "0 -> 1", " ", "\t", "\n",
-                         "\r", "\x0c"]
+TT_TOKENS = TT_WIDTHS + [".width", ".widthfoo", ".depth", ".", "#", "->",
+                         "=>", "-", ">", "00", "01", "10", "11", "0 -> 1",
+                         " ", "\t", "\n", "\r", "\x0c"]
 
 
 @st.composite
@@ -193,7 +199,8 @@ def truth_table_texts(draw):
         st.sampled_from(TT_WIDTHS).map(lambda w: f".width {w}"),
         st.tuples(word | st.sampled_from(["", "0", "0101"]), word).map(
             lambda p: f"{p[0]} -> {p[1]}"),
-        st.sampled_from(["", "# comment", "  # indented", ".width"]),
+        st.sampled_from(["", "# comment", "  # indented", ".width",
+                         ".widthfoo 1"]),
         st.lists(st.sampled_from(TT_TOKENS), max_size=8).map("".join),
     )
     return draw(edited_text(lines, line, st.sampled_from(TT_WIDTHS)))
@@ -208,3 +215,7 @@ class TestParseFuzz:
         except TruthTableError:
             return
         assert parse_truth_table(render_truth_table(f)) == f
+        # an accepted file has one directive, and it is the header
+        directives = [line.split()[0] for line in text.splitlines()
+                      if line.strip().startswith(".")]
+        assert directives == [".width"]

@@ -110,6 +110,33 @@ class TestGateAgainstReference:
         assert r.lines == reference.gate_lines(r)
 
 
+@st.composite
+def circuit_specs(draw):
+    """(data width, ancillas, gates): total width 1-8 and gates on lines
+    0-7 drawn from a small pool that also holds each gate with its
+    polarities flipped, so that equal lines recur with other controls
+    and often lie past the total width."""
+    pool = draw(st.lists(gates_on(list(range(8)), max_controls=3),
+                         min_size=1, max_size=5))
+    pool += [Gate(g.target, tuple(Control(c.line, not c.positive)
+                                  for c in g.controls)) for g in pool]
+    gates = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return draw(st.integers(1, 6)), draw(st.integers(0, 2)), tuple(gates)
+
+
+class TestCircuitAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(circuit_specs())
+    def test_bounds_check_names_the_first_offending_gate(self, spec):
+        error = reference.circuit_error(*spec)
+        if error is None:
+            assert Circuit(*spec).gates == spec[2]
+            return
+        with pytest.raises(ValueError) as exc:
+            Circuit(*spec)
+        assert str(exc.value) == error
+
+
 class TestRealizeStage:
     def test_single_cnot_stage(self, gray4):
         cover = Cover(CoverMode.ESOP, (Cube(4, 0b1000, 0b1000),))
@@ -221,6 +248,23 @@ class TestPassesAgainstReference:
             assert str(got.value) == str(exc)
             return
         assert lower_mct(c) == want  # same gates, same ancilla count
+
+    def test_polarity_check_is_keyed_by_polarity(self):
+        # the second gate has the first one's lines, so a memo keyed by
+        # lines would reuse the first expansion and skip the check
+        gates = (Gate.mct([1, 2, 3], 0),
+                 Gate(0, (Control(1), Control(2, False), Control(3))))
+        with pytest.raises(ValueError) as exc:
+            lower_mct(Circuit(4, 0, gates))
+        assert str(exc.value) == "lower_polarity must run before lower_mct"
+
+    def test_rebuild_is_shared_by_polarities_on_the_same_lines(self):
+        g1 = Gate(0, (Control(1, False), Control(2), Control(3)))
+        g2 = Gate(0, (Control(1), Control(2), Control(3, False)))
+        lowered = lower_polarity([g1, g2])
+        assert lowered == reference.lower_polarity([g1, g2])
+        rebuilt = [g for g in lowered if g.kind is GateKind.MCT]
+        assert len(rebuilt) == 2 and rebuilt[0] is rebuilt[1]
 
     def test_equal_gates_are_one_object(self):
         g = Gate(0, (Control(1, False), Control(2), Control(3)))

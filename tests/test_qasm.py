@@ -39,11 +39,12 @@ lowered_circuits = raw_circuits().map(
 
 
 def rendered(export, c):
-    """The QASM text, or the refusal."""
+    """The QASM text, or the refusal with its message (which names the
+    first MCT gate in circuit order)."""
     try:
         return export(c)
-    except UnloweredMct:
-        return UnloweredMct
+    except UnloweredMct as exc:
+        return UnloweredMct, str(exc)
 
 
 class TestExport:
