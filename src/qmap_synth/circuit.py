@@ -135,10 +135,7 @@ class Circuit:
         return len(self.gates)
 
     def census(self) -> dict[str, int]:
-        counts = {k.value: 0 for k in GateKind}
-        for g in self.gates:
-            counts[g.kind.value] += 1
-        return counts
+        return {k.value: n for k, n in _kind_counts(self.gates).items()}
 
     def has_mct(self) -> bool:
         return GateKind.MCT in map(attrgetter("kind"), self.gates)
@@ -312,6 +309,13 @@ def invert(c: Circuit) -> Circuit:
     return Circuit(c.data_width, c.ancilla_count, tuple(reversed(c.gates)))
 
 
+def _kind_counts(gates: Sequence[Gate]) -> dict[GateKind, int]:
+    """Gates per kind.  `list.count` matches members by identity, so no
+    Python-level `Enum.__hash__` or `.value` runs per gate."""
+    kinds = list(map(attrgetter("kind"), gates))
+    return {k: kinds.count(k) for k in GateKind}
+
+
 def _default_weights() -> dict[GateKind, float]:
     return {GateKind.NOT: 1.0, GateKind.CNOT: 1.0, GateKind.TOFFOLI: 5.0}
 
@@ -328,6 +332,7 @@ def cost(c: Circuit, m: CostModel | None = None) -> float:
     m = m or CostModel()
     if m.mode == "count":
         return float(len(c.gates))
-    if c.has_mct():
+    counts = _kind_counts(c.gates)
+    if counts[GateKind.MCT]:
         raise UnloweredMct("weighted costing needs a lowered circuit")
-    return float(sum(m.weights[g.kind] for g in c.gates))
+    return float(sum(m.weights[k] * n for k, n in counts.items() if n))

@@ -24,6 +24,9 @@ by taking the best completion.  On wider grids a documented greedy
 heuristic applies: largest-block-first for disjoint covers, each block
 grown from its seed cell one free variable at a time, and a
 positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
+The ESOP heuristic holds each term as one int key, mask << m | value,
+from the seed to the cover; value < 2^m, so keys compare as the
+(mask, value) pairs do and the merge order is that of the pairs.
 """
 from __future__ import annotations
 
@@ -170,11 +173,16 @@ class QMapGrid:
         return None if self.dc >> s & 1 else self.on >> s & 1
 
 
+# an entry's byte code (0, 1, or 2 for a don't-care) to its digit in on / dc
+_ON_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
+_DC_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
+
+
 def _truth_vectors(entries: Sequence[int | None]) -> tuple[int, int]:
     """(on, dc) of a toggle table's entries."""
-    on = int("".join("1" if v == 1 else "0" for v in reversed(entries)), 2)
-    dc = int("".join("1" if v is None else "0" for v in reversed(entries)), 2)
-    return on, dc
+    codes = bytes(2 if v is None else v for v in reversed(entries))
+    return (int(codes.translate(_ON_DIGITS), 2),
+            int(codes.translate(_DC_DIGITS), 2))
 
 
 def build_qmap(t: ToggleTable) -> QMapGrid:
@@ -333,47 +341,40 @@ def _exact_cubes(kind: str, on: int, dc: int,
 
 # --- heuristic minimization ------------------------------------------------
 
-def _pprm_terms(f: int, m: int) -> list[tuple[int, int]]:
-    """Positive-polarity Reed-Muller monomials of a truth vector, lowest
-    first."""
+def _pprm_terms(f: int, m: int) -> list[int]:
+    """Positive-polarity Reed-Muller monomials of a truth vector, as term
+    keys, lowest first."""
     for i in range(m):
         bit = 1 << i
         f ^= (f & _clear(m, bit)) << bit
-    terms = []
-    while f:
-        s = (f & -f).bit_length() - 1
-        terms.append((s, s))
-        f &= f - 1
-    return terms
+    digits = bin(f)[:1:-1]  # digit s is the coefficient of monomial s
+    return [s << m | s for s, d in enumerate(digits) if d == "1"]
 
 
-def _merge_partners(term: tuple[int, int],
-                    m: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """(partner, merged) pairs: two terms differing in one variable slot
-    XOR-combine into one (x xor x' drops the variable, C xor Cx gives
-    Cx', Cx xor Cx' gives C)."""
-    mask, value = term
-    for i in range(m):
-        bit = 1 << i
-        if mask & bit:
-            yield (mask, value ^ bit), (mask ^ bit, value & ~bit)
-            yield (mask ^ bit, value & ~bit), (mask, value ^ bit)
-        else:
-            yield (mask | bit, value | bit), (mask | bit, value)
-            yield (mask | bit, value), (mask | bit, value | bit)
+def _merge_terms(terms: list[int], m: int) -> list[int]:
+    """Greedy pairwise reduction of term keys to a fixpoint: the smallest
+    term that has a partner merges with its first partner, and equal
+    terms cancel outright (XOR semantics).
 
-
-def _merge_terms(terms: list[tuple[int, int]],
-                 m: int) -> list[tuple[int, int]]:
-    """Greedy pairwise reduction to a fixpoint: the smallest term that
-    has a partner merges with its first partner in `_merge_partners`
-    order, and equal terms cancel outright (XOR semantics).
+    A key is mask << m | value with value < 2^m, so keys compare as the
+    (mask, value) pairs do: the mask decides, then the value.  Two
+    terms differing in one variable slot XOR-combine into one (x xor x'
+    drops the variable, C xor Cx gives Cx', Cx xor Cx' gives C): for
+    variable i, with b its value bit and mb its mask bit, the two other
+    terms on t's remaining literals are t ^ b and t & ~(mb | b) when t
+    reads the variable, t | mb | b and t | mb when it does not, and merging
+    t with either one gives the other.  Partners are tried in that
+    order, variable by variable from the lowest.
 
     A min-heap holds every term that may have a partner.  A term gains
     one only when a term enters the pool, and the relation is symmetric,
     so pushing the entering term and its partners keeps that true; stale
     entries are skipped when popped."""
-    pool: set[tuple[int, int]] = set()
+    slots = []  # per variable: value bit, mask bit, both, all but both
+    for i in range(m):
+        b, mb = 1 << i, 1 << i + m
+        slots.append((b, mb, mb | b, ~(mb | b)))
+    pool: set[int] = set()
     for t in terms:
         pool.symmetric_difference_update((t,))
     heap = list(pool)
@@ -382,18 +383,34 @@ def _merge_terms(terms: list[tuple[int, int]],
         t = heapq.heappop(heap)
         if t not in pool:
             continue
-        for partner, merged in _merge_partners(t, m):
+        for b, mb, both, rest in slots:
+            if t & mb:
+                partner, merged = t ^ b, t & rest
+            else:
+                partner, merged = t | both, t | mb
             if partner in pool:
+                break
+            if merged in pool:
+                partner, merged = merged, partner
                 break
         else:
             continue
-        pool -= {t, partner}
-        pool ^= {merged}
+        pool.remove(t)
+        pool.remove(partner)
         if merged in pool:
-            heapq.heappush(heap, merged)
-            for other, _ in _merge_partners(merged, m):
-                if other in pool:
-                    heapq.heappush(heap, other)
+            pool.remove(merged)
+            continue
+        pool.add(merged)
+        heapq.heappush(heap, merged)
+        for b, mb, both, rest in slots:
+            if merged & mb:
+                p, q = merged ^ b, merged & rest
+            else:
+                p, q = merged | both, merged | mb
+            if p in pool:
+                heapq.heappush(heap, p)
+            if q in pool:
+                heapq.heappush(heap, q)
     return sorted(pool)
 
 
@@ -462,17 +479,18 @@ def _insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
             ((value & ~low) << 1) | (value & low))
 
 
-def _normalize_single_negatives(terms: list[tuple[int, int]],
-                                m: int) -> list[tuple[int, int]]:
-    """Flip pairs of complemented single-literal terms positive; the two
-    constant-1 corrections cancel under XOR."""
+def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
+    """Flip pairs of complemented single-literal term keys positive; the
+    two constant-1 corrections cancel under XOR.  Such a key is a lone
+    mask bit (value bits lie inside the mask), and t | t >> m is its
+    positive flip."""
     while True:
-        singles = sorted(t for t in terms if t[0].bit_count() == 1 and t[1] == 0)
+        singles = sorted(t for t in terms if t.bit_count() == 1)
         if len(singles) < 2:
             break
         for t in singles[:2]:
             terms.remove(t)
-            terms.append((t[0], t[0]))
+            terms.append(t | t >> m)
     # a flip may duplicate an existing term; equal pairs cancel
     return _merge_terms(terms, m) if len(set(terms)) != len(terms) else terms
 
@@ -489,6 +507,12 @@ def _prepare(g: QMapGrid, forbidden: frozenset[int]):
         (on, dc), m = reduced, m - 1
         removed.append(var)
     return on, dc, m, sorted(removed)
+
+
+def _decode(terms: list[int], m: int) -> list[tuple[int, int]]:
+    """(mask, value) pairs of term keys over m variables."""
+    low = (1 << m) - 1
+    return [(t >> m, t & low) for t in terms]
 
 
 def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
@@ -519,17 +543,17 @@ def minimize_esop(g: QMapGrid,
     greedy term merging beyond."""
     on, dc, m, removed = _prepare(g, forbidden)
     if g.width <= EXACT_WIDTH_CAP:
-        terms = _exact_cubes("esop", on, dc, m)
+        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, dc, m)]
     else:
         terms = _merge_terms(_pprm_terms(on, m), m)
     terms = _normalize_single_negatives(terms, m)
-    return _finish(terms, removed, g.width, CoverMode.ESOP)
+    return _finish(_decode(terms, m), removed, g.width, CoverMode.ESOP)
 
 
 def pprm_cover(t: ToggleTable) -> Cover:
     """Positive-polarity Reed-Muller expansion as an ESOP cover;
     don't-care entries are taken as 0."""
     on, _ = _truth_vectors(t.entries)
-    terms = _pprm_terms(on, t.width)
-    cubes = tuple(Cube(t.width, mk, v) for mk, v in sorted(terms))
+    terms = _decode(_pprm_terms(on, t.width), t.width)
+    cubes = tuple(Cube(t.width, mk, v) for mk, v in terms)
     return Cover(CoverMode.ESOP, cubes)

@@ -4,8 +4,9 @@ These are the simulator, the greedy disjoint cover and the stage-order
 search as they were before they became bitset or prefix-set code: one
 input word at a time through every gate, one cell at a time through
 every candidate cube, and a full decomposition for every one of the n!
-stage orders.  Beside them are the ESOP merge loop that rescans the
-sorted pool after every merge, a gate's kind, lines and checks derived
+stage orders.  Beside them are the heuristic ESOP minimizer on
+(mask, value) tuples, whose merge loop rescans the sorted pool after
+every merge, a gate's kind, lines and checks derived
 on demand, a circuit's bounds check run on every gate, a QASM renderer
 that formats every gate afresh, and the realize and lowering passes
 that build every gate anew, per cube and per literal.  The cover code
@@ -19,7 +20,7 @@ with them exactly.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from qmap_synth import (
     BitWord,
@@ -43,7 +44,7 @@ from qmap_synth.errors import (
     NoFeasibleOrder,
     UnloweredMct,
 )
-from qmap_synth.qmap import _merge_partners, _reconstruct, _tables
+from qmap_synth.qmap import _reconstruct, _tables
 
 
 def compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
@@ -204,6 +205,22 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
     raise NoFeasibleOrder(f"all {f.width}! stage orders fail")
 
 
+def merge_partners(term: tuple[int, int],
+                   m: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """(partner, merged) pairs: two terms differing in one variable slot
+    XOR-combine into one (x xor x' drops the variable, C xor Cx gives
+    Cx', Cx xor Cx' gives C)."""
+    mask, value = term
+    for i in range(m):
+        bit = 1 << i
+        if mask & bit:
+            yield (mask, value ^ bit), (mask ^ bit, value & ~bit)
+            yield (mask ^ bit, value & ~bit), (mask, value ^ bit)
+        else:
+            yield (mask | bit, value | bit), (mask | bit, value)
+            yield (mask | bit, value), (mask | bit, value | bit)
+
+
 def merge_terms(terms: list[tuple[int, int]],
                 m: int) -> list[tuple[int, int]]:
     """Greedy pairwise ESOP reduction that restarts from the sorted pool
@@ -216,7 +233,7 @@ def merge_terms(terms: list[tuple[int, int]],
     while changed:
         changed = False
         for t in sorted(pool):
-            for partner, merged in _merge_partners(t, m):
+            for partner, merged in merge_partners(t, m):
                 if partner in pool:
                     pool.remove(t)
                     pool.remove(partner)
@@ -226,6 +243,62 @@ def merge_terms(terms: list[tuple[int, int]],
             if changed:
                 break
     return sorted(pool)
+
+
+def normalize_single_negatives(terms: list[tuple[int, int]],
+                               m: int) -> list[tuple[int, int]]:
+    """Flip pairs of complemented single-literal terms positive; the two
+    constant-1 corrections cancel under XOR."""
+    while True:
+        singles = sorted(t for t in terms if t[0].bit_count() == 1 and t[1] == 0)
+        if len(singles) < 2:
+            break
+        for t in singles[:2]:
+            terms.remove(t)
+            terms.append((t[0], t[0]))
+    # a flip may duplicate an existing term; equal pairs cancel
+    return merge_terms(terms, m) if len(set(terms)) != len(terms) else terms
+
+
+def insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
+    """Reopen variable slot `var`: the slots at and above it move up one."""
+    def spread(x: int) -> int:
+        return sum(1 << (i + (i >= var)) for i in range(x.bit_length())
+                   if x >> i & 1)
+    return spread(term[0]), spread(term[1])
+
+
+def _esop_cover(values: Sequence[int | None], m: int,
+                forbidden: frozenset[int], cubes_of) -> Cover:
+    """Project out the forbidden variables, cover what remains with
+    `cubes_of(values, m)`, normalize single negatives, and reopen the
+    forbidden slots."""
+    width = m
+    for var in sorted(forbidden, reverse=True):
+        reduced = remove_var(values, m, var)
+        assert reduced is not None, f"no cover can avoid q{var}"
+        values, m = reduced, m - 1
+    terms = normalize_single_negatives(cubes_of(values, m), m)
+    for var in sorted(forbidden):
+        terms = [insert_var(t, var) for t in terms]
+    return Cover(CoverMode.ESOP,
+                 tuple(Cube(width, mk, v) for mk, v in sorted(terms)))
+
+
+def minimize_esop_heuristic(values: Sequence[int | None], m: int,
+                            forbidden: frozenset[int] = frozenset()) -> Cover:
+    """`minimize_esop` on a grid wider than the exact cap: the Reed-Muller
+    terms of the function (don't-cares as 0), merged."""
+    return _esop_cover(values, m, forbidden, lambda vs, k: merge_terms(
+        pprm_terms([v or 0 for v in vs], k), k))
+
+
+def minimize_esop_exact(values: Sequence[int | None], m: int,
+                        forbidden: frozenset[int] = frozenset()) -> Cover:
+    """`minimize_esop` on a grid within the exact cap: the exact cover of
+    the best completion."""
+    return _esop_cover(values, m, forbidden,
+                       lambda vs, k: exact_cubes("esop", vs, k))
 
 
 def gate_kind(g: Gate) -> GateKind:

@@ -43,6 +43,16 @@ def values_of(on, dc, m):
     return [None if dc >> s & 1 else on >> s & 1 for s in range(1 << m)]
 
 
+def keys_of(terms, m):
+    """The library's term keys, mask << m | value, of (mask, value) pairs."""
+    return [mask << m | value for mask, value in terms]
+
+
+def pairs_of(keys, m):
+    """The (mask, value) pairs of term keys over m variables."""
+    return [(k >> m, k & ((1 << m) - 1)) for k in keys]
+
+
 def cube(width, spec):
     """Build a cube from {var: polarity} pairs."""
     mask = value = 0
@@ -481,10 +491,10 @@ class TestForbiddenVariable:
 
 
 @st.composite
-def incomplete_functions(draw, max_m=8):
-    """(values, m) for 1 <= m <= max_m, with a drawn mix of 1s, 0s and
+def incomplete_functions(draw, min_m=1, max_m=8):
+    """(values, m) for min_m <= m <= max_m, with a drawn mix of 1s, 0s and
     don't-cares so that both scattered and large blocks occur."""
-    m = draw(st.integers(1, max_m))
+    m = draw(st.integers(min_m, max_m))
     mix = draw(st.sampled_from([(0, 1, None), (0, 1), (1, 1, 1, 0),
                                 (1, 1, 1, None), (1, None, None, 0)]))
     values = draw(st.lists(st.sampled_from(mix), min_size=1 << m,
@@ -542,7 +552,8 @@ def term_lists(draw):
 def pprm_seeds(draw):
     """(terms, m): the Reed-Muller monomials of a random 0/1 vector."""
     m = draw(st.integers(1, 7))
-    return _pprm_terms(draw(st.integers(0, (1 << (1 << m)) - 1)), m), m
+    return pairs_of(_pprm_terms(draw(st.integers(0, (1 << (1 << m)) - 1)), m),
+                    m), m
 
 
 class TestMergeTermsReference:
@@ -550,13 +561,52 @@ class TestMergeTermsReference:
     @given(term_lists())
     def test_same_terms_on_term_lists(self, case):
         terms, m = case
-        assert _merge_terms(terms, m) == reference.merge_terms(terms, m)
+        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
+            reference.merge_terms(terms, m)
 
     @settings(max_examples=200, deadline=None)
     @given(pprm_seeds())
     def test_same_terms_on_reed_muller_seeds(self, case):
         terms, m = case
-        assert _merge_terms(terms, m) == reference.merge_terms(terms, m)
+        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
+            reference.merge_terms(terms, m)
+
+
+@st.composite
+def grids_with_forbidden(draw, min_m, max_m):
+    """(values, m, forbidden) for min_m <= m <= max_m: no forbidden
+    variable, or one that some completion avoids; one draw in three
+    copies a cofactor onto the other so that it always can."""
+    values, m = draw(incomplete_functions(min_m, max_m))
+    var = draw(st.integers(0, m - 1))
+    how = draw(st.sampled_from(["none", "drawn", "copied"]))
+    if how == "copied":
+        bit = 1 << var
+        values = [values[s & ~bit] for s in range(1 << m)]
+    forbidden = frozenset()
+    if how != "none" and can_avoid_variable(values, m, var):
+        forbidden = frozenset((var,))
+    return values, m, forbidden
+
+
+class TestMinimizeEsopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(grids_with_forbidden(5, 8))
+    def test_same_cover_on_heuristic_grids(self, case):
+        values, m, forbidden = case
+        grid = build_qmap(make_table(values, m))
+        assert minimize_esop(grid, forbidden=forbidden) == \
+            reference.minimize_esop_heuristic(values, m, forbidden)
+
+    # the heuristic merge has never been seen to leave two single
+    # negatives, so only exact covers exercise their normalization
+    @settings(max_examples=200, deadline=None)
+    @given(grids_with_forbidden(1, 4))
+    def test_same_cover_on_exact_grids(self, case):
+        values, m, forbidden = case
+        grid = build_qmap(make_table(values, m))
+        assert minimize_esop(grid, forbidden=forbidden) == \
+            reference.minimize_esop_exact(values, m, forbidden)
 
 
 class TestRemoveVarReference:
@@ -590,7 +640,7 @@ class TestPprmReference:
     def test_same_terms(self, case):
         values, m = case
         zeroed = [v or 0 for v in values]
-        assert _pprm_terms(_truth_vectors(values)[0], m) == \
+        assert pairs_of(_pprm_terms(_truth_vectors(values)[0], m), m) == \
             reference.pprm_terms(zeroed, m)
         assert [(c.mask, c.value) for c in
                 pprm_cover(make_table(values, m)).cubes] == \
