@@ -8,7 +8,6 @@ two-control basis.  A basis-state simulator verifies every result.
 """
 from . import errors
 from .boolfn import (
-    BitWord,
     ReversibleFunction,
     gray_to_binary_function,
     identity_function,
@@ -42,13 +41,12 @@ from .qmap import (
     pprm_cover,
     verify_cover,
 )
-from .sim import Counterexample, apply_gate, permutation_of, run, verify
+from .sim import Counterexample, permutation_of, run, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "BitWord",
     "ReversibleFunction",
     "gray_to_binary_function",
     "identity_function",
@@ -83,7 +81,6 @@ __all__ = [
     "pprm_cover",
     "verify_cover",
     "Counterexample",
-    "apply_gate",
     "permutation_of",
     "run",
     "verify",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DuplicateInputRow,
@@ -23,7 +23,6 @@ MAX_WIDTH = 16
 
 __all__ = [
     "MAX_WIDTH",
-    "BitWord",
     "ReversibleFunction",
     "is_bijective",
     "parse_truth_table",
@@ -36,32 +35,6 @@ __all__ = [
 def _check_width(width: int) -> None:
     if not 1 <= width <= MAX_WIDTH:
         raise WidthOutOfRange(f"width must be in [1, {MAX_WIDTH}], got {width}")
-
-
-@dataclass(frozen=True, order=True)
-class BitWord:
-    """A fixed-width unsigned word; bit i holds q_i."""
-
-    width: int
-    value: int
-
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
-
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
-    @classmethod
-    def parse(cls, text: str) -> "BitWord":
-        text = text.strip()
-        if not text or text.strip("01"):
-            raise ValueError(f"not a binary word: {text!r}")
-        return cls(len(text), int(text, 2))
 
 
 @dataclass(frozen=True)
@@ -96,26 +69,21 @@ class ReversibleFunction:
             self.width, tuple(self.table[y] for y in other.table))
 
 
-def is_bijective(table: Sequence[int] | Sequence[BitWord]) -> bool:
+def is_bijective(table: Sequence[int]) -> bool:
     """True iff the table is a permutation of {0, ..., len-1}."""
-    values = [t.value if isinstance(t, BitWord) else t for t in table]
-    return sorted(values) == list(range(len(values)))
+    return sorted(table) == list(range(len(table)))
 
 
 _ROW_RE = re.compile(r"^([01]+)\s*->\s*([01]+)$")
 
 
-def parse_truth_table(text: str | Iterable[str]) -> ReversibleFunction:
+def parse_truth_table(text: str) -> ReversibleFunction:
     """Parse the line-oriented truth-table format.
 
     Comments start with '#', a `.width N` header precedes exactly 2^N
     data lines of the form `<bits> -> <bits>` (MSB first, any order).
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
+    lines = text.splitlines()
     width: int | None = None
     table: list[int | None] = []
     seen_output: dict[int, int] = {}

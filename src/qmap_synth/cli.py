@@ -22,7 +22,6 @@ from .errors import (
     StageOutOfRange,
     TargetReadWrite,
     TruthTableError,
-    UnloweredMct,
     WidthOutOfRange,
 )
 from .qasm import export_qasm, parse_qasm, split_ancillas
@@ -64,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="compile a truth table to QASM")
     add_common(p_synth, needs_input=True, pipeline=True)
-    p_synth.add_argument("--lower", choices=["none", "toffoli2"],
-                         default="toffoli2",
-                         help="expand wide gates into 2-control Toffolis")
     p_synth.add_argument("--cost", choices=["count", "weighted"],
                          default="count", dest="cost_mode")
     p_synth.add_argument("--out", type=Path, help="QASM output path "
@@ -147,17 +143,12 @@ def _diagram(c: Circuit) -> str:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     f = _read_function(args)
-    circuit = synthesize(f, mode=args.mode, order=args.order,
-                         lower=args.lower)
+    circuit = synthesize(f, mode=args.mode, order=args.order)
     mismatch = verify(circuit, f)
     if mismatch is not None:  # internal invariant, never expected
         print(f"synthesis self-check failed: {mismatch}", file=sys.stderr)
         return EXIT_MISMATCH
-    try:
-        qasm = export_qasm(circuit)
-    except UnloweredMct as exc:
-        print(f"error: {exc}; rerun with --lower toffoli2", file=sys.stderr)
-        return EXIT_PARSE
+    qasm = export_qasm(circuit)
     summary = _census_lines(circuit, args.cost_mode)
     if args.out is not None:
         args.out.write_text(qasm)

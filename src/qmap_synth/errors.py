@@ -90,10 +90,6 @@ class UnloweredMct(Exception):
     """Operation requires NOT/CNOT/Toffoli only, but an MCT gate remains."""
 
 
-class LineOutOfRange(IndexError):
-    """A gate references a line index outside the simulated register."""
-
-
 class AncillaNotRestored(Exception):
     """An ancilla line ended a run holding a nonzero value."""
 

@@ -10,7 +10,6 @@ width.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .circuit import Circuit, Gate, GateKind
 from .errors import QasmSyntaxError, UnloweredMct
@@ -49,15 +48,10 @@ _GATE_RE = re.compile(r"^([a-z]+)\s+(.*);$")
 _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]$")
 
 
-def parse_qasm(text: str | Iterable[str]) -> Circuit:
+def parse_qasm(text: str) -> Circuit:
     """Parse the exported subset back into a circuit (all lines data)."""
-    if isinstance(text, str):
-        raw_lines = text.splitlines()
-    else:
-        raw_lines = [line.rstrip("\n") for line in text]
-
     statements: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
         if line:
             statements.append((lineno, line))

@@ -12,13 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitWord, ReversibleFunction
-from .circuit import Circuit, Gate, GateKind
-from .errors import AncillaNotRestored, LineOutOfRange
+from .boolfn import ReversibleFunction
+from .circuit import Circuit, GateKind
+from .errors import AncillaNotRestored
 
 __all__ = [
     "Counterexample",
-    "apply_gate",
     "run",
     "permutation_of",
     "verify",
@@ -75,41 +74,35 @@ def _simulate(c: Circuit, inputs: Sequence[int],
     return lines[:n], x if bad else None
 
 
-def apply_gate(s: BitWord, g: Gate) -> BitWord:
-    """Flip the target bit iff every control matches its polarity."""
-    if any(l >= s.width for l in g.lines):
-        raise LineOutOfRange(f"gate {g} does not fit in {s.width} lines")
-    return run(Circuit(s.width, 0, (g,)), s)
-
-
-def run(c: Circuit, input: BitWord | int) -> BitWord:
+def run(c: Circuit, x: int) -> int:
     """Apply the circuit to one basis input with ancillas at 0; the data
     lines come back, and a nonzero final ancilla is a hard error."""
-    x = input.value if isinstance(input, BitWord) else input
-    if isinstance(input, BitWord) and input.width != c.data_width:
-        raise ValueError(
-            f"input width {input.width} != data width {c.data_width}")
     if not 0 <= x < (1 << c.data_width):
         raise ValueError(f"input {x} does not fit in {c.data_width} bits")
     data, _ = _simulate(c, [x])
-    return BitWord(c.data_width, _word(data, 0))
+    return _word(data, 0)
 
 
-def permutation_of(c: Circuit) -> list[BitWord]:
+def permutation_of(c: Circuit) -> list[int]:
     """The circuit's action on every data input, in ascending order."""
     n = c.data_width
     data, _ = _simulate(c, range(1 << n))
-    return [BitWord(n, _word(data, x)) for x in range(1 << n)]
+    return [_word(data, x) for x in range(1 << n)]
 
 
 @dataclass(frozen=True)
 class Counterexample:
-    input: BitWord
-    got: BitWord
-    expected: BitWord
+    """A mismatching input; its words print as `width` bits, MSB first."""
+
+    width: int
+    input: int
+    got: int
+    expected: int
 
     def __str__(self) -> str:
-        return (f"input {self.input} -> {self.got}, expected {self.expected}")
+        fmt = f"0{self.width}b"
+        return (f"input {self.input:{fmt}} -> {self.got:{fmt}}, "
+                f"expected {self.expected:{fmt}}")
 
 
 def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
@@ -122,5 +115,4 @@ def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
     data, x = _simulate(c, range(1 << n), f.table)
     if x is None:
         return None
-    return Counterexample(BitWord(n, x), BitWord(n, _word(data, x)),
-                          BitWord(n, f.table[x]))
+    return Counterexample(n, x, _word(data, x), f.table[x])

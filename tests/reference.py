@@ -23,7 +23,6 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from qmap_synth import (
-    BitWord,
     Circuit,
     Control,
     Counterexample,
@@ -40,17 +39,14 @@ from qmap_synth import (
 from qmap_synth.errors import (
     AncillaNotRestored,
     CascadeInfeasible,
-    LineOutOfRange,
     NoFeasibleOrder,
     UnloweredMct,
 )
 from qmap_synth.qmap import _reconstruct, _tables
 
 
-def compile_gate(g: Gate, width: int) -> tuple[int, int, int]:
+def compile_gate(g: Gate) -> tuple[int, int, int]:
     """(positive control mask, negative control mask, target bit)."""
-    if any(l >= width for l in gate_lines(g)):
-        raise LineOutOfRange(f"gate {g} does not fit in {width} lines")
     pos = neg = 0
     for c in g.controls:
         if c.positive:
@@ -67,18 +63,14 @@ def run_int(compiled: Sequence[tuple[int, int, int]], value: int) -> int:
     return value
 
 
-def apply_gate(s: BitWord, g: Gate) -> BitWord:
-    return BitWord(s.width, run_int([compile_gate(g, s.width)], s.value))
-
-
-def run(c: Circuit, x: int) -> BitWord:
-    out = run_int([compile_gate(g, c.total_width) for g in c.gates], x)
+def run(c: Circuit, x: int) -> int:
+    out = run_int([compile_gate(g) for g in c.gates], x)
     if out >> c.data_width:
         raise AncillaNotRestored(x, out >> c.data_width)
-    return BitWord(c.data_width, out)
+    return out
 
 
-def permutation_of(c: Circuit) -> list[BitWord]:
+def permutation_of(c: Circuit) -> list[int]:
     return [run(c, x) for x in range(1 << c.data_width)]
 
 
@@ -86,8 +78,8 @@ def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
     n = c.data_width
     for x in range(1 << n):
         got = run(c, x)
-        if got.value != f.table[x]:
-            return Counterexample(BitWord(n, x), got, BitWord(n, f.table[x]))
+        if got != f.table[x]:
+            return Counterexample(n, x, got, f.table[x])
     return None
 
 

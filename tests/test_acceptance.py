@@ -15,7 +15,6 @@ from conftest import (
     swap2_function,
 )
 from qmap_synth import (
-    BitWord,
     Circuit,
     Cover,
     CoverMode,
@@ -23,7 +22,6 @@ from qmap_synth import (
     Gate,
     ReversibleFunction,
     StageOrder,
-    apply_gate,
     build_qmap,
     cost,
     decompose,
@@ -35,6 +33,7 @@ from qmap_synth import (
     parse_qasm,
     permutation_of,
     pprm_cover,
+    run,
     split_ancillas,
     synthesize,
     verify,
@@ -143,7 +142,7 @@ def test_criterion_4_end_to_end_correctness():
         except (CascadeInfeasible, TargetReadWrite):
             skipped += 1
             continue
-        assert tuple(w.value for w in permutation_of(c)) == perm
+        assert tuple(permutation_of(c)) == perm
         synthesized += 1
         if synthesized % 64 == 0:
             _CIRCUIT_POOL.append(c)
@@ -162,7 +161,7 @@ def test_criterion_4_end_to_end_correctness():
         except (NoFeasibleOrder, TargetReadWrite):
             searched_skipped += 1
             continue
-        assert [w.value for w in permutation_of(c)] == list(f.table)
+        assert permutation_of(c) == list(f.table)
         searched_ok += 1
     assert searched_ok + searched_skipped == 200
 
@@ -173,7 +172,7 @@ def test_criterion_4_end_to_end_correctness():
         f = random_feasible_function(n, rng)
         mode = "disjoint" if i % 2 else "esop"
         c = synthesize(f, mode=mode, order="search")
-        assert [w.value for w in permutation_of(c)] == list(f.table)
+        assert permutation_of(c) == list(f.table)
         reachable_ok += 1
         if i % 10 == 0:
             _CIRCUIT_POOL.append(c)
@@ -216,9 +215,9 @@ def test_criterion_6_reversibility():
                   for t in range(width)
                   if len({c1, c2, t}) == 3 and c1 < c2]
         for g in gates:
+            once = Circuit(width, 0, (g,))
             for value in range(1 << width):
-                s = BitWord(width, value)
-                assert apply_gate(apply_gate(s, g), g) == s
+                assert run(once, run(once, value)) == value
                 checked += 1
 
     # circuit . invert(circuit) is the identity for synthesized circuits
@@ -226,14 +225,13 @@ def test_criterion_6_reversibility():
     for c in _CIRCUIT_POOL:
         composed = Circuit(c.data_width, c.ancilla_count,
                            c.gates + invert(c).gates)
-        table = permutation_of(composed)
-        assert [w.value for w in table] == list(range(1 << c.data_width))
+        assert permutation_of(composed) == list(range(1 << c.data_width))
 
     # Toffoli with preset target computes NAND of the controls
+    toffoli = Circuit(3, 0, (Gate.ccx(1, 2, 0),))
     for a, b in product((0, 1), repeat=2):
-        state = BitWord(3, 1 | (a << 1) | (b << 2))
-        out = apply_gate(state, Gate.ccx(1, 2, 0))
-        assert out.bit(0) == 1 - (a & b)
+        out = run(toffoli, 1 | (a << 1) | (b << 2))
+        assert out & 1 == 1 - (a & b)
     elapsed = time.perf_counter() - t0
     print(f"PASS criterion 6: {checked} involution checks, "
           f"{len(_CIRCUIT_POOL)} circuits invert to identity, NAND table "

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import GRAY4_ROWS, edited_text, gray4_text, random_bijection
 from qmap_synth import (
-    BitWord,
     ReversibleFunction,
     gray_to_binary_function,
     identity_function,
@@ -25,31 +24,6 @@ from qmap_synth.errors import (
 )
 
 
-class TestBitWord:
-    def test_str_is_msb_first(self):
-        assert str(BitWord(4, 0b0011)) == "0011"
-        assert str(BitWord(4, 0b1000)) == "1000"
-
-    @pytest.mark.parametrize("width,value", [(1, 0), (1, 1), (4, 9), (16, 65535)])
-    def test_print_parse_roundtrip(self, width, value):
-        w = BitWord(width, value)
-        assert BitWord.parse(str(w)) == w
-
-    def test_value_must_fit(self):
-        with pytest.raises(ValueError):
-            BitWord(2, 4)
-
-    def test_width_bounds(self):
-        with pytest.raises(WidthOutOfRange):
-            BitWord(0, 0)
-        with pytest.raises(WidthOutOfRange):
-            BitWord(17, 0)
-
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            BitWord.parse("01a1")
-
-
 class TestIsBijective:
     def test_gray_table_is_bijective(self):
         table = [int(out, 2) for _, out in sorted(GRAY4_ROWS)]
@@ -60,9 +34,6 @@ class TestIsBijective:
 
     def test_xor_one_involution(self):
         assert is_bijective([x ^ 1 for x in range(8)])
-
-    def test_accepts_bitwords(self):
-        assert is_bijective([BitWord(1, 1), BitWord(1, 0)])
 
 
 class TestParse:

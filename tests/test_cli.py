@@ -42,7 +42,7 @@ class TestSynth:
     def test_disjoint_lowered(self, gray4_file, tmp_path, capsys):
         out = tmp_path / "gray-disjoint.qasm"
         code = main(["synth", "--input", str(gray4_file), "--mode", "disjoint",
-                     "--lower", "toffoli2", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         assert "1 ancilla" in captured.out
@@ -148,7 +148,7 @@ class TestVerify:
                      "--circuit", str(out)])
         assert code == 5
         err = capsys.readouterr().err
-        assert "0010" in err and "0011" in err
+        assert err == "mismatch: input 0010 -> 0011, expected 0010\n"
 
     def test_malformed_qasm_exit2(self, gray4_file, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
