@@ -1,16 +1,21 @@
 """Gate-level realization of covers and the synthesis pipeline.
 
 Gates live over n data lines plus optional ancilla lines (highest
-indices, always 0 at the boundaries).  The internal form allows negative
-controls and any control count, so minimized covers map one-to-one onto
-gates; two lowering passes bring a circuit into the NOT/CNOT/Toffoli
-basis: `lower_polarity` rewrites negative controls as X-conjugation and
-`lower_mct` expands wide gates through a compute/uncompute ancilla
-sandwich whose i-th Toffoli always computes into ancilla line i.  Gates
-are frozen and circuits repeat a few of them many times, so each pass
-(and the bounds check of `Circuit`) does one lookup per gate and its
-real work once per distinct gate, sharing the result across positions;
-no memo outlives the call.
+indices, always 0 at the boundaries).  `synthesize` emits the
+NOT/CNOT/Toffoli circuit of the stage covers in one loop: each cube is
+an X per negative literal around a CX, a CCX or, for three or more
+literals, a compute/uncompute ancilla sandwich whose i-th Toffoli always
+computes into ancilla line i (a constant-1 cube is an X on the target),
+and an X pair on a line with no gate touching it in between is dropped.
+The public passes are the same circuit step by step, through an
+internal gate form that allows negative controls and any control count:
+`realize_stage` maps each cube to one such gate, `lower_polarity`
+rewrites negative controls as X conjugation and drops the X pairs, and
+`lower_mct` expands the wide gates into sandwiches.  Circuits repeat a
+few frozen gates many times, so the loop, each pass and the bounds check
+of `Circuit` do one lookup per cube or gate and their real work once per
+distinct one, sharing the result across positions; no memo outlives the
+call.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from operator import attrgetter
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .boolfn import ReversibleFunction
 from .cascade import StageOrder, ToggleTable, decompose, resolve_order
@@ -146,23 +151,13 @@ def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
     polarities, lowest variable first, all writing the stage target.
     Each distinct control is built once per call.  Raises ValueError when
     a cube is not n wide or the cover reads the target."""
-    reads = 0
-    for cube in cover.cubes:
-        if cube.width != n:
-            raise ValueError(f"cube width {cube.width} != stage width {n}")
-        reads |= cube.mask
-    if reads >> target & 1:
-        raise ValueError(f"the cover reads its target line {target}")
+    _check_stage(cover, target, n)
     literal = [(Control(var, False), Control(var, True)) for var in range(n)]
     gates = []
     for cube in cover.cubes:
-        controls = []
-        mask = cube.mask
-        while mask:
-            low = mask & -mask
-            controls.append(literal[low.bit_length() - 1][cube.value & low != 0])
-            mask ^= low
-        gates.append(Gate(target, tuple(controls)))
+        value = cube.value
+        gates.append(Gate(target, tuple(literal[var][value >> var & 1]
+                                        for var in _bits(cube.mask))))
     return gates
 
 
@@ -244,63 +239,141 @@ def lower_mct(circuit: Circuit) -> Circuit:
         if sandwich is None:
             if any(not c.positive for c in g.controls):
                 raise ValueError("lower_polarity must run before lower_mct")
-            # a loop, not a recursive closure: a closure that calls itself
-            # is a reference cycle, which keeps `out` alive until the
-            # cyclic GC runs
-            controls = g.lines[:-1]
-            compute: list[Gate] = []
-            while len(controls) > 2:
-                a = base + len(compute)
-                compute.append(toffolis(controls[-2], controls[-1], a))
-                controls = controls[:-2] + (a,)
-            allocated = max(allocated, len(compute))
-            sandwich = sandwiches[key] = (
-                *compute, toffolis(*controls, g.target), *reversed(compute))
+            sandwich = sandwiches[key] = _sandwich(
+                g.lines[:-1], g.target, base, toffolis)
+            allocated = max(allocated, len(sandwich) // 2)
         out += sandwich
 
     return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
                    tuple(out))
 
 
+def _check_stage(cover: Cover, target: int, n: int) -> None:
+    """Refuse a cube that is not n wide or a cover that reads target."""
+    reads = 0
+    for cube in cover.cubes:
+        if cube.width != n:
+            raise ValueError(f"cube width {cube.width} != stage width {n}")
+        reads |= cube.mask
+    if reads >> target & 1:
+        raise ValueError(f"the cover reads its target line {target}")
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _sandwich(controls: Sequence[int], target: int, base: int,
+              ccx: Callable[[int, int, int], Gate]) -> tuple[Gate, ...]:
+    """Toffolis for a flip of target under two or more positive controls:
+    the i-th compute Toffoli ANDs the next control down into ancilla
+    line base + i, starting from the two highest-order controls, until
+    the lowest one and the last ancilla flip the target; the compute
+    Toffolis are then undone in reverse."""
+    acc = controls[-1]  # the line holding the AND of the controls so far
+    compute: list[Gate] = []
+    for i, c in enumerate(reversed(controls[1:-1])):
+        compute.append(ccx(c, acc, base + i))
+        acc = base + i
+    return (*compute, ccx(controls[0], acc, target), *reversed(compute))
+
+
 def synthesize(f: ReversibleFunction, *,
                mode: CoverMode | str = CoverMode.ESOP,
-               order: StageOrder | str | None = None,
-               lower: Literal["none", "toffoli2"] = "toffoli2") -> Circuit:
-    """Compile a reversible function to a circuit: decompose into stages,
-    minimize each stage's toggle function on its grid, realize the covers
-    as gates, and lower to the NOT/CNOT/Toffoli basis.
+               order: StageOrder | str | None = None) -> Circuit:
+    """Compile a reversible function to a NOT/CNOT/Toffoli circuit:
+    decompose into stages, minimize each stage's toggle function on its
+    grid, and emit each cover's cubes straight as lowered gates.
 
-    The returned circuit's permutation equals f (the test suite checks
-    this exhaustively).  Raises CascadeInfeasible/NoFeasibleOrder when no
-    stage cascade exists and TargetReadWrite when a stage's toggle
-    function cannot avoid reading its own target bit.
+    The gates are those of `realize_stage` over the stages, then
+    `lower_polarity`, then `lower_mct`, byte for byte (the test suite
+    holds the two forms to each other), and the returned circuit's
+    permutation equals f (checked exhaustively).  Raises
+    CascadeInfeasible/NoFeasibleOrder when no stage cascade exists and
+    TargetReadWrite when a stage's toggle function cannot avoid reading
+    its own target bit.
     """
     mode = CoverMode(mode) if not isinstance(mode, CoverMode) else mode
-    if lower not in ("none", "toffoli2"):
-        raise ValueError(f"unknown lowering: {lower!r}")
     tables = decompose(f, resolve_order(f, order))
-    gates: list[Gate] = []
-    for table in tables:
-        gates += _stage_gates(table, mode)
-    gates = lower_polarity(gates)
-    circuit = Circuit(f.width, 0, tuple(gates))
-    if lower == "toffoli2":
-        circuit = lower_mct(circuit)
-    return circuit
+    return _emit(f.width, ((_stage_cover(t, mode), t.target)
+                           for t in tables if not t.is_zero()))
 
 
-def _stage_gates(table: ToggleTable, mode: CoverMode) -> list[Gate]:
-    if table.is_zero():
-        return []
+def _stage_cover(table: ToggleTable, mode: CoverMode) -> Cover:
     grid = build_qmap(table)
     if _remove_var(grid.on, grid.dc, grid.width, table.target) is None:
         raise TargetReadWrite(table.stage, table.target)
     forbidden = frozenset((table.target,))
     if mode is CoverMode.DISJOINT:
-        cover = minimize_disjoint(grid, forbidden=forbidden)
-    else:
-        cover = minimize_esop(grid, forbidden=forbidden)
-    return realize_stage(cover, table.target, table.width)
+        return minimize_disjoint(grid, forbidden=forbidden)
+    return minimize_esop(grid, forbidden=forbidden)
+
+
+def _emit(n: int, stages: Iterable[tuple[Cover, int]]) -> Circuit:
+    """The lowered circuit of (cover, target) stages over n data lines, in
+    one pass over the cubes: each cube is its X conjugation around its
+    CX, CCX or ancilla sandwich (a constant-1 cube is an X on the
+    target), and an X cancels an unmatched X on its line with no gate
+    touching that line in between, as in `lower_polarity`.  Each
+    distinct cube body and X run is built once per call.  Each target
+    must be one of the n lines; a stage that fails `realize_stage`'s
+    checks raises its ValueError."""
+    flip, cx, ccx = cache(Gate.x), cache(Gate.cx), cache(Gate.ccx)
+    # target -> mask -> (the cube's lines, its body)
+    bodies: dict[int, dict[int, tuple[tuple[int, ...], tuple[Gate, ...]]]] = {}
+    # negative mask -> (line, X gate) pairs, lowest line first
+    flips: dict[int, tuple[tuple[int, Gate], ...]] = {}
+    out: list[Gate | None] = []
+    pending: dict[int, int] = {}  # line -> index of an unmatched X
+    depth = 0  # the longest compute chain, so the ancillas it needs
+    for cover, target in stages:
+        _check_stage(cover, target, n)
+        on_target = bodies.setdefault(target, {})
+        for cube in cover.cubes:
+            mask = cube.mask
+            if not mask:
+                prev = pending.pop(target, None)
+                if prev is None:
+                    pending[target] = len(out)
+                    out.append(flip(target))
+                else:
+                    out[prev] = None
+                continue
+            entry = on_target.get(mask)
+            if entry is None:
+                controls = _bits(mask)
+                body = ((cx(controls[0], target),) if len(controls) == 1
+                        else _sandwich(controls, target, n, ccx))
+                depth = max(depth, len(body) // 2)
+                entry = on_target[mask] = (controls + (target,), body)
+            lines, body = entry
+            neg = mask & ~cube.value
+            if neg:
+                xs = flips.get(neg)
+                if xs is None:
+                    xs = flips[neg] = tuple((l, flip(l)) for l in _bits(neg))
+                # an X before the body cancels an unmatched X on its line;
+                # one that does not is consumed by the body at once
+                for l, x in xs:
+                    prev = pending.pop(l, None)
+                    if prev is None:
+                        out.append(x)
+                    else:
+                        out[prev] = None
+            for l in lines:
+                pending.pop(l, None)
+            out += body
+            if neg:
+                for l, x in reversed(xs):
+                    pending[l] = len(out)
+                    out.append(x)
+    return Circuit(n, depth, tuple(filter(None, out)))  # gates are truthy
 
 
 def invert(c: Circuit) -> Circuit:

@@ -120,7 +120,7 @@ def test_criterion_3_gate_count_bounds():
     census = esop.census()
     assert census["cx"] == 6 and census["x"] == 0 and census["ccx"] == 0
 
-    disjoint = synthesize(f, mode="disjoint", lower="toffoli2")
+    disjoint = synthesize(f, mode="disjoint")
     assert verify(disjoint, f) is None
     assert cost(disjoint) <= 27
     assert disjoint.ancilla_count == 1

@@ -23,17 +23,22 @@ from qmap_synth import (
     Gate,
     GateKind,
     ReversibleFunction,
+    build_qmap,
     cost,
     decompose,
+    find_feasible_order,
     identity_function,
     invert,
     lower_mct,
     lower_polarity,
+    minimize_disjoint,
+    minimize_esop,
     permutation_of,
     realize_stage,
     synthesize,
     verify,
 )
+from qmap_synth.circuit import _emit
 from qmap_synth.errors import NoFeasibleOrder, UnloweredMct
 
 
@@ -207,6 +212,93 @@ def gate_lists(draw):
     return n, draw(st.lists(st.sampled_from(pool), max_size=24))
 
 
+@st.composite
+def stage_streams(draw):
+    """(n, stages): up to 8 lines and up to 6 (cover, target) stages whose
+    cubes come from one small pool of 0-6 literals, mixed polarity and
+    about one constant-1 cube in four, so that masks and negative runs
+    recur across stages and targets.  In about one stream in four a
+    stage may read its target or hold a cube one variable too wide or
+    too narrow."""
+    n = draw(st.integers(1, 8))
+    faulty = draw(st.integers(0, 3)) == 0
+    widths = [n] * 8 + [max(n - 1, 0), n + 1] if faulty else [n]
+
+    @st.composite
+    def cubes(draw):
+        width = draw(st.sampled_from(widths))
+        if width == 0 or draw(st.integers(0, 3)) == 0:
+            return Cube(width, 0, 0)
+        vars_ = draw(st.lists(st.integers(0, width - 1), unique=True,
+                              min_size=1, max_size=min(6, width)))
+        mask = sum(1 << v for v in vars_)
+        return Cube(width, mask, mask & draw(st.integers(0, 255)))
+
+    pool = draw(st.lists(cubes(), min_size=1, max_size=8))
+    stages = []
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(st.integers(0, n - 1))
+        allowed = [c for c in pool if faulty or not c.mask >> target & 1]
+        chosen = draw(st.lists(st.sampled_from(allowed), max_size=8)
+                      if allowed else st.just([]))
+        stages.append((Cover(CoverMode.ESOP, tuple(chosen)), target))
+    return n, stages
+
+
+def step_by_step(n, stages):
+    """The reference passes over (cover, target) stages: realize every
+    stage, lower the polarities, then the wide gates."""
+    gates = []
+    for cover, target in stages:
+        gates += reference.realize_stage(cover, target, n)
+    return reference.lower_mct(
+        Circuit(n, 0, tuple(reference.lower_polarity(gates))))
+
+
+def stage_covers_of(f, mode, order):
+    """(cover, target) for each nonzero stage of f, minimized as
+    `synthesize` minimizes it."""
+    minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
+    tables = decompose(f, find_feasible_order(f) if order == "search" else None)
+    return [(minimize(build_qmap(t), forbidden=frozenset((t.target,))),
+             t.target) for t in tables if not t.is_zero()]
+
+
+class TestEmitAgainstReference:
+    """`synthesize` emits the lowered gates of each stage's cover in one
+    loop; the reference realizes, lowers the polarities and lowers the
+    wide gates pass by pass, building every gate anew."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage_streams())
+    def test_stage_streams(self, case):
+        n, stages = case
+        try:
+            want = step_by_step(n, stages)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _emit(n, stages)
+            # the first faulty stage raises; one kind of fault, one message
+            cover, target = next(
+                (c, t) for c, t in stages
+                if any(x.width != n or x.mask >> t & 1 for x in c.cubes))
+            wrong_width = any(c.width != n for c in cover.cubes)
+            reads = any(c.mask >> target & 1 for c in cover.cubes)
+            if not (wrong_width and reads):
+                assert str(got.value) == str(exc)
+            return
+        assert _emit(n, stages) == want  # same gates, same ancilla count
+
+    def test_constant_cube_cancels_previous_trailing_x(self):
+        # stage 1 leaves !q1's closing X pending; stage 2's constant-1
+        # cube flips q1, its target, and the two X gates cancel
+        stages = [(Cover(CoverMode.ESOP, (Cube(3, 0b010, 0),)), 0),
+                  (Cover(CoverMode.ESOP, (Cube(3, 0, 0),)), 1)]
+        c = _emit(3, stages)
+        assert c == step_by_step(3, stages)
+        assert c.gates == (Gate.x(1), Gate.cx(1, 0))
+
+
 class TestPassesAgainstReference:
     """The realize and lowering passes build each distinct gate once per
     call; the references build every gate anew."""
@@ -375,16 +467,19 @@ class TestSynthesize:
         assert c.census() == {"x": 0, "cx": 6, "ccx": 0, "mct": 0}
 
     def test_gray_disjoint_lowered_census(self, gray4):
-        c = synthesize(gray4, mode="disjoint", lower="toffoli2")
+        c = synthesize(gray4, mode="disjoint")
         assert verify(c, gray4) is None
         assert c.ancilla_count == 1
         assert len(c) <= 27
 
     def test_gray_disjoint_unlowered_has_mct(self, gray4):
-        c = synthesize(gray4, mode="disjoint", lower="none")
-        assert c.ancilla_count == 0
+        gates = []
+        for cover, target in stage_covers_of(gray4, "disjoint", "natural"):
+            gates += realize_stage(cover, target, 4)
+        c = Circuit(4, 0, tuple(lower_polarity(gates)))
         assert c.has_mct()
         assert verify(c, gray4) is None
+        assert lower_mct(c) == synthesize(gray4, mode="disjoint")
 
     def test_identity_is_empty(self):
         c = synthesize(identity_function(4))
@@ -422,22 +517,20 @@ class TestSynthesize:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
            st.sampled_from(["esop", "disjoint"]),
-           st.sampled_from(["natural", "search"]),
-           st.sampled_from(["toffoli2", "none"]))
-    def test_synthesize_then_verify(self, n, seed, mode, order, lower):
+           st.sampled_from(["natural", "search"]))
+    def test_synthesize_then_verify(self, n, seed, mode, order):
         f = random_feasible_function(n, random.Random(seed))
-        c = synthesize(f, mode=mode, order=order, lower=lower)
+        c = synthesize(f, mode=mode, order=order)
         assert verify(c, f) is None
         # permutation_of raises AncillaNotRestored on a dirty ancilla
         assert permutation_of(c) == list(f.table)
-        if lower == "toffoli2":
-            assert not c.has_mct()
-        else:
-            assert c.ancilla_count == 0
+        assert not c.has_mct()
+        # the emission loop gives the reference passes' circuit
+        assert c == step_by_step(n, stage_covers_of(f, mode, order))
 
     def test_bad_options(self, gray4):
         with pytest.raises(ValueError):
-            synthesize(gray4, lower="magic")
+            synthesize(gray4, mode="sideways")
         with pytest.raises(ValueError):
             synthesize(gray4, order="sideways")
 
