@@ -4,12 +4,18 @@ The circuit is split into one stage per bit: stage s rewrites target bit
 order[s] as a function of the intermediate state, which holds final
 values on already-processed bits and original values elsewhere.  Each
 stage's required flip is captured by a toggle table over intermediate
-states; a state no input reaches stays a don't-care (None).
+states.
 
 The decomposition exists only when, at every stage, all inputs reaching
 the same intermediate state agree on the toggle value.  Bijections like
 the 2-bit swap fail this for every ordering, which `decompose` reports
-with a concrete witness pair instead of producing a wrong circuit.
+with a concrete witness pair instead of producing a wrong circuit.  A
+successful decomposition keeps every stage's state map a permutation, so
+its toggles are total (no entry is None) and never read their own
+target: two states that differ only in the target would otherwise meet,
+and a later stage would fail.  The stages are computed by a numpy kernel
+that checks exactly that; the scalar loop runs only when the check
+fails, to find the witness.
 """
 from __future__ import annotations
 
@@ -19,7 +25,12 @@ from typing import Iterator
 import numpy as np
 
 from .boolfn import ReversibleFunction
-from .errors import CascadeInfeasible, NoFeasibleOrder, WidthOutOfRange
+from .errors import (
+    CascadeInfeasible,
+    NoFeasibleOrder,
+    TargetReadWrite,
+    WidthOutOfRange,
+)
 
 MAX_SEARCH_WIDTH = 15
 
@@ -60,8 +71,9 @@ class ToggleTable:
     """Per-stage flip function over intermediate states.
 
     entries[v] is 1 if the target bit must flip when the stage sees
-    intermediate state v, 0 if it must hold, None if no input reaches v.
-    primed[j] marks bit j as already rewritten by an earlier stage.
+    intermediate state v, 0 if it must hold, None if no input reaches v;
+    a table from a successful `decompose` has no None entry.  primed[j]
+    marks bit j as already rewritten by an earlier stage.
     """
 
     stage: int
@@ -90,9 +102,71 @@ def decompose(f: ReversibleFunction,
     n = f.width
     if order is None:
         order = StageOrder.natural(n)
+    toggles, bad = _toggles(f, order)
+    if bad is not None:
+        return _decompose_scalar(f, order)
+    targets = order.order
+    return [ToggleTable(stage, target, n, tuple(toggle.tolist()),
+                        tuple(j in targets[:stage] for j in range(n)))
+            for stage, (target, toggle) in enumerate(zip(targets, toggles))]
+
+
+def _toggles(f: ReversibleFunction,
+             order: StageOrder) -> tuple[list[np.ndarray], int | None]:
+    """Each stage's toggle over the intermediate states as a 0/1 array, up
+    to the first stage whose toggle reads its target, and that stage's
+    index (None when every stage is target-free).
+
+    The states start as the identity, and a target-free toggle moves
+    them by an involution, so they stay a permutation: each state is
+    reached by exactly one input, so the scatter defines every entry
+    and no two inputs can disagree.  A toggle that reads its target
+    makes two states meet, and a later stage then fails, so this one
+    check per stage stands for the scalar loop's."""
+    n = f.width
     if len(order) != n:
         raise ValueError(f"order length {len(order)} != width {n}")
+    inputs = np.arange(1 << n)
+    diff = inputs ^ np.asarray(f.table)
+    states = inputs
+    out: list[np.ndarray] = []
+    for stage, target in enumerate(order):
+        tbit = 1 << target
+        toggle = np.empty(1 << n, dtype=np.uint8)
+        toggle[states] = diff >> target & 1
+        out.append(toggle)
+        halves = toggle.reshape(-1, 2, tbit)  # [.., target bit, ..]
+        if (halves[:, 0] != halves[:, 1]).any():
+            return out, stage
+        states = states ^ (diff & tbit)
+    return out, None
 
+
+def _stage_vectors(f: ReversibleFunction,
+                  order: StageOrder) -> list[tuple[int, int]]:
+    """(target, on) per stage of `decompose(f, order)`: bit s of the
+    truth vector `on` is the stage's toggle at the state whose bits other
+    than the target read s, variable j of s being bit j + (j >= target).
+    Raises what `decompose` raises; TargetReadWrite if a toggle reads its
+    target and `decompose` still succeeds, which no bijection does."""
+    toggles, bad = _toggles(f, order)
+    if bad is not None:
+        _decompose_scalar(f, order)  # raises CascadeInfeasible
+        raise TargetReadWrite(bad, order.order[bad])
+    out = []
+    for target, toggle in zip(order, toggles):
+        free = toggle.reshape(-1, 2, 1 << target)[:, 0].ravel()
+        out.append((target, int.from_bytes(
+            np.packbits(free, bitorder="little"), "little")))
+    return out
+
+
+def _decompose_scalar(f: ReversibleFunction,
+                      order: StageOrder) -> list[ToggleTable]:
+    """`decompose` one input at a time, stopping at the first input that
+    disagrees with another on a shared state: the witness pair of
+    CascadeInfeasible."""
+    n = f.width
     size = 1 << n
     # states[x] is the intermediate state input x has reached so far
     states = list(range(size))

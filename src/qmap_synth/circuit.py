@@ -26,16 +26,9 @@ from operator import attrgetter
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .boolfn import ReversibleFunction
-from .cascade import StageOrder, ToggleTable, decompose, resolve_order
-from .errors import TargetReadWrite, UnloweredMct
-from .qmap import (
-    Cover,
-    CoverMode,
-    _remove_var,
-    build_qmap,
-    minimize_disjoint,
-    minimize_esop,
-)
+from .cascade import StageOrder, _stage_vectors, resolve_order
+from .errors import UnloweredMct
+from .qmap import EXACT_WIDTH_CAP, Cover, CoverMode, _disjoint_terms, _esop_terms
 
 __all__ = [
     "GateKind",
@@ -276,104 +269,118 @@ def _sandwich(controls: Sequence[int], target: int, base: int,
     line base + i, starting from the two highest-order controls, until
     the lowest one and the last ancilla flip the target; the compute
     Toffolis are then undone in reverse."""
-    acc = controls[-1]  # the line holding the AND of the controls so far
-    compute: list[Gate] = []
-    for i, c in enumerate(reversed(controls[1:-1])):
-        compute.append(ccx(c, acc, base + i))
-        acc = base + i
-    return (*compute, ccx(controls[0], acc, target), *reversed(compute))
+    compute, acc, uncompute = _chain(controls[1:], base, ccx)
+    return (*compute, ccx(controls[0], acc, target), *uncompute)
 
 
 def synthesize(f: ReversibleFunction, *,
                mode: CoverMode | str = CoverMode.ESOP,
                order: StageOrder | str | None = None) -> Circuit:
     """Compile a reversible function to a NOT/CNOT/Toffoli circuit:
-    decompose into stages, minimize each stage's toggle function on its
-    grid, and emit each cover's cubes straight as lowered gates.
+    decompose into stages, minimize each stage's toggle function over the
+    n - 1 bits other than its target, and emit each cover's cubes
+    straight as lowered gates.
 
-    The gates are those of `realize_stage` over the stages, then
+    Each stage is one truth-vector int from the decomposition to the
+    gate loop, minimized by the cores of `minimize_disjoint` and
+    `minimize_esop` (exact for n <= EXACT_WIDTH_CAP).  The gates are
+    those of `decompose`, `build_qmap`, `minimize_*` with the target
+    forbidden, `realize_stage` over the nonzero stages, then
     `lower_polarity`, then `lower_mct`, byte for byte (the test suite
     holds the two forms to each other), and the returned circuit's
     permutation equals f (checked exhaustively).  Raises
-    CascadeInfeasible/NoFeasibleOrder when no stage cascade exists and
-    TargetReadWrite when a stage's toggle function cannot avoid reading
-    its own target bit.
+    CascadeInfeasible/NoFeasibleOrder when no stage cascade exists.
     """
     mode = CoverMode(mode) if not isinstance(mode, CoverMode) else mode
-    tables = decompose(f, resolve_order(f, order))
-    return _emit(f.width, ((_stage_cover(t, mode), t.target)
-                           for t in tables if not t.is_zero()))
+    n = f.width
+    minimize = _disjoint_terms if mode is CoverMode.DISJOINT else _esop_terms
+    exact = n <= EXACT_WIDTH_CAP
+    stages = _stage_vectors(f, resolve_order(f, order))
+    return _emit(n, ((target, minimize(on, 0, n - 1, exact))
+                     for target, on in stages if on))
 
 
-def _stage_cover(table: ToggleTable, mode: CoverMode) -> Cover:
-    grid = build_qmap(table)
-    if _remove_var(grid.on, grid.dc, grid.width, table.target) is None:
-        raise TargetReadWrite(table.stage, table.target)
-    forbidden = frozenset((table.target,))
-    if mode is CoverMode.DISJOINT:
-        return minimize_disjoint(grid, forbidden=forbidden)
-    return minimize_esop(grid, forbidden=forbidden)
-
-
-def _emit(n: int, stages: Iterable[tuple[Cover, int]]) -> Circuit:
-    """The lowered circuit of (cover, target) stages over n data lines, in
-    one pass over the cubes: each cube is its X conjugation around its
-    CX, CCX or ancilla sandwich (a constant-1 cube is an X on the
-    target), and an X cancels an unmatched X on its line with no gate
-    touching that line in between, as in `lower_polarity`.  Each
-    distinct cube body and X run is built once per call.  Each target
-    must be one of the n lines; a stage that fails `realize_stage`'s
-    checks raises its ValueError."""
+def _emit(n: int,
+          stages: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> Circuit:
+    """The lowered circuit of (target, cover) stages over n data lines,
+    each cover a list of (mask, value) cubes over the n - 1 lines other
+    than its target (variable j is line j + (j >= target)), in one pass
+    over the cubes: each cube is its X conjugation around its CX, CCX or
+    ancilla sandwich (a constant-1 cube is an X on the target), and an X
+    cancels an unmatched X on its line with no gate touching that line
+    in between, as in `lower_polarity`.  A sandwich's compute chain
+    depends only on the controls above its lowest one, so each distinct
+    chain and X run is built once per call."""
     flip, cx, ccx = cache(Gate.x), cache(Gate.cx), cache(Gate.ccx)
-    # target -> mask -> (the cube's lines, its body)
-    bodies: dict[int, dict[int, tuple[tuple[int, ...], tuple[Gate, ...]]]] = {}
-    # negative mask -> (line, X gate) pairs, lowest line first
+    # control lines above the lowest -> (compute Toffolis, the line that
+    # holds their AND, the uncompute Toffolis)
+    chains: dict[int, tuple[tuple[Gate, ...], int, tuple[Gate, ...]]] = {}
+    # negative lines -> (line, X gate) pairs, lowest line first
     flips: dict[int, tuple[tuple[int, Gate], ...]] = {}
     out: list[Gate | None] = []
-    pending: dict[int, int] = {}  # line -> index of an unmatched X
+    at = [0] * n  # line -> index of its unmatched X, when it has one
+    pending = 0  # the lines with an unmatched X
     depth = 0  # the longest compute chain, so the ancillas it needs
-    for cover, target in stages:
-        _check_stage(cover, target, n)
-        on_target = bodies.setdefault(target, {})
-        for cube in cover.cubes:
-            mask = cube.mask
+    for target, cubes in stages:
+        tbit = 1 << target
+        high = -tbit  # variables at or above the target move up a line
+        for mask, value in cubes:
             if not mask:
-                prev = pending.pop(target, None)
-                if prev is None:
-                    pending[target] = len(out)
-                    out.append(flip(target))
+                if pending & tbit:
+                    out[at[target]] = None
                 else:
-                    out[prev] = None
+                    at[target] = len(out)
+                    out.append(flip(target))
+                pending ^= tbit
                 continue
-            entry = on_target.get(mask)
-            if entry is None:
-                controls = _bits(mask)
-                body = ((cx(controls[0], target),) if len(controls) == 1
-                        else _sandwich(controls, target, n, ccx))
-                depth = max(depth, len(body) // 2)
-                entry = on_target[mask] = (controls + (target,), body)
-            lines, body = entry
-            neg = mask & ~cube.value
+            lines = mask + (mask & high)
+            neg = mask & ~value
             if neg:
+                neg += neg & high
                 xs = flips.get(neg)
                 if xs is None:
                     xs = flips[neg] = tuple((l, flip(l)) for l in _bits(neg))
                 # an X before the body cancels an unmatched X on its line;
                 # one that does not is consumed by the body at once
                 for l, x in xs:
-                    prev = pending.pop(l, None)
-                    if prev is None:
-                        out.append(x)
+                    if pending >> l & 1:
+                        out[at[l]] = None
                     else:
-                        out[prev] = None
-            for l in lines:
-                pending.pop(l, None)
-            out += body
+                        out.append(x)
+            pending &= ~(lines | tbit)
+            low = lines & -lines
+            rest = lines ^ low
+            if rest:
+                chain = chains.get(rest)
+                if chain is None:
+                    chain = chains[rest] = _chain(_bits(rest), n, ccx)
+                    depth = max(depth, len(chain[0]))
+                compute, acc, uncompute = chain
+                out += compute
+                out.append(ccx(low.bit_length() - 1, acc, target))
+                out += uncompute
+            else:
+                out.append(cx(low.bit_length() - 1, target))
             if neg:
                 for l, x in reversed(xs):
-                    pending[l] = len(out)
+                    at[l] = len(out)
                     out.append(x)
+                pending |= neg
     return Circuit(n, depth, tuple(filter(None, out)))  # gates are truthy
+
+
+def _chain(controls: Sequence[int], base: int,
+           ccx: Callable[[int, int, int], Gate]
+           ) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
+    """The compute Toffolis of `_sandwich` for a lowest control below
+    `controls`, the line holding the AND of `controls` after them, and
+    the uncompute Toffolis."""
+    acc = controls[-1]
+    compute: list[Gate] = []
+    for i, c in enumerate(reversed(controls[:-1])):
+        compute.append(ccx(c, acc, base + i))
+        acc = base + i
+    return tuple(compute), acc, tuple(reversed(compute))
 
 
 def invert(c: Circuit) -> Circuit:

@@ -26,7 +26,10 @@ grown from its seed cell one free variable at a time, and a
 positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
-(mask, value) pairs do and the merge order is that of the pairs.
+(mask, value) pairs do and the merge order is that of the pairs.  The
+public minimizers and `synthesize` share the int cores `_disjoint_terms`
+and `_esop_terms`, which take the truth vectors and return sorted
+(mask, value) pairs; only the public ones build a grid and `Cube`s.
 """
 from __future__ import annotations
 
@@ -515,12 +518,34 @@ def _decode(terms: list[int], m: int) -> list[tuple[int, int]]:
     return [(t >> m, t & low) for t in terms]
 
 
+def _disjoint_terms(on: int, dc: int, m: int,
+                    exact: bool) -> list[tuple[int, int]]:
+    """A disjoint SOP cover of (on, dc) over m variables as sorted
+    (mask, value) pairs: exact, or largest-block-first greedy."""
+    if exact:
+        return sorted(_exact_cubes("disjoint", on, dc, m))
+    return sorted(_greedy_disjoint(on, dc, m))
+
+
+def _esop_terms(on: int, dc: int, m: int,
+                exact: bool) -> list[tuple[int, int]]:
+    """An ESOP cover of (on, dc) over m variables as sorted (mask, value)
+    pairs: exact, or a Reed-Muller seed reduced by term merging."""
+    if exact:
+        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, dc, m)]
+    else:
+        terms = _merge_terms(_pprm_terms(on, m), m)
+    # keys sort as their pairs do
+    return _decode(sorted(_normalize_single_negatives(terms, m)), m)
+
+
 def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
             mode: CoverMode) -> Cover:
+    """The cover of sorted pairs with the removed variables put back;
+    inserting a variable keeps the pairs' order."""
     for var in removed:
         terms = [_insert_var(t, var) for t in terms]
-    cubes = tuple(Cube(width, mk, v) for mk, v in sorted(terms))
-    return Cover(mode, cubes)
+    return Cover(mode, tuple(Cube(width, mk, v) for mk, v in terms))
 
 
 def minimize_disjoint(g: QMapGrid,
@@ -529,10 +554,7 @@ def minimize_disjoint(g: QMapGrid,
     4 variables, forbidden ones included, largest-block-first greedy
     beyond."""
     on, dc, m, removed = _prepare(g, forbidden)
-    if g.width <= EXACT_WIDTH_CAP:
-        terms = _exact_cubes("disjoint", on, dc, m)
-    else:
-        terms = _greedy_disjoint(on, dc, m)
+    terms = _disjoint_terms(on, dc, m, g.width <= EXACT_WIDTH_CAP)
     return _finish(terms, removed, g.width, CoverMode.DISJOINT)
 
 
@@ -542,12 +564,8 @@ def minimize_esop(g: QMapGrid,
     variables, forbidden ones included, a Reed-Muller seed reduced by
     greedy term merging beyond."""
     on, dc, m, removed = _prepare(g, forbidden)
-    if g.width <= EXACT_WIDTH_CAP:
-        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, dc, m)]
-    else:
-        terms = _merge_terms(_pprm_terms(on, m), m)
-    terms = _normalize_single_negatives(terms, m)
-    return _finish(_decode(terms, m), removed, g.width, CoverMode.ESOP)
+    terms = _esop_terms(on, dc, m, g.width <= EXACT_WIDTH_CAP)
+    return _finish(terms, removed, g.width, CoverMode.ESOP)
 
 
 def pprm_cover(t: ToggleTable) -> Cover:

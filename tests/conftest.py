@@ -156,6 +156,17 @@ def bit_swap_function(n: int, i: int, j: int) -> ReversibleFunction:
 
 
 @st.composite
+def cascade_inputs(draw):
+    """(f, order): a random bijection (mostly infeasible past width 3) or
+    a random cascade-feasible function of width 1-8, with the order
+    "natural" or "search"."""
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    make = draw(st.sampled_from([random_bijection, random_feasible_function]))
+    return make(n, rng), draw(st.sampled_from(["natural", "search"]))
+
+
+@st.composite
 def gates_on(draw, lines, targets=None, max_controls=4):
     """A gate with a target from `targets` (default: any of `lines`) and
     up to max_controls distinct controls from the rest, either polarity."""

@@ -9,6 +9,7 @@ import reference
 from conftest import (
     GRAY4_TOGGLES,
     bit_swap_function,
+    cascade_inputs,
     random_bijection,
     random_feasible_function,
     swap2_function,
@@ -21,6 +22,7 @@ from qmap_synth import (
     identity_function,
 )
 from qmap_synth import cascade
+from qmap_synth.cascade import resolve_order
 from qmap_synth.cascade import MAX_SEARCH_WIDTH
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, WidthOutOfRange
 
@@ -200,3 +202,54 @@ class TestAgainstExhaustiveReference:
         tested = [call.args[2] for call in spy.call_args_list]
         assert len(tested) == len(set(tested))
         assert all(0 < p < (1 << f.width) - 1 for p in tested)
+
+
+def result(fn, *args):
+    """fn's return value, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelAgainstScalarLoop:
+    """`decompose` computes its tables with a numpy kernel and runs the
+    scalar loop only when a stage reads its target, to find the witness
+    of CascadeInfeasible."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cascade_inputs())
+    @example((swap2_function(), "natural"))
+    def test_same_tables_or_same_error(self, case):
+        f, order = case
+        try:
+            order = resolve_order(f, order)
+        except NoFeasibleOrder:
+            return
+        assert (result(decompose, f, order)
+                == result(cascade._decompose_scalar, f, order))
+
+    def test_swap_witness_comes_from_the_later_stage(self):
+        # the kernel stops at stage 0, whose toggle reads q0; the scalar
+        # loop then finds the two inputs that meet at stage 1
+        with pytest.raises(CascadeInfeasible) as exc:
+            decompose(swap2_function())
+        assert str(exc.value) == (
+            "stage 1 (target q1): inputs 00 and 01 both reach "
+            "intermediate state 00 but need opposite toggles")
+
+    @settings(max_examples=200, deadline=None)
+    @given(cascade_inputs())
+    def test_tables_are_total_and_target_free(self, case):
+        # a random feasible function in natural order, or any drawn
+        # function in the order the search accepts
+        f, order = case
+        try:
+            tables = decompose(f, resolve_order(f, order))
+        except (CascadeInfeasible, NoFeasibleOrder):
+            return
+        for t in tables:
+            tbit = 1 << t.target
+            assert None not in t.entries
+            assert all(t.entries[v] == t.entries[v ^ tbit]
+                       for v in range(1 << f.width))

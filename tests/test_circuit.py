@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import reference
 from conftest import (
     bit_swap_function,
+    cascade_inputs,
     gates_on,
     optimized_reference_circuit,
     random_feasible_function,
+    swap2_function,
     unoptimized_reference_circuit,
 )
 from qmap_synth import (
@@ -26,7 +28,6 @@ from qmap_synth import (
     build_qmap,
     cost,
     decompose,
-    find_feasible_order,
     identity_function,
     invert,
     lower_mct,
@@ -38,8 +39,15 @@ from qmap_synth import (
     synthesize,
     verify,
 )
+from qmap_synth.cascade import _decompose_scalar, resolve_order
 from qmap_synth.circuit import _emit
-from qmap_synth.errors import NoFeasibleOrder, UnloweredMct
+from qmap_synth.errors import (
+    CascadeInfeasible,
+    NoFeasibleOrder,
+    TargetReadWrite,
+    UnloweredMct,
+)
+from qmap_synth.qmap import can_avoid_variable
 
 
 class TestGate:
@@ -214,35 +222,39 @@ def gate_lists(draw):
 
 @st.composite
 def stage_streams(draw):
-    """(n, stages): up to 8 lines and up to 6 (cover, target) stages whose
-    cubes come from one small pool of 0-6 literals, mixed polarity and
-    about one constant-1 cube in four, so that masks and negative runs
-    recur across stages and targets.  In about one stream in four a
-    stage may read its target or hold a cube one variable too wide or
-    too narrow."""
+    """(n, stages): up to 8 lines and up to 6 (target, cubes) stages whose
+    (mask, value) cubes over the n - 1 lines other than the target come
+    from one small pool of 0-6 literals, mixed polarity and about one
+    constant-1 cube in four, so that masks and negative runs recur
+    across stages and targets."""
     n = draw(st.integers(1, 8))
-    faulty = draw(st.integers(0, 3)) == 0
-    widths = [n] * 8 + [max(n - 1, 0), n + 1] if faulty else [n]
 
     @st.composite
     def cubes(draw):
-        width = draw(st.sampled_from(widths))
-        if width == 0 or draw(st.integers(0, 3)) == 0:
-            return Cube(width, 0, 0)
-        vars_ = draw(st.lists(st.integers(0, width - 1), unique=True,
-                              min_size=1, max_size=min(6, width)))
+        if n == 1 or draw(st.integers(0, 3)) == 0:
+            return 0, 0
+        vars_ = draw(st.lists(st.integers(0, n - 2), unique=True,
+                              min_size=1, max_size=min(6, n - 1)))
         mask = sum(1 << v for v in vars_)
-        return Cube(width, mask, mask & draw(st.integers(0, 255)))
+        return mask, mask & draw(st.integers(0, 255))
 
     pool = draw(st.lists(cubes(), min_size=1, max_size=8))
-    stages = []
-    for _ in range(draw(st.integers(0, 6))):
-        target = draw(st.integers(0, n - 1))
-        allowed = [c for c in pool if faulty or not c.mask >> target & 1]
-        chosen = draw(st.lists(st.sampled_from(allowed), max_size=8)
-                      if allowed else st.just([]))
-        stages.append((Cover(CoverMode.ESOP, tuple(chosen)), target))
+    stages = [(draw(st.integers(0, n - 1)),
+               draw(st.lists(st.sampled_from(pool), max_size=8)))
+              for _ in range(draw(st.integers(0, 6)))]
     return n, stages
+
+
+def lift(x, target):
+    """x over the lines other than target, as a mask over all lines."""
+    return x + (x >> target << target)
+
+
+def as_covers(n, stages):
+    """(cover, target) stages of n-wide cubes for (target, cubes) ones."""
+    return [(Cover(CoverMode.ESOP, tuple(Cube(n, lift(mask, t), lift(value, t))
+                                         for mask, value in cubes)), t)
+            for t, cubes in stages]
 
 
 def step_by_step(n, stages):
@@ -256,12 +268,28 @@ def step_by_step(n, stages):
 
 
 def stage_covers_of(f, mode, order):
-    """(cover, target) for each nonzero stage of f, minimized as
-    `synthesize` minimizes it."""
+    """(cover, target) for each nonzero stage of f on the scalar path:
+    the scalar decomposition loop, the grid view and the public
+    minimizers with the target forbidden."""
     minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
-    tables = decompose(f, find_feasible_order(f) if order == "search" else None)
-    return [(minimize(build_qmap(t), forbidden=frozenset((t.target,))),
-             t.target) for t in tables if not t.is_zero()]
+    stages = []
+    for t in _decompose_scalar(f, resolve_order(f, order)):
+        if t.is_zero():
+            continue
+        if not can_avoid_variable(t.entries, t.width, t.target):
+            raise TargetReadWrite(t.stage, t.target)
+        grid = build_qmap(t)
+        stages.append((minimize(grid, forbidden=frozenset((t.target,))),
+                       t.target))
+    return stages
+
+
+def result(fn, *args, **kwargs):
+    """fn's return value, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestEmitAgainstReference:
@@ -273,30 +301,23 @@ class TestEmitAgainstReference:
     @given(stage_streams())
     def test_stage_streams(self, case):
         n, stages = case
-        try:
-            want = step_by_step(n, stages)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                _emit(n, stages)
-            # the first faulty stage raises; one kind of fault, one message
-            cover, target = next(
-                (c, t) for c, t in stages
-                if any(x.width != n or x.mask >> t & 1 for x in c.cubes))
-            wrong_width = any(c.width != n for c in cover.cubes)
-            reads = any(c.mask >> target & 1 for c in cover.cubes)
-            if not (wrong_width and reads):
-                assert str(got.value) == str(exc)
-            return
-        assert _emit(n, stages) == want  # same gates, same ancilla count
+        # same gates, same ancilla count
+        assert _emit(n, stages) == step_by_step(n, as_covers(n, stages))
 
     def test_constant_cube_cancels_previous_trailing_x(self):
-        # stage 1 leaves !q1's closing X pending; stage 2's constant-1
-        # cube flips q1, its target, and the two X gates cancel
-        stages = [(Cover(CoverMode.ESOP, (Cube(3, 0b010, 0),)), 0),
-                  (Cover(CoverMode.ESOP, (Cube(3, 0, 0),)), 1)]
+        # stage 1 leaves !q1's closing X pending (variable 0 of target 0
+        # is line 1); stage 2's constant-1 cube flips q1, its target, and
+        # the two X gates cancel
+        stages = [(0, [(0b01, 0)]), (1, [(0, 0)])]
         c = _emit(3, stages)
-        assert c == step_by_step(3, stages)
+        assert c == step_by_step(3, as_covers(3, stages))
         assert c.gates == (Gate.x(1), Gate.cx(1, 0))
+
+    def test_variables_skip_the_target_line(self):
+        # target 1 of 4 lines: variables 0, 1, 2 are lines 0, 2, 3
+        c = _emit(4, [(1, [(0b111, 0b111), (0b110, 0b110)])])
+        assert c.gates == (Gate.ccx(2, 3, 4), Gate.ccx(0, 4, 1),
+                           Gate.ccx(2, 3, 4), Gate.ccx(2, 3, 1))
 
 
 class TestPassesAgainstReference:
@@ -527,6 +548,21 @@ class TestSynthesize:
         assert not c.has_mct()
         # the emission loop gives the reference passes' circuit
         assert c == step_by_step(n, stage_covers_of(f, mode, order))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cascade_inputs(), st.sampled_from(["esop", "disjoint"]))
+    def test_same_circuit_or_same_error_as_scalar_path(self, case, mode):
+        f, order = case
+        want = result(lambda: step_by_step(
+            f.width, stage_covers_of(f, mode, order)))
+        assert result(synthesize, f, mode=mode, order=order) == want
+
+    def test_swap_is_infeasible_not_target_read(self):
+        # stage 0's toggle reads q0, so the stages fall back to the scalar
+        # loop, whose witness at stage 1 comes out (exit 3, not 4)
+        with pytest.raises(CascadeInfeasible) as exc:
+            synthesize(swap2_function())
+        assert (exc.value.stage, exc.value.inputs) == (1, (0b00, 0b01))
 
     def test_bad_options(self, gray4):
         with pytest.raises(ValueError):
