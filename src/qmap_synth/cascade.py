@@ -11,16 +11,16 @@ the same intermediate state agree on the toggle value.  Bijections like
 the 2-bit swap fail this for every ordering, which `decompose` reports
 with a concrete witness pair instead of producing a wrong circuit.  A
 successful decomposition keeps every stage's state map a permutation, so
-its toggles are total (no entry is None) and never read their own
-target: two states that differ only in the target would otherwise meet,
-and a later stage would fail.  The stages are computed by a numpy kernel
-that checks exactly that; the scalar loop runs only when the check
-fails, to find the witness.
+its toggles are total (every state has a 0/1 entry) and never read their
+own target: two states that differ only in the target would otherwise
+meet, and a later stage would fail.  The stages are computed by a numpy
+kernel that checks exactly that; when the check fails, a scalar loop
+over the inputs finds the witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .boolfn import ReversibleFunction
 from .errors import (
     CascadeInfeasible,
     NoFeasibleOrder,
-    TargetReadWrite,
     WidthOutOfRange,
 )
 
@@ -71,25 +70,27 @@ class ToggleTable:
     """Per-stage flip function over intermediate states.
 
     entries[v] is 1 if the target bit must flip when the stage sees
-    intermediate state v, 0 if it must hold, None if no input reaches v;
-    a table from a successful `decompose` has no None entry.  primed[j]
-    marks bit j as already rewritten by an earlier stage.
+    intermediate state v and 0 if it must hold; every state of a
+    reversible function's stage is reached, so the table is total.
+    primed[j] marks bit j as already rewritten by an earlier stage.
     """
 
     stage: int
     target: int
     width: int
-    entries: tuple[int | None, ...]
+    entries: tuple[int, ...]
     primed: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != 1 << self.width:
             raise ValueError("entry count must be 2^width")
+        if not set(self.entries) <= {0, 1}:
+            raise ValueError("entries must be 0 or 1")
         if len(self.primed) != self.width:
             raise ValueError("primed flags must cover every bit")
 
     def is_zero(self) -> bool:
-        return all(t in (0, None) for t in self.entries)
+        return not any(self.entries)
 
 
 def decompose(f: ReversibleFunction,
@@ -102,27 +103,24 @@ def decompose(f: ReversibleFunction,
     n = f.width
     if order is None:
         order = StageOrder.natural(n)
-    toggles, bad = _toggles(f, order)
-    if bad is not None:
-        return _decompose_scalar(f, order)
     targets = order.order
     return [ToggleTable(stage, target, n, tuple(toggle.tolist()),
                         tuple(j in targets[:stage] for j in range(n)))
-            for stage, (target, toggle) in enumerate(zip(targets, toggles))]
+            for stage, (target, toggle) in enumerate(
+                zip(targets, _toggles(f, order)))]
 
 
-def _toggles(f: ReversibleFunction,
-             order: StageOrder) -> tuple[list[np.ndarray], int | None]:
-    """Each stage's toggle over the intermediate states as a 0/1 array, up
-    to the first stage whose toggle reads its target, and that stage's
-    index (None when every stage is target-free).
+def _toggles(f: ReversibleFunction, order: StageOrder) -> list[np.ndarray]:
+    """Each stage's toggle over the intermediate states as a 0/1 array.
 
     The states start as the identity, and a target-free toggle moves
     them by an involution, so they stay a permutation: each state is
     reached by exactly one input, so the scatter defines every entry
     and no two inputs can disagree.  A toggle that reads its target
     makes two states meet, and a later stage then fails, so this one
-    check per stage stands for the scalar loop's."""
+    check per stage stands for comparing the inputs that share a state;
+    when it fails, `_witness` finds such a pair and raises
+    CascadeInfeasible."""
     n = f.width
     if len(order) != n:
         raise ValueError(f"order length {len(order)} != width {n}")
@@ -137,9 +135,9 @@ def _toggles(f: ReversibleFunction,
         out.append(toggle)
         halves = toggle.reshape(-1, 2, tbit)  # [.., target bit, ..]
         if (halves[:, 0] != halves[:, 1]).any():
-            return out, stage
+            _witness(f, order)
         states = states ^ (diff & tbit)
-    return out, None
+    return out
 
 
 def _stage_vectors(f: ReversibleFunction,
@@ -147,54 +145,34 @@ def _stage_vectors(f: ReversibleFunction,
     """(target, on) per stage of `decompose(f, order)`: bit s of the
     truth vector `on` is the stage's toggle at the state whose bits other
     than the target read s, variable j of s being bit j + (j >= target).
-    Raises what `decompose` raises; TargetReadWrite if a toggle reads its
-    target and `decompose` still succeeds, which no bijection does."""
-    toggles, bad = _toggles(f, order)
-    if bad is not None:
-        _decompose_scalar(f, order)  # raises CascadeInfeasible
-        raise TargetReadWrite(bad, order.order[bad])
+    Raises what `decompose` raises."""
     out = []
-    for target, toggle in zip(order, toggles):
+    for target, toggle in zip(order, _toggles(f, order)):
         free = toggle.reshape(-1, 2, 1 << target)[:, 0].ravel()
         out.append((target, int.from_bytes(
             np.packbits(free, bitorder="little"), "little")))
     return out
 
 
-def _decompose_scalar(f: ReversibleFunction,
-                      order: StageOrder) -> list[ToggleTable]:
-    """`decompose` one input at a time, stopping at the first input that
-    disagrees with another on a shared state: the witness pair of
-    CascadeInfeasible."""
+def _witness(f: ReversibleFunction, order: StageOrder) -> NoReturn:
+    """Raise CascadeInfeasible for an order under which some stage's
+    toggle reads its target: run the inputs one at a time, stage by
+    stage, to the first input that needs the opposite toggle of an
+    earlier one on a shared state.  Such a stage makes two states meet,
+    and two inputs that then agreed on every later toggle would end on
+    the same output, so a bijection always has that pair."""
     n = f.width
-    size = 1 << n
     # states[x] is the intermediate state input x has reached so far
-    states = list(range(size))
-    tables: list[ToggleTable] = []
-    processed: list[int] = []
-
+    states = list(range(1 << n))
     for stage, target in enumerate(order):
-        tbit = 1 << target
-        entries: list[int | None] = [None] * size
-        reached_by: list[int] = [0] * size
-        for x in range(size):
-            v = states[x]
-            t = ((x ^ f.table[x]) >> target) & 1
-            known = entries[v]
-            if known is None:
-                entries[v] = t
-                reached_by[v] = x
-            elif known != t:
-                raise CascadeInfeasible(stage, target, v,
-                                        (reached_by[v], x), n)
-        for x in range(size):
-            if ((states[x] ^ f.table[x]) & tbit) != 0:
-                states[x] ^= tbit
-        primed = tuple(j in processed for j in range(n))
-        tables.append(ToggleTable(stage, target, n, tuple(entries), primed))
-        processed.append(target)
-
-    return tables
+        first: dict[int, tuple[int, int]] = {}  # state -> (input, toggle)
+        for x, v in enumerate(states):
+            t = (x ^ f.table[x]) >> target & 1
+            y, known = first.setdefault(v, (x, t))
+            if known != t:
+                raise CascadeInfeasible(stage, target, v, (y, x), n)
+            states[x] = v ^ (t << target)
+    raise AssertionError("a bijection's target-reading stage has a witness")
 
 
 def _prefix_injective(inputs: np.ndarray, diff: np.ndarray,

@@ -296,7 +296,7 @@ def synthesize(f: ReversibleFunction, *,
     minimize = _disjoint_terms if mode is CoverMode.DISJOINT else _esop_terms
     exact = n <= EXACT_WIDTH_CAP
     stages = _stage_vectors(f, resolve_order(f, order))
-    return _emit(n, ((target, minimize(on, 0, n - 1, exact))
+    return _emit(n, ((target, minimize(on, n - 1, exact))
                      for target, on in stages if on))
 
 

@@ -1,8 +1,9 @@
 """Command-line driver: synth | verify | show | export | cost.
 
 Exit codes: 0 success, 2 parse/usage failure, 3 infeasible cascade,
-4 target-read-write, 5 verification mismatch.  Diagnostics go to stderr;
-generated QASM goes to --out or stdout.
+5 verification mismatch.  Diagnostics go to stderr; generated QASM goes
+to --out or stdout.  `show` prints a toggle map's cells as 0/1, or with
+--overlay the letters of the cubes covering each cell ("." for none).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .errors import (
     NoFeasibleOrder,
     QasmSyntaxError,
     StageOutOfRange,
-    TargetReadWrite,
     TruthTableError,
     WidthOutOfRange,
 )
@@ -31,7 +31,6 @@ from .sim import verify
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
-EXIT_TARGET_READ_WRITE = 4
 EXIT_MISMATCH = 5
 
 __all__ = ["main"]
@@ -206,15 +205,13 @@ def _grid_text(grid: QMapGrid, overlay_cubes=None) -> str:
         label = format(rl, f"0{rbits}b") if rbits else ""
         cells = []
         for c in cols:
-            v = grid.cell(r, c)
             if overlay_cubes is None:
-                text = "-" if v is None else str(v)
+                text = str(grid.cell(r, c))
             else:
                 state = grid.state_at(r, c)
-                letters = "".join(
+                text = "".join(
                     _group_symbol(i) for i, cube in enumerate(overlay_cubes)
-                    if cube.covers(state))
-                text = letters or ("-" if v is None else ".")
+                    if cube.covers(state)) or "."
             cells.append(text.rjust(4))
         lines.append(label.rjust(left) + "".join(cells))
     return "\n".join(lines)
@@ -284,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CascadeInfeasible, NoFeasibleOrder) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except TargetReadWrite as exc:
-        print(f"unrealizable: {exc}", file=sys.stderr)
-        return EXIT_TARGET_READ_WRITE
 
 
 if __name__ == "__main__":

@@ -76,7 +76,9 @@ class NoFeasibleOrder(Exception):
 
 
 class TargetReadWrite(Exception):
-    """A stage's cover cannot avoid reading the bit it rewrites."""
+    """A stage's cover cannot avoid reading the bit it rewrites.  No
+    library path raises it: a feasible cascade's toggles never read their
+    target (see `cascade`)."""
 
     def __init__(self, stage: int, target: int):
         self.stage = stage

@@ -1,7 +1,8 @@
 """Cover minimization for toggle functions, and their Karnaugh-style view.
 
-A toggle function over m variables is held as two truth-vector ints:
-`on` has bit s set when f(s) = 1 and `dc` marks the don't-cares.  A
+A toggle function over m variables is held as one truth-vector int,
+`on`, with bit s set when f(s) = 1; a toggle of a reversible function's
+stage is defined on every state, so there are no don't-cares.  A
 cube's cells are the bits of base(mask) << value, where base(mask) has
 a bit for each cell s with s & mask == 0, so the minimizers and the
 cover check are shifts and masks over these ints.  The Gray-labelled
@@ -12,15 +13,16 @@ demand, for display only.  Covers come in two flavours:
 - disjoint sum-of-products: product terms that never share a cell, each
   1-cell covered exactly once (OR and XOR of the terms coincide);
 - ESOP: terms may overlap as long as each 1-cell is covered an odd
-  number of times and each covered 0-cell an even number of times.
+  number of times and each 0-cell an even number of times.
 
 On grids of up to 4 variables both minimizers are exact in (cube count,
 then total literal count).  The grid width counts every variable, forbidden
 ones included, so a width-5 grid with one forbidden variable is not exact
 even though its cover has 4 free variables.  The exact engine is a dynamic
 program over the cofactor decomposition  f = P xor x'Q xor xR  of every
-subfunction, tabulated once per mode and reused; don't-cares are handled
-by taking the best completion.  On wider grids a documented greedy
+subfunction, tabulated once per mode and reused.  A forbidden variable
+must be one the function ignores; it is projected out before covering
+and its slot reopened after.  On wider grids a documented greedy
 heuristic applies: largest-block-first for disjoint covers, each block
 grown from its seed cell one free variable at a time, and a
 positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
@@ -28,7 +30,7 @@ The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  The
 public minimizers and `synthesize` share the int cores `_disjoint_terms`
-and `_esop_terms`, which take the truth vectors and return sorted
+and `_esop_terms`, which take the truth vector and return sorted
 (mask, value) pairs; only the public ones build a grid and `Cube`s.
 """
 from __future__ import annotations
@@ -130,7 +132,7 @@ class Cover:
 @dataclass(frozen=True)
 class QMapGrid:
     """A stage's toggle function: bit s of `on` is set when the target
-    must flip at state s, bit s of `dc` when no input reaches s.
+    must flip at state s.
 
     The Gray layout is a view derived on demand: row labels assign the
     high variables q_{n-1}..q_k, column labels the low variables
@@ -140,7 +142,6 @@ class QMapGrid:
 
     width: int
     on: int
-    dc: int
     primed: tuple[bool, ...]
     stage: int
     target: int
@@ -170,29 +171,24 @@ class QMapGrid:
         """The state shown at (r, c); label i of a Gray block is i ^ i >> 1."""
         return ((r ^ r >> 1) << self.split) | (c ^ c >> 1)
 
-    def cell(self, r: int, c: int) -> int | None:
-        """The value shown at (r, c); None for a don't-care."""
-        s = self.state_at(r, c)
-        return None if self.dc >> s & 1 else self.on >> s & 1
+    def cell(self, r: int, c: int) -> int:
+        """The value shown at (r, c)."""
+        return self.on >> self.state_at(r, c) & 1
 
 
-# an entry's byte code (0, 1, or 2 for a don't-care) to its digit in on / dc
-_ON_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
-_DC_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # an entry's byte to its digit
 
 
-def _truth_vectors(entries: Sequence[int | None]) -> tuple[int, int]:
-    """(on, dc) of a toggle table's entries."""
-    codes = bytes(2 if v is None else v for v in reversed(entries))
-    return (int(codes.translate(_ON_DIGITS), 2),
-            int(codes.translate(_DC_DIGITS), 2))
+def _truth_vector(entries: Sequence[int]) -> int:
+    """The truth vector of a toggle table's 0/1 entries."""
+    return int(bytes(entries[::-1]).translate(_DIGITS), 2)
 
 
 def build_qmap(t: ToggleTable) -> QMapGrid:
-    """The toggle table's function as truth vectors, with its stage
+    """The toggle table's function as a truth vector, with its stage
     bookkeeping for display."""
-    on, dc = _truth_vectors(t.entries)
-    return QMapGrid(t.width, on, dc, t.primed, t.stage, t.target)
+    return QMapGrid(t.width, _truth_vector(t.entries), t.primed, t.stage,
+                    t.target)
 
 
 def _clear(m: int, bit: int) -> int:
@@ -216,8 +212,7 @@ def verify_cover(cover: Cover, g: QMapGrid) -> bool:
 
     Disjoint: no two cubes share any cell, every 1 covered exactly once,
     no 0 covered.  ESOP: every 1 covered an odd number of times, every 0
-    an even number.  Don't-cares are unconstrained (ESOP) or covered at
-    most once (disjoint, which forbids sharing outright).
+    an even number.
     """
     if any(c.width != g.width for c in cover.cubes):
         return False
@@ -227,7 +222,7 @@ def verify_cover(cover: Cover, g: QMapGrid) -> bool:
         if cover.mode is CoverMode.DISJOINT and acc & cells:
             return False
         acc ^= cells
-    return not (acc ^ g.on) & ~g.dc
+    return acc == g.on
 
 
 # --- exact minimization ----------------------------------------------------
@@ -324,22 +319,9 @@ def _reconstruct(kind: str, tabs: list[np.ndarray], f: int,
     return cubes
 
 
-def _exact_cubes(kind: str, on: int, dc: int,
-                 m: int) -> list[tuple[int, int]]:
-    """Exact minimum cover of a possibly-incomplete function on m <= 4
-    variables, taking the best completion of the don't-cares; the
-    completions are tried in increasing order and the first best wins."""
-    tabs = _tables(kind, m)
-    table = tabs[m]
-    best_f = on
-    best_key = int(table[on])
-    sub = 0
-    while sub != dc:
-        sub = (sub - dc) & dc  # the next submask of dc
-        key = int(table[on | sub])
-        if key < best_key:
-            best_key, best_f = key, on | sub
-    return _reconstruct(kind, tabs, best_f, m)
+def _exact_cubes(kind: str, on: int, m: int) -> list[tuple[int, int]]:
+    """Exact minimum cover of a function on m <= 4 variables."""
+    return _reconstruct(kind, _tables(kind, m), on, m)
 
 
 # --- heuristic minimization ------------------------------------------------
@@ -417,16 +399,16 @@ def _merge_terms(terms: list[int], m: int) -> list[int]:
     return sorted(pool)
 
 
-def _greedy_disjoint(on: int, dc: int, m: int) -> list[tuple[int, int]]:
+def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
-    1-cell and take the biggest cube that fits in uncovered 1/don't-care
-    cells, so the result is disjoint by construction.  The cubes that fit
-    grow level by level, one free variable at a time (a cube fits only if
-    it fits with its highest free variable fixed); the last level's
-    greatest free set leaves the first mask in (literal count, mask) order."""
+    1-cell and take the biggest cube that fits in uncovered 1-cells, so
+    the result is disjoint by construction.  The cubes that fit grow
+    level by level, one free variable at a time (a cube fits only if it
+    fits with its highest free variable fixed); the last level's greatest
+    free set leaves the first mask in (literal count, mask) order."""
     need = on
     # cells no new cube may touch: the 0-cells, then every covered cell
-    taken = ((1 << (1 << m)) - 1) & ~(on | dc)
+    taken = ((1 << (1 << m)) - 1) & ~on
     out: list[tuple[int, int]] = []
     while need:
         seed = (need & -need).bit_length() - 1
@@ -449,30 +431,24 @@ def _greedy_disjoint(on: int, dc: int, m: int) -> list[tuple[int, int]]:
 
 # --- variable elimination and lifting --------------------------------------
 
-def _remove_var(on: int, dc: int, m: int,
-                var: int) -> tuple[int, int] | None:
-    """Project out one variable; None when the two cofactors conflict on
-    a defined cell (no completion is independent of the variable)."""
+def _remove_var(on: int, m: int, var: int) -> int | None:
+    """Project out one variable; None when the function reads it (its
+    two cofactors differ)."""
     bit = 1 << var
     low = _clear(m, bit)
-    on0, on1 = on & low, on >> bit & low
-    dc0, dc1 = dc & low, dc >> bit & low
-    if (on0 ^ on1) & ~(dc0 | dc1):
+    on0 = on & low
+    if on0 != on >> bit & low:
         return None
-    on, dc = on0 | on1, dc0 & dc1
     # squeeze out the empty runs: at step j, runs of 2^j cells sit at
     # stride 2^(j+1) and each pair of runs joins into one
     for j in range(var, m - 1):
-        keep = _clear(m, 2 << j)
-        on = (on | on >> (1 << j)) & keep
-        dc = (dc | dc >> (1 << j)) & keep
-    return on, dc
+        on0 = (on0 | on0 >> (1 << j)) & _clear(m, 2 << j)
+    return on0
 
 
-def can_avoid_variable(entries: Sequence[int | None], width: int,
-                       var: int) -> bool:
-    """True iff some completion of the function ignores the variable."""
-    return _remove_var(*_truth_vectors(entries), width, var) is not None
+def can_avoid_variable(entries: Sequence[int], width: int, var: int) -> bool:
+    """True iff the function ignores the variable."""
+    return _remove_var(_truth_vector(entries), width, var) is not None
 
 
 def _insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
@@ -501,15 +477,13 @@ def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
 # --- public minimizers ------------------------------------------------------
 
 def _prepare(g: QMapGrid, forbidden: frozenset[int]):
-    on, dc, m = g.on, g.dc, g.width
-    removed: list[int] = []
+    on, m = g.on, g.width
     for var in sorted(forbidden, reverse=True):
-        reduced = _remove_var(on, dc, m, var)
-        if reduced is None:
+        on = _remove_var(on, m, var)
+        if on is None:
             raise ValueError(f"no cover of this grid can avoid q{var}")
-        (on, dc), m = reduced, m - 1
-        removed.append(var)
-    return on, dc, m, sorted(removed)
+        m -= 1
+    return on, m, sorted(forbidden)
 
 
 def _decode(terms: list[int], m: int) -> list[tuple[int, int]]:
@@ -518,21 +492,19 @@ def _decode(terms: list[int], m: int) -> list[tuple[int, int]]:
     return [(t >> m, t & low) for t in terms]
 
 
-def _disjoint_terms(on: int, dc: int, m: int,
-                    exact: bool) -> list[tuple[int, int]]:
-    """A disjoint SOP cover of (on, dc) over m variables as sorted
+def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
+    """A disjoint SOP cover of `on` over m variables as sorted
     (mask, value) pairs: exact, or largest-block-first greedy."""
     if exact:
-        return sorted(_exact_cubes("disjoint", on, dc, m))
-    return sorted(_greedy_disjoint(on, dc, m))
+        return sorted(_exact_cubes("disjoint", on, m))
+    return sorted(_greedy_disjoint(on, m))
 
 
-def _esop_terms(on: int, dc: int, m: int,
-                exact: bool) -> list[tuple[int, int]]:
-    """An ESOP cover of (on, dc) over m variables as sorted (mask, value)
+def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
+    """An ESOP cover of `on` over m variables as sorted (mask, value)
     pairs: exact, or a Reed-Muller seed reduced by term merging."""
     if exact:
-        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, dc, m)]
+        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, m)]
     else:
         terms = _merge_terms(_pprm_terms(on, m), m)
     # keys sort as their pairs do
@@ -553,8 +525,8 @@ def minimize_disjoint(g: QMapGrid,
     """Disjoint SOP cover; exact in (cubes, literals) for grids of up to
     4 variables, forbidden ones included, largest-block-first greedy
     beyond."""
-    on, dc, m, removed = _prepare(g, forbidden)
-    terms = _disjoint_terms(on, dc, m, g.width <= EXACT_WIDTH_CAP)
+    on, m, removed = _prepare(g, forbidden)
+    terms = _disjoint_terms(on, m, g.width <= EXACT_WIDTH_CAP)
     return _finish(terms, removed, g.width, CoverMode.DISJOINT)
 
 
@@ -563,15 +535,13 @@ def minimize_esop(g: QMapGrid,
     """ESOP cover; exact in (cubes, literals) for grids of up to 4
     variables, forbidden ones included, a Reed-Muller seed reduced by
     greedy term merging beyond."""
-    on, dc, m, removed = _prepare(g, forbidden)
-    terms = _esop_terms(on, dc, m, g.width <= EXACT_WIDTH_CAP)
+    on, m, removed = _prepare(g, forbidden)
+    terms = _esop_terms(on, m, g.width <= EXACT_WIDTH_CAP)
     return _finish(terms, removed, g.width, CoverMode.ESOP)
 
 
 def pprm_cover(t: ToggleTable) -> Cover:
-    """Positive-polarity Reed-Muller expansion as an ESOP cover;
-    don't-care entries are taken as 0."""
-    on, _ = _truth_vectors(t.entries)
-    terms = _decode(_pprm_terms(on, t.width), t.width)
+    """Positive-polarity Reed-Muller expansion as an ESOP cover."""
+    terms = _decode(_pprm_terms(_truth_vector(t.entries), t.width), t.width)
     cubes = tuple(Cube(t.width, mk, v) for mk, v in terms)
     return Cover(CoverMode.ESOP, cubes)

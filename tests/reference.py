@@ -1,10 +1,11 @@
 """Slow references for the library's fast kernels.
 
-These are the simulator, the greedy disjoint cover and the stage-order
-search as they were before they became bitset or prefix-set code: one
-input word at a time through every gate, one cell at a time through
-every candidate cube, and a full decomposition for every one of the n!
-stage orders.  Beside them are the heuristic ESOP minimizer on
+These are the simulator, the greedy disjoint cover, the stage
+decomposition and the stage-order search as they were before they became
+bitset, numpy or prefix-set code: one input word at a time through every
+gate, one cell at a time through every candidate cube, one input at a
+time through every stage, and a full decomposition for every one of the
+n! stage orders.  Beside them are the heuristic ESOP minimizer on
 (mask, value) tuples, whose merge loop rescans the sorted pool after
 every merge, a gate's kind, lines and checks derived
 on demand, a circuit's bounds check run on every gate, a QASM renderer
@@ -12,8 +13,8 @@ that formats every gate afresh, and the realize and lowering passes
 that build every gate anew, per cube and per literal.  The cover code
 that now works on truth-vector ints keeps its list form
 here too: variable projection, the Reed-Muller transform, the cover
-check and the don't-care completion of the exact engine, one cell at a
-time over `list[int | None]`.  `replay` runs a decomposition's toggle
+check and the exact engine's truth-vector read, one cell at a time over
+`list[int]`.  `replay` runs a decomposition's toggle
 tables on one input.  The property tests require the library to agree
 with them exactly.
 """
@@ -34,7 +35,7 @@ from qmap_synth import (
     ReversibleFunction,
     StageOrder,
     ToggleTable,
-    decompose,
+    cascade,
 )
 from qmap_synth.errors import (
     AncillaNotRestored,
@@ -83,8 +84,7 @@ def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
     return None
 
 
-def greedy_disjoint(values: Sequence[int | None],
-                    m: int) -> list[tuple[int, int]]:
+def greedy_disjoint(values: Sequence[int], m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover, enumerating the cells of every
     candidate cube."""
     size = 1 << m
@@ -110,22 +110,17 @@ def greedy_disjoint(values: Sequence[int | None],
     return out
 
 
-def remove_var(values: Sequence[int | None], m: int,
-               var: int) -> list[int | None] | None:
-    """Project out one variable; None when the two cofactors conflict on
-    a defined cell."""
+def remove_var(values: Sequence[int], m: int, var: int) -> list[int] | None:
+    """Project out one variable; None when the two cofactors differ on
+    some cell."""
     bit = 1 << var
-    out: list[int | None] = []
+    out: list[int] = []
     for x in range(1 << (m - 1)):
         low = x & (bit - 1)
         s0 = ((x >> var) << (var + 1)) | low
-        a, b = values[s0], values[s0 | bit]
-        if a is None:
-            out.append(b)
-        elif b is None or a == b:
-            out.append(a)
-        else:
+        if values[s0] != values[s0 | bit]:
             return None
+        out.append(values[s0])
     return out
 
 
@@ -141,47 +136,24 @@ def pprm_terms(values: Sequence[int], n: int) -> list[tuple[int, int]]:
     return [(s, s) for s in range(1 << n) if coeff[s]]
 
 
-def verify_cover(cover: Cover, values: Sequence[int | None],
-                 width: int) -> bool:
+def verify_cover(cover: Cover, values: Sequence[int], width: int) -> bool:
     """The covering invariant of `qmap.verify_cover`, counted cell by
     cell."""
     if any(c.width != width for c in cover.cubes):
         return False
     for state, v in enumerate(values):
         count = sum(c.covers(state) for c in cover.cubes)
-        if cover.mode is CoverMode.DISJOINT:
-            if count > 1:
-                return False
-            if v is not None and count != v:
-                return False
-        else:
-            if v is not None and count % 2 != v:
-                return False
+        if count % 2 != v or cover.mode is CoverMode.DISJOINT and count > 1:
+            return False
     return True
 
 
-def exact_cubes(kind: str, values: Sequence[int | None],
+def exact_cubes(kind: str, values: Sequence[int],
                 m: int) -> list[tuple[int, int]]:
-    """Exact cover of the best completion of the don't-cares, trying the
-    completions in the order of a counter whose bit j fills the j-th
-    don't-care cell; the first best wins."""
-    tabs = _tables(kind, m)
-    base = 0
-    dc: list[int] = []
-    for state, v in enumerate(values):
-        if v is None:
-            dc.append(state)
-        elif v:
-            base |= 1 << state
-    best_f, best_key = base, int(tabs[m][base])
-    for assign in range(1, 1 << len(dc)):
-        f = base
-        for j, state in enumerate(dc):
-            if assign >> j & 1:
-                f |= 1 << state
-        if int(tabs[m][f]) < best_key:
-            best_key, best_f = int(tabs[m][f]), f
-    return _reconstruct(kind, tabs, best_f, m)
+    """Exact cover of the function whose truth vector is summed one cell
+    at a time."""
+    f = sum(v << state for state, v in enumerate(values))
+    return _reconstruct(kind, _tables(kind, m), f, m)
 
 
 def find_feasible_order(f: ReversibleFunction) -> StageOrder:
@@ -190,11 +162,45 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
     for perm in permutations(range(f.width)):
         order = StageOrder(perm)
         try:
-            decompose(f, order)
+            cascade.decompose(f, order)
         except CascadeInfeasible:
             continue
         return order
     raise NoFeasibleOrder(f"all {f.width}! stage orders fail")
+
+
+def decompose(f: ReversibleFunction, order: StageOrder) -> list[ToggleTable]:
+    """`cascade.decompose` one input at a time: each stage's entry at a
+    state is the toggle of the first input to reach it, and the first
+    input that needs the opposite toggle there gives the witness pair of
+    CascadeInfeasible.  The tables are built once every stage has
+    passed: two inputs that meet leave a state unreached (None) until
+    they disagree at a later stage."""
+    n = f.width
+    size = 1 << n
+    # states[x] is the intermediate state input x has reached so far
+    states = list(range(size))
+    stages: list[list[int | None]] = []
+    for stage, target in enumerate(order):
+        tbit = 1 << target
+        entries: list[int | None] = [None] * size
+        reached_by = [0] * size
+        for x in range(size):
+            v = states[x]
+            t = ((x ^ f.table[x]) >> target) & 1
+            if entries[v] is None:
+                entries[v] = t
+                reached_by[v] = x
+            elif entries[v] != t:
+                raise CascadeInfeasible(stage, target, v,
+                                        (reached_by[v], x), n)
+        for x in range(size):
+            if (states[x] ^ f.table[x]) & tbit:
+                states[x] ^= tbit
+        stages.append(entries)
+    return [ToggleTable(stage, target, n, tuple(entries),
+                        tuple(j in order.order[:stage] for j in range(n)))
+            for stage, (target, entries) in enumerate(zip(order, stages))]
 
 
 def merge_partners(term: tuple[int, int],
@@ -260,7 +266,7 @@ def insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
     return spread(term[0]), spread(term[1])
 
 
-def _esop_cover(values: Sequence[int | None], m: int,
+def _esop_cover(values: Sequence[int], m: int,
                 forbidden: frozenset[int], cubes_of) -> Cover:
     """Project out the forbidden variables, cover what remains with
     `cubes_of(values, m)`, normalize single negatives, and reopen the
@@ -277,18 +283,17 @@ def _esop_cover(values: Sequence[int | None], m: int,
                  tuple(Cube(width, mk, v) for mk, v in sorted(terms)))
 
 
-def minimize_esop_heuristic(values: Sequence[int | None], m: int,
+def minimize_esop_heuristic(values: Sequence[int], m: int,
                             forbidden: frozenset[int] = frozenset()) -> Cover:
     """`minimize_esop` on a grid wider than the exact cap: the Reed-Muller
-    terms of the function (don't-cares as 0), merged."""
+    terms of the function, merged."""
     return _esop_cover(values, m, forbidden, lambda vs, k: merge_terms(
-        pprm_terms([v or 0 for v in vs], k), k))
+        pprm_terms(vs, k), k))
 
 
-def minimize_esop_exact(values: Sequence[int | None], m: int,
+def minimize_esop_exact(values: Sequence[int], m: int,
                         forbidden: frozenset[int] = frozenset()) -> Cover:
-    """`minimize_esop` on a grid within the exact cap: the exact cover of
-    the best completion."""
+    """`minimize_esop` on a grid within the exact cap: the exact cover."""
     return _esop_cover(values, m, forbidden,
                        lambda vs, k: exact_cubes("esop", vs, k))
 
@@ -344,16 +349,12 @@ def export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def replay(f_width: int, tables: Sequence[ToggleTable], x: int) -> int:
+def replay(tables: Sequence[ToggleTable], x: int) -> int:
     """Apply the stage toggles to input x; the defining contract is
     replay(decompose(f)) == f on every input."""
     v = x
     for table in tables:
-        t = table.entries[v]
-        if t is None:
-            raise ValueError(
-                f"state {v:0{f_width}b} undefined at stage {table.stage}")
-        v ^= t << table.target
+        v ^= table.entries[v] << table.target
     return v
 
 

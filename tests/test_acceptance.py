@@ -41,7 +41,7 @@ from qmap_synth import (
 )
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import main
-from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, TargetReadWrite
+from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder
 
 # circuits produced while checking criterion 4/3, reused by 6 and 8
 _CIRCUIT_POOL: list[Circuit] = []
@@ -139,7 +139,7 @@ def test_criterion_4_end_to_end_correctness():
         f = ReversibleFunction(3, perm)
         try:
             c = synthesize(f, mode="esop")
-        except (CascadeInfeasible, TargetReadWrite):
+        except CascadeInfeasible:
             skipped += 1
             continue
         assert tuple(permutation_of(c)) == perm
@@ -158,7 +158,7 @@ def test_criterion_4_end_to_end_correctness():
             n, tuple(rng.sample(range(1 << n), 1 << n)))
         try:
             c = synthesize(f, order="search")
-        except (NoFeasibleOrder, TargetReadWrite):
+        except NoFeasibleOrder:
             searched_skipped += 1
             continue
         assert permutation_of(c) == list(f.table)
@@ -257,10 +257,8 @@ def test_criterion_7_cover_validity_oracle():
     for bits in range(256):
         check([(bits >> s) & 1 for s in range(8)], 3)
     rng = random.Random(7)
-    for i in range(500):
-        dc_chance = 0.15 if i >= 400 else 0.0
-        check([None if rng.random() < dc_chance else rng.randint(0, 1)
-               for _ in range(16)], 4)
+    for _ in range(500):
+        check([rng.randint(0, 1) for _ in range(16)], 4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print(f"PASS criterion 7: 256 width-3 functions + 500 width-4 grids "

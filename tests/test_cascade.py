@@ -17,6 +17,7 @@ from conftest import (
 from qmap_synth import (
     ReversibleFunction,
     StageOrder,
+    ToggleTable,
     decompose,
     find_feasible_order,
     identity_function,
@@ -93,6 +94,12 @@ class TestDecomposeBasics:
         with pytest.raises(ValueError):
             StageOrder((0, 0, 1))
 
+    @pytest.mark.parametrize("entry", [None, 2])
+    def test_table_entries_must_be_0_or_1(self, entry):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            ToggleTable(stage=0, target=0, width=2, entries=(0, 1, entry, 1),
+                        primed=(False, False))
+
 
 class TestReplayProperty:
     @pytest.mark.parametrize("seed", range(30))
@@ -114,10 +121,7 @@ class TestReplayProperty:
             assert tx != ty
             return
         for x in range(1 << n):
-            assert reference.replay(n, tables, x) == f.table[x]
-        # success implies injective state maps, hence no don't-cares
-        for table in tables:
-            assert all(v is not None for v in table.entries)
+            assert reference.replay(tables, x) == f.table[x]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gray_replay_exhaustive(self, n):
@@ -125,7 +129,7 @@ class TestReplayProperty:
         f = gray_to_binary_function(n)
         tables = decompose(f)
         for x in range(1 << n):
-            assert reference.replay(n, tables, x) == f.table[x]
+            assert reference.replay(tables, x) == f.table[x]
 
 
 class TestFeasibleOrder:
@@ -213,9 +217,10 @@ def result(fn, *args):
 
 
 class TestKernelAgainstScalarLoop:
-    """`decompose` computes its tables with a numpy kernel and runs the
-    scalar loop only when a stage reads its target, to find the witness
-    of CascadeInfeasible."""
+    """`decompose` computes its tables with a numpy kernel and, when a
+    stage reads its target, runs the inputs one at a time to find the
+    witness of CascadeInfeasible; `reference.decompose` is the scalar
+    loop that builds every table that way."""
 
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
@@ -227,11 +232,11 @@ class TestKernelAgainstScalarLoop:
         except NoFeasibleOrder:
             return
         assert (result(decompose, f, order)
-                == result(cascade._decompose_scalar, f, order))
+                == result(reference.decompose, f, order))
 
     def test_swap_witness_comes_from_the_later_stage(self):
-        # the kernel stops at stage 0, whose toggle reads q0; the scalar
-        # loop then finds the two inputs that meet at stage 1
+        # the kernel stops at stage 0, whose toggle reads q0; the witness
+        # search then finds the two inputs that meet at stage 1
         with pytest.raises(CascadeInfeasible) as exc:
             decompose(swap2_function())
         assert str(exc.value) == (

@@ -39,15 +39,9 @@ from qmap_synth import (
     synthesize,
     verify,
 )
-from qmap_synth.cascade import _decompose_scalar, resolve_order
+from qmap_synth.cascade import resolve_order
 from qmap_synth.circuit import _emit
-from qmap_synth.errors import (
-    CascadeInfeasible,
-    NoFeasibleOrder,
-    TargetReadWrite,
-    UnloweredMct,
-)
-from qmap_synth.qmap import can_avoid_variable
+from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, UnloweredMct
 
 
 class TestGate:
@@ -270,18 +264,13 @@ def step_by_step(n, stages):
 def stage_covers_of(f, mode, order):
     """(cover, target) for each nonzero stage of f on the scalar path:
     the scalar decomposition loop, the grid view and the public
-    minimizers with the target forbidden."""
+    minimizers with the target forbidden (which raise ValueError on a
+    target they cannot avoid)."""
     minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
-    stages = []
-    for t in _decompose_scalar(f, resolve_order(f, order)):
-        if t.is_zero():
-            continue
-        if not can_avoid_variable(t.entries, t.width, t.target):
-            raise TargetReadWrite(t.stage, t.target)
-        grid = build_qmap(t)
-        stages.append((minimize(grid, forbidden=frozenset((t.target,))),
-                       t.target))
-    return stages
+    return [(minimize(build_qmap(t), forbidden=frozenset((t.target,))),
+             t.target)
+            for t in reference.decompose(f, resolve_order(f, order))
+            if not t.is_zero()]
 
 
 def result(fn, *args, **kwargs):
@@ -558,8 +547,8 @@ class TestSynthesize:
         assert result(synthesize, f, mode=mode, order=order) == want
 
     def test_swap_is_infeasible_not_target_read(self):
-        # stage 0's toggle reads q0, so the stages fall back to the scalar
-        # loop, whose witness at stage 1 comes out (exit 3, not 4)
+        # stage 0's toggle reads q0, so the witness search runs and its
+        # pair at stage 1 comes out (CLI exit 3)
         with pytest.raises(CascadeInfeasible) as exc:
             synthesize(swap2_function())
         assert (exc.value.stage, exc.value.inputs) == (1, (0b00, 0b01))

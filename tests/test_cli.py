@@ -1,7 +1,12 @@
 import pytest
 
 from conftest import bit_swap_function, swap2_function
-from qmap_synth import render_truth_table, identity_function, parse_qasm
+from qmap_synth import (
+    gray_to_binary_function,
+    identity_function,
+    parse_qasm,
+    render_truth_table,
+)
 from qmap_synth.cli import main
 
 
@@ -108,19 +113,6 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "q0:" in err and "q3:" in err
 
-    def test_target_read_write_exit4(self, gray4_file, capsys, monkeypatch):
-        # unreachable through a feasible cascade, so force the error to
-        # pin the exit-code contract
-        import qmap_synth.cli as cli
-        from qmap_synth.errors import TargetReadWrite
-
-        def explode(*args, **kwargs):
-            raise TargetReadWrite(1, 1)
-
-        monkeypatch.setattr(cli, "synthesize", explode)
-        assert main(["synth", "--input", str(gray4_file)]) == 4
-        assert "q1" in capsys.readouterr().err
-
 
 class TestVerify:
     def test_equal(self, gray4_file, tmp_path, capsys):
@@ -214,6 +206,24 @@ class TestShow:
         out = capsys.readouterr().out
         assert "A: !q3 q2" in out
         assert "B: q3 !q2" in out
+
+    @pytest.mark.parametrize("mode, legend", [
+        ("esop", ["A: q3", "B: q4", "C: q5"]),
+        ("disjoint", ["A: !q5 !q4 q3", "B: !q5 q4 !q3", "C: q5 !q4 !q3",
+                      "D: q5 q4 q3"]),
+    ])
+    def test_overlay_on_heuristic_width(self, tmp_path, capsys, mode, legend):
+        # width 6 takes the heuristic minimizers, which get the toggle with
+        # the target q2 projected out and must leave it out of every cube
+        path = tmp_path / "gray6.tt"
+        path.write_text(render_truth_table(gray_to_binary_function(6)))
+        code = main(["show", "--input", str(path), "--stage", "2",
+                     "--overlay", "--mode", mode])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"{mode} cover groups:" in out
+        assert out.splitlines()[-len(legend):] == \
+            [f"  {line}" for line in legend]
 
     def test_stage_out_of_range(self, gray4_file, capsys):
         code = main(["show", "--input", str(gray4_file), "--stage", "4"])

@@ -12,7 +12,6 @@ from qmap_synth import (
     build_qmap,
     export_qasm,
     gray_to_binary_function,
-    minimize_esop,
     render_truth_table,
     synthesize,
 )
@@ -151,30 +150,13 @@ class TestShowText:
         assert show(capsys, path, "--stage", "1", "--mode", mode,
                     "--overlay") == GRAY5_STAGE1 + GRAY5_OVERLAYS[mode]
 
-    def test_dontcare_cells(self):
-        table = ToggleTable(stage=1, target=1, width=3,
-                            entries=(0, 1, None, 1, None, None, 0, 1),
-                            primed=(True, False, False))
-        grid = build_qmap(table)
-        assert _grid_text(grid) == """\
-rows: q2 | cols: q1 q0'
-      00  01  11  10
-   0   0   1   1   -
-   1   -   -   1   0"""
-        cover = minimize_esop(grid, forbidden=frozenset((1,)))
-        assert _grid_text(grid, overlay_cubes=cover.cubes) == """\
-rows: q2 | cols: q1 q0'
-      00  01  11  10
-   0   .   A   A   -
-   1   -   A   A   ."""
-
     def test_width1_has_no_row_variables(self):
-        table = ToggleTable(stage=0, target=0, width=1, entries=(None, 1),
+        table = ToggleTable(stage=0, target=0, width=1, entries=(0, 1),
                             primed=(False,))
         assert _grid_text(build_qmap(table)) == """\
 rows: - | cols: q0
       0   1
-      -   1"""
+      0   1"""
 
 
 # sha256 of export_qasm(synthesize(random_feasible_function(n,

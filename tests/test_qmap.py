@@ -26,7 +26,7 @@ from qmap_synth.qmap import (
     _merge_terms,
     _pprm_terms,
     _remove_var,
-    _truth_vectors,
+    _truth_vector,
     can_avoid_variable,
     gray_sequence,
 )
@@ -38,9 +38,9 @@ def make_table(entries, width):
                        entries=tuple(entries), primed=(False,) * width)
 
 
-def values_of(on, dc, m):
-    """The list form of a truth-vector pair."""
-    return [None if dc >> s & 1 else on >> s & 1 for s in range(1 << m)]
+def values_of(on, m):
+    """The list form of a truth vector."""
+    return [on >> s & 1 for s in range(1 << m)]
 
 
 def keys_of(terms, m):
@@ -98,7 +98,6 @@ def brute_min_esop(values, n):
     by exhaustive level-by-level search."""
     cubes = all_cubes(n)
     vectors = [sum(1 << s for s in c.cells()) for c in cubes]
-    defined = sum(1 << s for s, v in enumerate(values) if v is not None)
     target = sum(1 << s for s, v in enumerate(values) if v == 1)
     for size in range(len(cubes) + 1):
         best = None
@@ -106,7 +105,7 @@ def brute_min_esop(values, n):
             acc = 0
             for i in combo:
                 acc ^= vectors[i]
-            if (acc ^ target) & defined == 0:
+            if acc == target:
                 lits = sum(cubes[i].literal_count for i in combo)
                 if best is None or lits < best:
                     best = lits
@@ -145,9 +144,8 @@ def brute_min_disjoint(values, n):
     return tuple(best)
 
 
-def random_values(n, rng, dc_chance=0.0):
-    return [None if rng.random() < dc_chance else rng.randint(0, 1)
-            for _ in range(1 << n)]
+def random_values(n, rng):
+    return [rng.randint(0, 1) for _ in range(1 << n)]
 
 
 # --- grid construction -------------------------------------------------------
@@ -165,7 +163,7 @@ class TestBuildQmap:
         tables = decompose(gray4)
         for stage in range(4):
             grid = build_qmap(tables[stage])
-            assert values_of(grid.on, grid.dc, 4) == list(tables[stage].entries)
+            assert values_of(grid.on, 4) == list(tables[stage].entries)
             for r, rl in enumerate(grid.rowlabels):
                 for c, cl in enumerate(grid.collabels):
                     state = (rl << grid.split) | cl
@@ -174,7 +172,7 @@ class TestBuildQmap:
 
     def test_all_zero(self):
         grid = build_qmap(make_table([0] * 8, 3))
-        assert grid.on == grid.dc == 0
+        assert grid.on == 0
         assert all(grid.cell(r, c) == 0 for r in range(2) for c in range(4))
 
     def test_width1_degenerate(self):
@@ -323,11 +321,6 @@ class TestPprm:
         cover = pprm_cover(make_table([0, 0, 0, 1], 2))
         assert set(cover.cubes) == {cube(2, {0: True, 1: True})}
 
-    def test_dontcares_become_zero(self):
-        cover = pprm_cover(make_table([None, 1, None, 1], 2))
-        direct = pprm_cover(make_table([0, 1, 0, 1], 2))
-        assert cover == direct
-
     @pytest.mark.parametrize("seed", range(20))
     def test_against_mobius_oracle(self, seed):
         rng = random.Random(seed)
@@ -377,16 +370,25 @@ class TestExactOptimality:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dontcare_grids_vs_brute_force(self, seed):
+        # the function does not care about one drawn variable, as a
+        # stage's toggle does not care about its target; restricting any
+        # cover to var = 0 drops that variable at no cost, so the cover
+        # with it forbidden is still optimal over the whole grid
         rng = random.Random(400 + seed)
         n = rng.randint(2, 3)
-        values = random_values(n, rng, dc_chance=0.3)
+        var = rng.randrange(n)
+        low = random_values(n - 1, rng)
+        values = [low[(s >> 1 & -1 << var) | (s & (1 << var) - 1)]
+                  for s in range(1 << n)]
         grid = build_qmap(make_table(values, n))
-        es = minimize_esop(grid)
+        forbidden = frozenset((var,))
+        es = minimize_esop(grid, forbidden=forbidden)
         assert verify_cover(es, grid)
         assert (len(es), es.literal_count) == brute_min_esop(values, n)
-        dis = minimize_disjoint(grid)
+        dis = minimize_disjoint(grid, forbidden=forbidden)
         assert verify_cover(dis, grid)
         assert (len(dis), dis.literal_count) == brute_min_disjoint(values, n)
+        assert not any(c.mask >> var & 1 for c in es.cubes + dis.cubes)
 
     def test_exact_esop_never_beaten_by_pprm(self):
         for bits in range(256):
@@ -397,19 +399,13 @@ class TestExactOptimality:
             assert verify_cover(es, grid)
             assert len(es) <= len(pprm_cover(table))
 
-    def test_dontcares_reduce_cost(self):
-        # 1 at state 0, don't-care elsewhere: a single constant-1 cube
-        grid = build_qmap(make_table([1, None, None, None], 2))
-        assert minimize_esop(grid).cubes == (Cube(2, 0, 0),)
-        assert minimize_disjoint(grid).cubes == (Cube(2, 0, 0),)
-
 
 class TestMinimizerProperties:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_grids_small(self, seed):
         rng = random.Random(1000 + seed)
         n = rng.randint(1, 4)
-        values = random_values(n, rng, dc_chance=0.2)
+        values = random_values(n, rng)
         grid = build_qmap(make_table(values, n))
         es = minimize_esop(grid)
         dis = minimize_disjoint(grid)
@@ -418,16 +414,15 @@ class TestMinimizerProperties:
         for state in range(1 << n):
             dis_count = sum(c.covers(state) for c in dis.cubes)
             assert dis_count <= 1
-            if values[state] is not None:
-                assert sum(c.covers(state) for c in es.cubes) % 2 == \
-                    values[state]
-                assert dis_count == values[state]
+            assert sum(c.covers(state) for c in es.cubes) % 2 == \
+                values[state]
+            assert dis_count == values[state]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_grids_heuristic_widths(self, seed):
         rng = random.Random(2000 + seed)
         n = rng.choice([5, 6])
-        values = random_values(n, rng, dc_chance=0.1)
+        values = random_values(n, rng)
         grid = build_qmap(make_table(values, n))
         es = minimize_esop(grid)
         dis = minimize_disjoint(grid)
@@ -447,7 +442,7 @@ class TestMinimizerProperties:
 
     def test_determinism(self):
         rng = random.Random(3)
-        values = random_values(4, rng, dc_chance=0.3)
+        values = random_values(4, rng)
         grid = build_qmap(make_table(values, 4))
         assert minimize_esop(grid) == minimize_esop(grid)
         assert minimize_disjoint(grid) == minimize_disjoint(grid)
@@ -473,7 +468,7 @@ class TestForbiddenVariable:
             minimize_disjoint(grid, forbidden=frozenset((0,)))
 
     def test_dontcare_makes_variable_avoidable(self):
-        values = [0, None, 1, 1]  # completing the DC as 0 removes q0
+        values = [0, 0, 1, 1]  # T = q1 does not care about q0
         assert can_avoid_variable(values, 2, 0)
         grid = build_qmap(make_table(values, 2))
         cover = minimize_esop(grid, forbidden=frozenset((0,)))
@@ -489,14 +484,21 @@ class TestForbiddenVariable:
         assert verify_cover(cover, grid)
         assert all(not c.mask & 1 for c in cover.cubes)
 
+    def test_every_variable_forbidden(self):
+        # a constant function cares about no variable: with all of them
+        # projected out, the cover is the constant-1 cube over m = 0
+        grid = build_qmap(make_table([1, 1, 1, 1], 2))
+        for minimize in (minimize_esop, minimize_disjoint):
+            assert minimize(grid, forbidden=frozenset((0, 1))).cubes == \
+                (Cube(2, 0, 0),)
+
 
 @st.composite
-def incomplete_functions(draw, min_m=1, max_m=8):
-    """(values, m) for min_m <= m <= max_m, with a drawn mix of 1s, 0s and
-    don't-cares so that both scattered and large blocks occur."""
+def total_functions(draw, min_m=1, max_m=8):
+    """(values, m) for min_m <= m <= max_m, with a drawn mix of 1s and 0s
+    so that both scattered and large blocks occur."""
     m = draw(st.integers(min_m, max_m))
-    mix = draw(st.sampled_from([(0, 1, None), (0, 1), (1, 1, 1, 0),
-                                (1, 1, 1, None), (1, None, None, 0)]))
+    mix = draw(st.sampled_from([(0, 1), (1, 1, 1, 0)]))
     values = draw(st.lists(st.sampled_from(mix), min_size=1 << m,
                            max_size=1 << m))
     return values, m
@@ -504,23 +506,22 @@ def incomplete_functions(draw, min_m=1, max_m=8):
 
 class TestGreedyDisjointReference:
     @settings(max_examples=300, deadline=None)
-    @given(incomplete_functions())
+    @given(total_functions())
     # m = 0 is reached when every variable of a grid is forbidden
     @example(([1], 0))
     def test_same_cubes_in_same_order(self, case):
         values, m = case
-        assert _greedy_disjoint(*_truth_vectors(values), m) == \
+        assert _greedy_disjoint(_truth_vector(values), m) == \
             reference.greedy_disjoint(values, m)
 
     def test_holds_no_memory_after_return(self):
         # no table or cache of the cover outlives the call
         rng = random.Random(12)
         on = rng.getrandbits(1 << 12)
-        dc = rng.getrandbits(1 << 12) & rng.getrandbits(1 << 12) & ~on
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _greedy_disjoint(on, dc, 12)
+            _greedy_disjoint(on, 12)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -575,9 +576,9 @@ class TestMergeTermsReference:
 @st.composite
 def grids_with_forbidden(draw, min_m, max_m):
     """(values, m, forbidden) for min_m <= m <= max_m: no forbidden
-    variable, or one that some completion avoids; one draw in three
-    copies a cofactor onto the other so that it always can."""
-    values, m = draw(incomplete_functions(min_m, max_m))
+    variable, or one that the function ignores; one draw in three copies
+    a cofactor onto the other so that it always does."""
+    values, m = draw(total_functions(min_m, max_m))
     var = draw(st.integers(0, m - 1))
     how = draw(st.sampled_from(["none", "drawn", "copied"]))
     if how == "copied":
@@ -611,49 +612,53 @@ class TestMinimizeEsopReference:
 
 class TestRemoveVarReference:
     @settings(max_examples=300, deadline=None)
-    @given(incomplete_functions(), st.data())
+    @given(total_functions(), st.data())
     def test_same_function_or_same_refusal(self, case, data):
         values, m = case
         var = data.draw(st.integers(0, m - 1))
-        reduced = _remove_var(*_truth_vectors(values), m, var)
+        if data.draw(st.booleans()):  # copy a cofactor so that it ignores var
+            values = [values[s & ~(1 << var)] for s in range(1 << m)]
+        reduced = _remove_var(_truth_vector(values), m, var)
         expected = reference.remove_var(values, m, var)
         if expected is None:
             assert reduced is None
         else:
             assert reduced is not None
-            assert values_of(*reduced, m - 1) == expected
+            assert values_of(reduced, m - 1) == expected
         assert can_avoid_variable(values, m, var) == (expected is not None)
 
 
 class TestExactCubesReference:
     @settings(max_examples=300, deadline=None)
-    @given(incomplete_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
+    @given(total_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
     def test_same_completion_and_cubes(self, case, kind):
         values, m = case
-        assert _exact_cubes(kind, *_truth_vectors(values), m) == \
-            reference.exact_cubes(kind, values, m)
+        cubes = _exact_cubes(kind, _truth_vector(values), m)
+        assert cubes == reference.exact_cubes(kind, values, m)
+        cover = Cover(CoverMode(kind),
+                      tuple(Cube(m, mk, v) for mk, v in cubes))
+        assert reference.verify_cover(cover, values, m)
 
 
 class TestPprmReference:
     @settings(max_examples=200, deadline=None)
-    @given(incomplete_functions())
+    @given(total_functions())
     def test_same_terms(self, case):
         values, m = case
-        zeroed = [v or 0 for v in values]
-        assert pairs_of(_pprm_terms(_truth_vectors(values)[0], m), m) == \
-            reference.pprm_terms(zeroed, m)
+        assert pairs_of(_pprm_terms(_truth_vector(values), m), m) == \
+            reference.pprm_terms(values, m)
         assert [(c.mask, c.value) for c in
                 pprm_cover(make_table(values, m)).cubes] == \
-            reference.pprm_terms(zeroed, m)
+            reference.pprm_terms(values, m)
 
 
 @st.composite
 def covers_to_check(draw):
-    """(cover, values, m): a minimized cover of a random incompletely
-    specified function (avoiding a random variable when some completion
-    can), checked in either mode, as it is or with a cube duplicated,
-    added, dropped, widened or with one literal flipped."""
-    values, m = draw(incomplete_functions())
+    """(cover, values, m): a minimized cover of a random function
+    (avoiding a random variable when the function ignores it), checked in
+    either mode, as it is or with a cube duplicated, added, dropped,
+    widened or with one literal flipped."""
+    values, m = draw(total_functions())
     var = draw(st.integers(0, m - 1))
     forbidden = (frozenset((var,)) if can_avoid_variable(values, m, var)
                  else frozenset())
