@@ -7,15 +7,12 @@ an X per negative literal around a CX, a CCX or, for three or more
 literals, a compute/uncompute ancilla sandwich whose i-th Toffoli always
 computes into ancilla line i (a constant-1 cube is an X on the target),
 and an X pair on a line with no gate touching it in between is dropped.
-The public passes are the same circuit step by step, through an
+The public passes build the same circuit step by step, through an
 internal gate form that allows negative controls and any control count:
 `realize_stage` maps each cube to one such gate, `lower_polarity`
 rewrites negative controls as X conjugation and drops the X pairs, and
-`lower_mct` expands the wide gates into sandwiches.  Circuits repeat a
-few frozen gates many times, so the loop, each pass and the bounds check
-of `Circuit` do one lookup per cube or gate and their real work once per
-distinct one, sharing the result across positions; no memo outlives the
-call.
+`lower_mct` expands the wide gates into sandwiches.  Each lowering pass
+expands a repeated gate once per call, in one dict keyed by the gate.
 """
 from __future__ import annotations
 
@@ -100,11 +97,8 @@ class Gate:
         return cls(target, (Control(c1), Control(c2)))
 
     @classmethod
-    def mct(cls, controls: Iterable[int | tuple[int, bool]],
-            target: int) -> "Gate":
-        ctl = tuple(Control(*c) if isinstance(c, tuple) else Control(c)
-                    for c in controls)
-        return cls(target, ctl)
+    def mct(cls, controls: Iterable[int], target: int) -> "Gate":
+        return cls(target, tuple(map(Control, controls)))
 
 
 @dataclass(frozen=True)
@@ -142,12 +136,15 @@ class Circuit:
 def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
     """One gate per cube: the cube's literals become controls with their
     polarities, lowest variable first, all writing the stage target.
-    Each distinct control is built once per call.  Raises ValueError when
-    a cube is not n wide or the cover reads the target."""
-    _check_stage(cover, target, n)
+    Raises ValueError at the first cube that is not n wide or reads the
+    target."""
     literal = [(Control(var, False), Control(var, True)) for var in range(n)]
     gates = []
     for cube in cover.cubes:
+        if cube.width != n:
+            raise ValueError(f"cube width {cube.width} != stage width {n}")
+        if cube.mask >> target & 1:
+            raise ValueError(f"the cover reads its target line {target}")
         value = cube.value
         gates.append(Gate(target, tuple(literal[var][value >> var & 1]
                                         for var in _bits(cube.mask))))
@@ -156,55 +153,41 @@ def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
 
 def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     """Rewrite negative controls as X-conjugation, then drop X pairs on a
-    line with no gate touching that line in between.  Each distinct
-    gate's X gates and all-positive rebuild are built once per call; the
-    rebuild is shared by every gate on the same lines."""
+    line with no gate touching that line in between."""
     flip = cache(Gate.x)
-    control = cache(Control)
-    positive = cache(lambda lines: Gate(lines[-1],
-                                        tuple(map(control, lines[:-1]))))
-    # (controls, target) -> (X gates on the negative lines, lowest
-    # first; the gate with every control positive)
-    conjugated: dict[tuple, tuple[tuple[Gate, ...], Gate]] = {}
+    # gate -> (its negative lines, lowest first; the gate with every
+    # control positive)
+    conjugated: dict[Gate, tuple[list[int], Gate]] = {}
     out: list[Gate | None] = []
     pending: dict[int, int] = {}  # line -> index of an unmatched X
-    # enum members as locals: a member lookup costs ten times as much
-    not_, mct = GateKind.NOT, GateKind.MCT
+
+    def x(line: int) -> None:  # cancel an unmatched X on line, or pend
+        prev = pending.pop(line, None)
+        if prev is None:
+            pending[line] = len(out)
+            out.append(flip(line))
+        else:
+            out[prev] = None
+
+    not_ = GateKind.NOT  # a local: a member lookup costs ten times as much
     for g in gates:
-        kind = g.kind
-        if kind is not_:
-            l = g.target
-            prev = pending.pop(l, None)
-            if prev is not None:
-                out[prev] = None
-                continue
-            pending[l] = len(out)
-            out.append(g)
+        if g.kind is not_:
+            x(g.target)
             continue
-        negs: tuple[Gate, ...] = ()
-        if kind is mct:
-            key = (g.controls, g.target)
-            entry = conjugated.get(key)
-            if entry is None:
-                neg = sorted(c.line for c in g.controls if not c.positive)
-                entry = conjugated[key] = (
-                    (tuple(map(flip, neg)), positive(g.lines)) if neg
-                    else ((), g))
-            negs, g = entry
-            # an X before the gate cancels an unmatched X on its line;
-            # one that does not is consumed by the gate at once
-            for x in negs:
-                prev = pending.pop(x.target, None)
-                if prev is None:
-                    out.append(x)
-                else:
-                    out[prev] = None
-        for l in g.lines:
-            pending.pop(l, None)
+        entry = conjugated.get(g)
+        if entry is None:
+            neg = sorted(c.line for c in g.controls if not c.positive)
+            entry = conjugated[g] = (neg, Gate(g.target, tuple(
+                c if c.positive else Control(c.line)
+                for c in g.controls)) if neg else g)
+        neg, g = entry
+        for line in neg:
+            x(line)
+        for line in g.lines:  # the gate reads its X-conjugated lines too
+            pending.pop(line, None)
         out.append(g)
-        for x in reversed(negs):
-            pending[x.target] = len(out)
-            out.append(x)
+        for line in reversed(neg):
+            x(line)
     return [g for g in out if g is not None]
 
 
@@ -215,41 +198,28 @@ def lower_mct(circuit: Circuit) -> Circuit:
     a control.  Every sandwich restores its ancillas to 0, so the i-th
     compute Toffoli of every sandwich uses ancilla line total_width + i:
     a circuit of 3-control gates costs one ancilla total, and a gate of
-    k controls needs k - 2.  Each distinct gate is expanded once per call.
+    k controls needs k - 2.
     """
     base = circuit.total_width
-    allocated = 0
+    ccx = cache(Gate.ccx)
+    sandwiches: dict[Gate, tuple[Gate, ...]] = {}
     out: list[Gate] = []
-    toffolis = cache(Gate.ccx)
-    sandwiches: dict[tuple, tuple[Gate, ...]] = {}
     mct = GateKind.MCT  # a local: a member lookup costs ten times as much
     for g in circuit.gates:
         if g.kind is not mct:
             out.append(g)
             continue
-        key = (g.controls, g.target)
-        sandwich = sandwiches.get(key)
+        sandwich = sandwiches.get(g)
         if sandwich is None:
-            if any(not c.positive for c in g.controls):
+            if not all(c.positive for c in g.controls):
                 raise ValueError("lower_polarity must run before lower_mct")
-            sandwich = sandwiches[key] = _sandwich(
-                g.lines[:-1], g.target, base, toffolis)
-            allocated = max(allocated, len(sandwich) // 2)
+            compute, acc, uncompute = _chain(g.lines[1:-1], base, ccx)
+            sandwich = sandwiches[g] = (
+                *compute, ccx(g.lines[0], acc, g.target), *uncompute)
         out += sandwich
-
+    allocated = max((len(s) // 2 for s in sandwiches.values()), default=0)
     return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
                    tuple(out))
-
-
-def _check_stage(cover: Cover, target: int, n: int) -> None:
-    """Refuse a cube that is not n wide or a cover that reads target."""
-    reads = 0
-    for cube in cover.cubes:
-        if cube.width != n:
-            raise ValueError(f"cube width {cube.width} != stage width {n}")
-        reads |= cube.mask
-    if reads >> target & 1:
-        raise ValueError(f"the cover reads its target line {target}")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -260,17 +230,6 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _sandwich(controls: Sequence[int], target: int, base: int,
-              ccx: Callable[[int, int, int], Gate]) -> tuple[Gate, ...]:
-    """Toffolis for a flip of target under two or more positive controls:
-    the i-th compute Toffoli ANDs the next control down into ancilla
-    line base + i, starting from the two highest-order controls, until
-    the lowest one and the last ancilla flip the target; the compute
-    Toffolis are then undone in reverse."""
-    compute, acc, uncompute = _chain(controls[1:], base, ccx)
-    return (*compute, ccx(controls[0], acc, target), *uncompute)
 
 
 def synthesize(f: ReversibleFunction, *,
@@ -372,9 +331,10 @@ def _emit(n: int,
 def _chain(controls: Sequence[int], base: int,
            ccx: Callable[[int, int, int], Gate]
            ) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
-    """The compute Toffolis of `_sandwich` for a lowest control below
-    `controls`, the line holding the AND of `controls` after them, and
-    the uncompute Toffolis."""
+    """The compute Toffolis of the ancilla sandwich of a gate whose
+    controls are `controls` and one below them (the i-th ANDs the next
+    control down into ancilla line base + i), the line holding the AND
+    of `controls` after them, and the uncompute Toffolis."""
     acc = controls[-1]
     compute: list[Gate] = []
     for i, c in enumerate(reversed(controls[:-1])):

@@ -219,10 +219,10 @@ def _grid_text(grid: QMapGrid, overlay_cubes=None) -> str:
 
 def cmd_show(args: argparse.Namespace) -> int:
     f = _read_function(args)
-    order = resolve_order(f, args.order)
     if not 0 <= args.stage < f.width:
         raise StageOutOfRange(
             f"stage {args.stage} not in [0, {f.width})")
+    order = resolve_order(f, args.order)
     tables = decompose(f, order)
     table = tables[args.stage]
     grid = build_qmap(table)

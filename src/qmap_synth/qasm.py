@@ -17,6 +17,7 @@ from .errors import QasmSyntaxError, UnloweredMct
 __all__ = ["export_qasm", "parse_qasm", "split_ancillas"]
 
 _MNEMONIC_ARITY = {"x": 1, "cx": 2, "ccx": 3}
+MAX_QREG_WIDTH = 64  # `synthesize` emits at most 16 data + 13 ancilla lines
 
 
 def export_qasm(c: Circuit) -> str:
@@ -69,8 +70,9 @@ def parse_qasm(text: str) -> Circuit:
     if m is None:
         raise QasmSyntaxError(f"expected qreg declaration, got {decl!r}", lineno)
     reg, width = m.group(1), int(m.group(2))
-    if width == 0:
-        raise QasmSyntaxError("register width must be positive", lineno)
+    if not 0 < width <= MAX_QREG_WIDTH:
+        raise QasmSyntaxError(
+            f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
     gates: list[Gate] = []
     for lineno, stmt in statements[3:]:

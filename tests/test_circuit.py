@@ -366,7 +366,7 @@ class TestPassesAgainstReference:
         lowered = lower_polarity([g1, g2])
         assert lowered == reference.lower_polarity([g1, g2])
         rebuilt = [g for g in lowered if g.kind is GateKind.MCT]
-        assert len(rebuilt) == 2 and rebuilt[0] is rebuilt[1]
+        assert rebuilt == [Gate.mct([1, 2, 3], 0)] * 2
 
     def test_equal_gates_are_one_object(self):
         g = Gate(0, (Control(1, False), Control(2), Control(3)))

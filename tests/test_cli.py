@@ -150,6 +150,16 @@ class TestVerify:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_register_too_wide_exit2(self, gray4_file, tmp_path, capsys):
+        wide = tmp_path / "wide.qasm"
+        wide.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                        "qreg q[999999999];\n")
+        code = main(["verify", "--input", str(gray4_file),
+                     "--circuit", str(wide)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: line 3: qreg width 999999999 not in [1, 64]\n"
+
     def test_circuit_too_narrow(self, gray4_file, tmp_path, capsys):
         small = tmp_path / "small.qasm"
         small.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n')
@@ -233,6 +243,14 @@ class TestShow:
     def test_infeasible_exit3(self, swap_file, capsys):
         assert main(["show", "--input", str(swap_file), "--stage", "1"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("order", ["natural", "search"])
+    def test_stage_checked_before_the_order(self, swap_file, order, capsys):
+        # swap2 has no feasible order, so resolving one first would exit 3
+        code = main(["show", "--input", str(swap_file), "--stage", "7",
+                     "--order", order])
+        assert code == 2
+        assert capsys.readouterr().err == "error: stage 7 not in [0, 2)\n"
 
 
 class TestExportAndCost:

@@ -22,6 +22,7 @@ from qmap_synth import (
     split_ancillas,
 )
 from qmap_synth.errors import QasmSyntaxError, UnloweredMct
+from qmap_synth.qasm import MAX_QREG_WIDTH
 
 
 @st.composite
@@ -187,6 +188,22 @@ class TestParseErrors:
     def test_missing_qreg(self):
         with pytest.raises(QasmSyntaxError):
             parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
+
+    @pytest.mark.parametrize("width", [0, MAX_QREG_WIDTH + 1, 999999999])
+    def test_register_width_out_of_range(self, width):
+        # refused at the qreg line, before any per-line state is built
+        text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\n\nqreg q[{width}];\n'
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(text)
+        assert exc.value.line == 4
+        assert str(exc.value) == (
+            f"line 4: qreg width {width} not in [1, {MAX_QREG_WIDTH}]")
+
+    def test_widest_register_accepted(self):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                f"qreg q[{MAX_QREG_WIDTH}];\nx q[{MAX_QREG_WIDTH - 1}];\n")
+        assert parse_qasm(text) == Circuit(
+            MAX_QREG_WIDTH, 0, (Gate.x(MAX_QREG_WIDTH - 1),))
 
 
 class TestSplitAncillas:
