@@ -34,7 +34,6 @@ from .qmap import (
     Cover,
     CoverMode,
     Cube,
-    QMapGrid,
     build_qmap,
     minimize_disjoint,
     minimize_esop,
@@ -74,7 +73,6 @@ __all__ = [
     "Cover",
     "CoverMode",
     "Cube",
-    "QMapGrid",
     "build_qmap",
     "minimize_disjoint",
     "minimize_esop",

@@ -11,7 +11,7 @@ the same intermediate state agree on the toggle value.  Bijections like
 the 2-bit swap fail this for every ordering, which `decompose` reports
 with a concrete witness pair instead of producing a wrong circuit.  A
 successful decomposition keeps every stage's state map a permutation, so
-its toggles are total (every state has a 0/1 entry) and never read their
+its toggles are total (defined on every state) and never read their
 own target: two states that differ only in the target would otherwise
 meet, and a later stage would fail.  The stages are computed by a numpy
 kernel that checks exactly that; when the check fails, a scalar loop
@@ -67,30 +67,32 @@ class StageOrder:
 
 @dataclass(frozen=True)
 class ToggleTable:
-    """Per-stage flip function over intermediate states.
-
-    entries[v] is 1 if the target bit must flip when the stage sees
-    intermediate state v and 0 if it must hold; every state of a
-    reversible function's stage is reached, so the table is total.
+    """A stage's flip function over intermediate states, as one truth
+    vector: bit v of `on` is 1 if the target bit must flip when the stage
+    sees intermediate state v and 0 if it must hold.  Every state of a
+    reversible function's stage is reached, so the function is total.
     primed[j] marks bit j as already rewritten by an earlier stage.
     """
 
     stage: int
     target: int
     width: int
-    entries: tuple[int, ...]
+    on: int
     primed: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 1 << self.width:
-            raise ValueError("entry count must be 2^width")
-        if not set(self.entries) <= {0, 1}:
-            raise ValueError("entries must be 0 or 1")
+        if self.on < 0 or self.on >> (1 << self.width):
+            raise ValueError("on must be a truth vector of 2^width bits")
         if len(self.primed) != self.width:
             raise ValueError("primed flags must cover every bit")
 
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The toggle at each state, bit v of `on` as entry v."""
+        return tuple(self.on >> v & 1 for v in range(1 << self.width))
+
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.on
 
 
 def decompose(f: ReversibleFunction,
@@ -104,10 +106,15 @@ def decompose(f: ReversibleFunction,
     if order is None:
         order = StageOrder.natural(n)
     targets = order.order
-    return [ToggleTable(stage, target, n, tuple(toggle.tolist()),
+    return [ToggleTable(stage, target, n, _pack(toggle),
                         tuple(j in targets[:stage] for j in range(n)))
             for stage, (target, toggle) in enumerate(
                 zip(targets, _toggles(f, order)))]
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The truth vector of a 0/1 array: bit s is bits[s]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
 def _toggles(f: ReversibleFunction, order: StageOrder) -> list[np.ndarray]:
@@ -146,12 +153,8 @@ def _stage_vectors(f: ReversibleFunction,
     truth vector `on` is the stage's toggle at the state whose bits other
     than the target read s, variable j of s being bit j + (j >= target).
     Raises what `decompose` raises."""
-    out = []
-    for target, toggle in zip(order, _toggles(f, order)):
-        free = toggle.reshape(-1, 2, 1 << target)[:, 0].ravel()
-        out.append((target, int.from_bytes(
-            np.packbits(free, bitorder="little"), "little")))
-    return out
+    return [(target, _pack(toggle.reshape(-1, 2, 1 << target)[:, 0].ravel()))
+            for target, toggle in zip(order, _toggles(f, order))]
 
 
 def _witness(f: ReversibleFunction, order: StageOrder) -> NoReturn:

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from operator import attrgetter
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import (Callable, ClassVar, Iterable, Literal, Mapping,
+                    NamedTuple, Sequence)
 
 from .boolfn import ReversibleFunction
 from .cascade import StageOrder, _stage_vectors, resolve_order
@@ -243,9 +245,9 @@ def synthesize(f: ReversibleFunction, *,
     Each stage is one truth-vector int from the decomposition to the
     gate loop, minimized by the cores of `minimize_disjoint` and
     `minimize_esop` (exact for n <= EXACT_WIDTH_CAP).  The gates are
-    those of `decompose`, `build_qmap`, `minimize_*` with the target
-    forbidden, `realize_stage` over the nonzero stages, then
-    `lower_polarity`, then `lower_mct`, byte for byte (the test suite
+    those of `decompose`, `minimize_*` with the target forbidden,
+    `realize_stage` over the nonzero stages, then `lower_polarity`,
+    then `lower_mct`, byte for byte (the test suite
     holds the two forms to each other), and the returned circuit's
     permutation equals f (checked exhaustively).  Raises
     CascadeInfeasible/NoFeasibleOrder when no stage cascade exists.
@@ -356,14 +358,12 @@ def _kind_counts(gates: Sequence[Gate]) -> dict[GateKind, int]:
     return {k: kinds.count(k) for k in GateKind}
 
 
-def _default_weights() -> dict[GateKind, float]:
-    return {GateKind.NOT: 1.0, GateKind.CNOT: 1.0, GateKind.TOFFOLI: 5.0}
-
-
 @dataclass(frozen=True)
 class CostModel:
     mode: Literal["count", "weighted"] = "count"
-    weights: Mapping[GateKind, float] = field(default_factory=_default_weights)
+    # the per-kind cost of the weighted mode
+    weights: ClassVar[Mapping[GateKind, float]] = MappingProxyType(
+        {GateKind.NOT: 1.0, GateKind.CNOT: 1.0, GateKind.TOFFOLI: 5.0})
 
 
 def cost(c: Circuit, m: CostModel | None = None) -> float:

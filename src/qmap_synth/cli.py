@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .boolfn import ReversibleFunction, parse_truth_table
-from .cascade import decompose, resolve_order
+from .cascade import ToggleTable, decompose, resolve_order
 from .circuit import Circuit, CostModel, GateKind, cost, synthesize
 from .errors import (
     AncillaNotRestored,
@@ -25,7 +25,7 @@ from .errors import (
     WidthOutOfRange,
 )
 from .qasm import export_qasm, parse_qasm, split_ancillas
-from .qmap import QMapGrid, build_qmap, minimize_disjoint, minimize_esop
+from .qmap import gray_sequence, minimize_disjoint, minimize_esop
 from .sim import verify
 
 EXIT_OK = 0
@@ -188,27 +188,32 @@ def _group_symbol(i: int) -> str:
     return _GROUP_SYMBOLS[i] if i < len(_GROUP_SYMBOLS) else "?"
 
 
-def _grid_text(grid: QMapGrid, overlay_cubes=None) -> str:
-    def varname(i: int) -> str:
-        return f"q{i}'" if grid.primed[i] else f"q{i}"
+def _var_names(t: ToggleTable) -> list[str]:
+    return [f"q{i}'" if t.primed[i] else f"q{i}" for i in range(t.width)]
 
-    rowhdr = " ".join(varname(i) for i in grid.rowvars) or "-"
-    colhdr = " ".join(varname(i) for i in grid.colvars)
-    rbits = len(grid.rowvars)
+
+def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
+    """The table's Gray-labelled grid: rows read q_{n-1}..q_k and columns
+    q_{k-1}..q_0, k = ceil(n/2), each block labelled in reflected Gray
+    order; the cell at labels (rl, cl) shows state rl << k | cl."""
+    k = (t.width + 1) // 2
+    rbits = t.width - k
+    names = _var_names(t)
+    rowhdr = " ".join(reversed(names[k:])) or "-"
+    colhdr = " ".join(reversed(names[:k]))
     left = max(len(rowhdr), rbits) + 2
     lines = [f"rows: {rowhdr} | cols: {colhdr}"]
-    header = " " * left + "".join(
-        f"{cl:0{len(grid.colvars)}b}".rjust(4) for cl in grid.collabels)
-    lines.append(header)
-    cols = range(len(grid.collabels))
-    for r, rl in enumerate(grid.rowlabels):
+    collabels = gray_sequence(k)
+    lines.append(" " * left + "".join(f"{cl:0{k}b}".rjust(4)
+                                      for cl in collabels))
+    for rl in gray_sequence(rbits):
         label = format(rl, f"0{rbits}b") if rbits else ""
         cells = []
-        for c in cols:
+        for cl in collabels:
+            state = rl << k | cl
             if overlay_cubes is None:
-                text = str(grid.cell(r, c))
+                text = str(t.on >> state & 1)
             else:
-                state = grid.state_at(r, c)
                 text = "".join(
                     _group_symbol(i) for i, cube in enumerate(overlay_cubes)
                     if cube.covers(state)) or "."
@@ -225,19 +230,17 @@ def cmd_show(args: argparse.Namespace) -> int:
     order = resolve_order(f, args.order)
     tables = decompose(f, order)
     table = tables[args.stage]
-    grid = build_qmap(table)
     print(f"stage {table.stage}, target q{table.target}, toggle map:")
-    print(_grid_text(grid))
+    print(_grid_text(table))
     if args.overlay:
         forbidden = frozenset((table.target,))
         if args.mode == "disjoint":
-            cover = minimize_disjoint(grid, forbidden=forbidden)
+            cover = minimize_disjoint(table, forbidden=forbidden)
         else:
-            cover = minimize_esop(grid, forbidden=forbidden)
-        names = [f"q{i}'" if grid.primed[i] else f"q{i}"
-                 for i in range(grid.width)]
+            cover = minimize_esop(table, forbidden=forbidden)
+        names = _var_names(table)
         print(f"\n{args.mode} cover groups:")
-        print(_grid_text(grid, overlay_cubes=cover.cubes))
+        print(_grid_text(table, overlay_cubes=cover.cubes))
         for i, cube in enumerate(cover.cubes):
             print(f"  {_group_symbol(i)}: {cube.render(names)}")
     return EXIT_OK

@@ -1,37 +1,39 @@
-"""Cover minimization for toggle functions, and their Karnaugh-style view.
+"""Cover minimization for toggle functions.
 
 A toggle function over m variables is held as one truth-vector int,
 `on`, with bit s set when f(s) = 1; a toggle of a reversible function's
-stage is defined on every state, so there are no don't-cares.  A
-cube's cells are the bits of base(mask) << value, where base(mask) has
-a bit for each cell s with s & mask == 0, so the minimizers and the
-cover check are shifts and masks over these ints.  The Gray-labelled
-2-D grid of the paper (row and column labels in reflected Gray order, so
-neighbouring cells differ in one variable) is derived from the ints on
-demand, for display only.  Covers come in two flavours:
+stage is defined on every state, so there are no don't-cares.  The
+public minimizers take a stage's `ToggleTable` and read its `on` and
+`width`.  A cube's cells are the bits of base(mask) << value, where
+base(mask) has a bit for each cell s with s & mask == 0, so the
+minimizers and the cover check are shifts and masks over these ints.
+The Gray-labelled 2-D grid of the paper (row and column labels in
+reflected Gray order, so neighbouring cells differ in one variable) is
+only drawn, by the `show` command.  Covers come in two flavours:
 
 - disjoint sum-of-products: product terms that never share a cell, each
   1-cell covered exactly once (OR and XOR of the terms coincide);
 - ESOP: terms may overlap as long as each 1-cell is covered an odd
   number of times and each 0-cell an even number of times.
 
-On grids of up to 4 variables both minimizers are exact in (cube count,
-then total literal count).  The grid width counts every variable, forbidden
-ones included, so a width-5 grid with one forbidden variable is not exact
-even though its cover has 4 free variables.  The exact engine is a dynamic
-program over the cofactor decomposition  f = P xor x'Q xor xR  of every
-subfunction, tabulated once per mode and reused.  A forbidden variable
-must be one the function ignores; it is projected out before covering
-and its slot reopened after.  On wider grids a documented greedy
-heuristic applies: largest-block-first for disjoint covers, each block
-grown from its seed cell one free variable at a time, and a
-positive-polarity Reed-Muller seed with pairwise term merging for ESOP.
+On tables of up to 4 variables both minimizers are exact in (cube count,
+then total literal count).  The table width counts every variable,
+forbidden ones included, so a width-5 table with one forbidden variable
+is not exact even though its cover has 4 free variables.  The exact
+engine is a dynamic program over the cofactor decomposition
+f = P xor x'Q xor xR  of every subfunction, tabulated once per mode and
+reused.  A forbidden variable must be one the function ignores; it is
+projected out before covering and its slot reopened after.  On wider
+tables a documented greedy heuristic applies: largest-block-first for
+disjoint covers, each block grown from its seed cell one free variable
+at a time, and a positive-polarity Reed-Muller seed with pairwise term
+merging for ESOP.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  The
 public minimizers and `synthesize` share the int cores `_disjoint_terms`
 and `_esop_terms`, which take the truth vector and return sorted
-(mask, value) pairs; only the public ones build a grid and `Cube`s.
+(mask, value) pairs; only the public ones build `Cube`s.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ __all__ = [
     "CoverMode",
     "Cube",
     "Cover",
-    "QMapGrid",
     "build_qmap",
     "gray_sequence",
     "minimize_disjoint",
@@ -129,53 +130,6 @@ class Cover:
         return sum(c.literal_count for c in self.cubes)
 
 
-@dataclass(frozen=True)
-class QMapGrid:
-    """A stage's toggle function: bit s of `on` is set when the target
-    must flip at state s.
-
-    The Gray layout is a view derived on demand: row labels assign the
-    high variables q_{n-1}..q_k, column labels the low variables
-    q_{k-1}..q_0, and the cell at (r, c) shows state
-    (rowlabel << k) | collabel.
-    """
-
-    width: int
-    on: int
-    primed: tuple[bool, ...]
-    stage: int
-    target: int
-
-    @property
-    def split(self) -> int:
-        """k: the column block takes the low ceil(n/2) variables."""
-        return (self.width + 1) // 2
-
-    @property
-    def rowvars(self) -> tuple[int, ...]:
-        return tuple(range(self.width - 1, self.split - 1, -1))
-
-    @property
-    def colvars(self) -> tuple[int, ...]:
-        return tuple(range(self.split - 1, -1, -1))
-
-    @property
-    def rowlabels(self) -> tuple[int, ...]:
-        return gray_sequence(self.width - self.split)
-
-    @property
-    def collabels(self) -> tuple[int, ...]:
-        return gray_sequence(self.split)
-
-    def state_at(self, r: int, c: int) -> int:
-        """The state shown at (r, c); label i of a Gray block is i ^ i >> 1."""
-        return ((r ^ r >> 1) << self.split) | (c ^ c >> 1)
-
-    def cell(self, r: int, c: int) -> int:
-        """The value shown at (r, c)."""
-        return self.on >> self.state_at(r, c) & 1
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # an entry's byte to its digit
 
 
@@ -184,11 +138,12 @@ def _truth_vector(entries: Sequence[int]) -> int:
     return int(bytes(entries[::-1]).translate(_DIGITS), 2)
 
 
-def build_qmap(t: ToggleTable) -> QMapGrid:
-    """The toggle table's function as a truth vector, with its stage
-    bookkeeping for display."""
-    return QMapGrid(t.width, _truth_vector(t.entries), t.primed, t.stage,
-                    t.target)
+def build_qmap(t: ToggleTable) -> ToggleTable:
+    """The table itself: the minimizers take a `ToggleTable` as it is.
+    Kept in the step-by-step API only because the benchmark's traced
+    rebuild (bench/pipeline.py) calls it between `decompose` and
+    `minimize_*`."""
+    return t
 
 
 def _clear(m: int, bit: int) -> int:
@@ -207,22 +162,22 @@ def _base(m: int, mask: int) -> int:
     return base
 
 
-def verify_cover(cover: Cover, g: QMapGrid) -> bool:
+def verify_cover(cover: Cover, t: ToggleTable) -> bool:
     """Check the mode's covering invariant.
 
     Disjoint: no two cubes share any cell, every 1 covered exactly once,
     no 0 covered.  ESOP: every 1 covered an odd number of times, every 0
     an even number.
     """
-    if any(c.width != g.width for c in cover.cubes):
+    if any(c.width != t.width for c in cover.cubes):
         return False
     acc = 0  # the cells covered an odd number of times
     for c in cover.cubes:
-        cells = _base(g.width, c.mask) << c.value
+        cells = _base(t.width, c.mask) << c.value
         if cover.mode is CoverMode.DISJOINT and acc & cells:
             return False
         acc ^= cells
-    return acc == g.on
+    return acc == t.on
 
 
 # --- exact minimization ----------------------------------------------------
@@ -476,12 +431,12 @@ def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
 
 # --- public minimizers ------------------------------------------------------
 
-def _prepare(g: QMapGrid, forbidden: frozenset[int]):
-    on, m = g.on, g.width
+def _prepare(t: ToggleTable, forbidden: frozenset[int]):
+    on, m = t.on, t.width
     for var in sorted(forbidden, reverse=True):
         on = _remove_var(on, m, var)
         if on is None:
-            raise ValueError(f"no cover of this grid can avoid q{var}")
+            raise ValueError(f"no cover of this table can avoid q{var}")
         m -= 1
     return on, m, sorted(forbidden)
 
@@ -520,28 +475,28 @@ def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
     return Cover(mode, tuple(Cube(width, mk, v) for mk, v in terms))
 
 
-def minimize_disjoint(g: QMapGrid,
+def minimize_disjoint(t: ToggleTable,
                       forbidden: frozenset[int] = frozenset()) -> Cover:
-    """Disjoint SOP cover; exact in (cubes, literals) for grids of up to
-    4 variables, forbidden ones included, largest-block-first greedy
-    beyond."""
-    on, m, removed = _prepare(g, forbidden)
-    terms = _disjoint_terms(on, m, g.width <= EXACT_WIDTH_CAP)
-    return _finish(terms, removed, g.width, CoverMode.DISJOINT)
+    """Disjoint SOP cover of the table's `on`; exact in (cubes, literals)
+    for tables of width up to 4, forbidden variables included,
+    largest-block-first greedy beyond."""
+    on, m, removed = _prepare(t, forbidden)
+    terms = _disjoint_terms(on, m, t.width <= EXACT_WIDTH_CAP)
+    return _finish(terms, removed, t.width, CoverMode.DISJOINT)
 
 
-def minimize_esop(g: QMapGrid,
+def minimize_esop(t: ToggleTable,
                   forbidden: frozenset[int] = frozenset()) -> Cover:
-    """ESOP cover; exact in (cubes, literals) for grids of up to 4
-    variables, forbidden ones included, a Reed-Muller seed reduced by
-    greedy term merging beyond."""
-    on, m, removed = _prepare(g, forbidden)
-    terms = _esop_terms(on, m, g.width <= EXACT_WIDTH_CAP)
-    return _finish(terms, removed, g.width, CoverMode.ESOP)
+    """ESOP cover of the table's `on`; exact in (cubes, literals) for
+    tables of width up to 4, forbidden variables included, a Reed-Muller
+    seed reduced by greedy term merging beyond."""
+    on, m, removed = _prepare(t, forbidden)
+    terms = _esop_terms(on, m, t.width <= EXACT_WIDTH_CAP)
+    return _finish(terms, removed, t.width, CoverMode.ESOP)
 
 
 def pprm_cover(t: ToggleTable) -> Cover:
     """Positive-polarity Reed-Muller expansion as an ESOP cover."""
-    terms = _decode(_pprm_terms(_truth_vector(t.entries), t.width), t.width)
+    terms = _decode(_pprm_terms(t.on, t.width), t.width)
     cubes = tuple(Cube(t.width, mk, v) for mk, v in terms)
     return Cover(CoverMode.ESOP, cubes)

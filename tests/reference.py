@@ -198,7 +198,8 @@ def decompose(f: ReversibleFunction, order: StageOrder) -> list[ToggleTable]:
             if (states[x] ^ f.table[x]) & tbit:
                 states[x] ^= tbit
         stages.append(entries)
-    return [ToggleTable(stage, target, n, tuple(entries),
+    return [ToggleTable(stage, target, n,
+                        sum(t << v for v, t in enumerate(entries)),
                         tuple(j in order.order[:stage] for j in range(n)))
             for stage, (target, entries) in enumerate(zip(order, stages))]
 
@@ -354,7 +355,7 @@ def replay(tables: Sequence[ToggleTable], x: int) -> int:
     replay(decompose(f)) == f on every input."""
     v = x
     for table in tables:
-        v ^= table.entries[v] << table.target
+        v ^= (table.on >> v & 1) << table.target
     return v
 
 

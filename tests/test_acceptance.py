@@ -22,7 +22,6 @@ from qmap_synth import (
     Gate,
     ReversibleFunction,
     StageOrder,
-    build_qmap,
     cost,
     decompose,
     export_qasm,
@@ -70,7 +69,7 @@ def test_criterion_1_disjoint_covers_match_hand_derivation():
     tables = decompose(gray4_function())
     sizes = []
     for stage in range(4):
-        cover = minimize_disjoint(build_qmap(tables[stage]),
+        cover = minimize_disjoint(tables[stage],
                                   forbidden=frozenset((stage,)))
         assert set(cover.cubes) == expected[stage], f"stage {stage}"
         sizes.append(len(cover))
@@ -87,23 +86,22 @@ def test_criterion_2_esop_minimization():
     tables = decompose(f)
     counts = []
     for stage in range(4):
-        grid = build_qmap(tables[stage])
-        cover = minimize_esop(grid, forbidden=frozenset((stage,)))
+        cover = minimize_esop(tables[stage], forbidden=frozenset((stage,)))
         counts.append(len(cover))
         for state in range(16):
             count = sum(c.covers(state) for c in cover.cubes)
-            assert count % 2 == tables[stage].entries[state]
+            assert count % 2 == tables[stage].on >> state & 1
     assert counts == [3, 2, 1, 0]
     # toggle tables are the transcribed toggle columns, row for row
     for row, (t3, t2, t1, t0r) in GRAY4_TOGGLES.items():
         x = int(row, 2)
         v = x
         for stage, want in ((0, t0r), (1, t1), (2, t2), (3, t3)):
-            assert tables[stage].entries[v] == want
+            assert tables[stage].on >> v & 1 == want
             v ^= want << stage
     # the complemented two-cube alternative for stage 1 is also valid
     alt = Cover(CoverMode.ESOP, (Cube(4, 0b0100, 0), Cube(4, 0b1000, 0)))
-    assert verify_cover(alt, build_qmap(tables[1]))
+    assert verify_cover(alt, tables[1])
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     print(f"PASS criterion 2: exact ESOP returns 3/2/1/0 cubes matching the "
@@ -243,13 +241,12 @@ def test_criterion_7_cover_validity_oracle():
 
     def check(values, width):
         table = ToggleTable(stage=0, target=0, width=width,
-                            entries=tuple(values),
+                            on=sum(v << s for s, v in enumerate(values)),
                             primed=(False,) * width)
-        grid = build_qmap(table)
-        dis = minimize_disjoint(grid)
-        es = minimize_esop(grid)
-        assert verify_cover(dis, grid)
-        assert verify_cover(es, grid)
+        dis = minimize_disjoint(table)
+        es = minimize_esop(table)
+        assert verify_cover(dis, table)
+        assert verify_cover(es, table)
         for state in range(1 << width):
             assert sum(c.covers(state) for c in dis.cubes) <= 1
         assert len(es) <= len(pprm_cover(table))

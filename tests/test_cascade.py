@@ -26,6 +26,7 @@ from qmap_synth import cascade
 from qmap_synth.cascade import resolve_order
 from qmap_synth.cascade import MAX_SEARCH_WIDTH
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, WidthOutOfRange
+from qmap_synth.qmap import _truth_vector
 
 
 def intermediate_state(f: ReversibleFunction, x: int, done: list[int]) -> int:
@@ -46,17 +47,17 @@ class TestDecomposeGray:
             done: list[int] = []
             for stage, target in enumerate(range(4)):
                 v = intermediate_state(gray4, x, done)
-                assert tables[stage].entries[v] == toggles[3 - target], (
+                assert tables[stage].on >> v & 1 == toggles[3 - target], (
                     f"row {row} stage {stage}")
                 done.append(target)
 
     def test_example_row_1000(self, gray4):
         # present state 1000 toggles (T3,T2,T1,T0) = (0,1,1,1)
         tables = decompose(gray4)
-        assert tables[0].entries[0b1000] == 1
-        assert tables[1].entries[0b1001] == 1  # q0 already flipped to 1
-        assert tables[2].entries[0b1011] == 1
-        assert tables[3].entries[0b1111] == 0
+        assert tables[0].on >> 0b1000 & 1
+        assert tables[1].on >> 0b1001 & 1  # q0 already flipped to 1
+        assert tables[2].on >> 0b1011 & 1
+        assert not tables[3].on >> 0b1111 & 1
 
     def test_last_stage_identically_zero(self, gray4):
         tables = decompose(gray4)
@@ -64,7 +65,8 @@ class TestDecomposeGray:
 
     def test_no_dontcares_on_success(self, gray4):
         for table in decompose(gray4):
-            assert all(v is not None for v in table.entries)
+            assert 0 <= table.on < 1 << 16
+            assert len(table.entries) == 16
 
     def test_primed_flags_follow_order(self, gray4):
         tables = decompose(gray4)
@@ -94,11 +96,20 @@ class TestDecomposeBasics:
         with pytest.raises(ValueError):
             StageOrder((0, 0, 1))
 
-    @pytest.mark.parametrize("entry", [None, 2])
-    def test_table_entries_must_be_0_or_1(self, entry):
-        with pytest.raises(ValueError, match="entries must be 0 or 1"):
-            ToggleTable(stage=0, target=0, width=2, entries=(0, 1, entry, 1),
+    @pytest.mark.parametrize("on, primed, message", [
+        (-1, (False, False), "truth vector"),
+        (1 << 4, (False, False), "truth vector"),
+        (0b1010, (False,), "primed"),
+    ], ids=["negative-on", "on-too-wide", "short-primed"])
+    def test_table_refuses_bad_fields(self, on, primed, message):
+        with pytest.raises(ValueError, match=message):
+            ToggleTable(stage=0, target=0, width=2, on=on, primed=primed)
+
+    def test_widest_on_accepted(self):
+        t = ToggleTable(stage=0, target=0, width=2, on=0b1111,
                         primed=(False, False))
+        assert t.entries == (1, 1, 1, 1)
+        assert not t.is_zero()
 
 
 class TestReplayProperty:
@@ -255,6 +266,8 @@ class TestKernelAgainstScalarLoop:
             return
         for t in tables:
             tbit = 1 << t.target
-            assert None not in t.entries
-            assert all(t.entries[v] == t.entries[v ^ tbit]
+            # the entries view reads as `on`, so a caller of
+            # can_avoid_variable(t.entries, ...) sees the same function
+            assert _truth_vector(t.entries) == t.on
+            assert all(t.on >> v & 1 == t.on >> (v ^ tbit) & 1
                        for v in range(1 << f.width))

@@ -25,7 +25,6 @@ from qmap_synth import (
     Gate,
     GateKind,
     ReversibleFunction,
-    build_qmap,
     cost,
     decompose,
     identity_function,
@@ -263,12 +262,11 @@ def step_by_step(n, stages):
 
 def stage_covers_of(f, mode, order):
     """(cover, target) for each nonzero stage of f on the scalar path:
-    the scalar decomposition loop, the grid view and the public
-    minimizers with the target forbidden (which raise ValueError on a
-    target they cannot avoid)."""
+    the scalar decomposition loop and the public minimizers with the
+    target forbidden (which raise ValueError on a target they cannot
+    avoid)."""
     minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
-    return [(minimize(build_qmap(t), forbidden=frozenset((t.target,))),
-             t.target)
+    return [(minimize(t, forbidden=frozenset((t.target,))), t.target)
             for t in reference.decompose(f, resolve_order(f, order))
             if not t.is_zero()]
 
@@ -515,12 +513,11 @@ class TestSynthesize:
         assert verify(c, f) is None
 
     def test_stage_targets_are_write_only(self, gray4):
-        from qmap_synth import build_qmap, minimize_esop
         tables = decompose(gray4)
         for t in tables:
             if t.is_zero():
                 continue
-            cover = minimize_esop(build_qmap(t), forbidden=frozenset((t.target,)))
+            cover = minimize_esop(t, forbidden=frozenset((t.target,)))
             for g in realize_stage(cover, t.target, 4):
                 assert g.target == t.target
 
@@ -607,13 +604,6 @@ class TestCost:
         assert cost(c, CostModel(mode="count")) == 1
         with pytest.raises(UnloweredMct):
             cost(c, CostModel(mode="weighted"))
-
-    def test_custom_weights(self):
-        c = Circuit(3, 0, (Gate.ccx(1, 2, 0), Gate.x(0)))
-        m = CostModel(mode="weighted",
-                      weights={GateKind.NOT: 2.0, GateKind.CNOT: 1.0,
-                               GateKind.TOFFOLI: 7.0})
-        assert cost(c, m) == 9
 
 
 class TestReferenceCircuits:

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import random_feasible_function
 from qmap_synth import (
-    build_qmap,
     export_qasm,
     gray_to_binary_function,
     render_truth_table,
@@ -151,9 +150,9 @@ class TestShowText:
                     "--overlay") == GRAY5_STAGE1 + GRAY5_OVERLAYS[mode]
 
     def test_width1_has_no_row_variables(self):
-        table = ToggleTable(stage=0, target=0, width=1, entries=(0, 1),
+        table = ToggleTable(stage=0, target=0, width=1, on=0b10,
                             primed=(False,))
-        assert _grid_text(build_qmap(table)) == """\
+        assert _grid_text(table) == """\
 rows: - | cols: q0
       0   1
       0   1"""

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from qmap_synth import (
     verify_cover,
 )
 from qmap_synth.cascade import ToggleTable
+from qmap_synth.cli import _grid_text
 from qmap_synth.qmap import (
     _exact_cubes,
     _greedy_disjoint,
@@ -32,10 +34,45 @@ from qmap_synth.qmap import (
 )
 
 
-def make_table(entries, width):
+def make_table(values, width):
     """Wrap raw toggle values for tests that bypass the cascade."""
     return ToggleTable(stage=0, target=0, width=width,
-                       entries=tuple(entries), primed=(False,) * width)
+                       on=sum(v << s for s, v in enumerate(values)),
+                       primed=(False,) * width)
+
+
+@st.composite
+def toggle_tables(draw):
+    """A table of width 1-6 with a random truth vector and primed flags."""
+    m = draw(st.integers(1, 6))
+    return ToggleTable(stage=0, target=0, width=m,
+                       on=draw(st.integers(0, (1 << (1 << m)) - 1)),
+                       primed=tuple(draw(st.lists(st.booleans(), min_size=m,
+                                                  max_size=m))))
+
+
+class Grid(NamedTuple):
+    rownames: list[str]
+    colnames: list[str]
+    rowlabels: list[int]
+    collabels: list[int]
+    cells: dict[tuple[int, int], str]  # (row label, column label) -> text
+
+
+def parse_grid(text):
+    """The headers, binary labels and cells of a `_grid_text` printout."""
+    head, cols, *rows = text.splitlines()
+    rowpart, colpart = head.removeprefix("rows: ").split(" | cols: ")
+    rownames = [] if rowpart == "-" else rowpart.split()
+    collabels = [int(c, 2) for c in cols.split()]
+    rowlabels, cells = [], {}
+    for line in rows:
+        fields = line.split()
+        rl = int(fields.pop(0), 2) if rownames else 0
+        rowlabels.append(rl)
+        for cl, cell in zip(collabels, fields, strict=True):
+            cells[rl, cl] = cell
+    return Grid(rownames, colpart.split(), rowlabels, collabels, cells)
 
 
 def values_of(on, m):
@@ -151,41 +188,44 @@ def random_values(n, rng):
 # --- grid construction -------------------------------------------------------
 
 class TestBuildQmap:
+    """The Gray-labelled grid as `show` prints it."""
+
     def test_gray_stage0_is_odd_parity_pattern(self, gray4):
-        grid = build_qmap(decompose(gray4)[0])
-        ones = {s for s in range(16) if grid.on >> s & 1}
+        table = decompose(gray4)[0]
+        ones = {s for s in range(16) if table.on >> s & 1}
         expected = {s for s in range(16)
                     if (bin(s >> 1).count("1")) % 2 == 1}
         assert ones == expected
         assert len(ones) == 8
 
+    def test_build_qmap_returns_the_table(self, gray4):
+        table = decompose(gray4)[0]
+        assert build_qmap(table) is table
+
     def test_cells_match_toggle_columns(self, gray4):
-        tables = decompose(gray4)
-        for stage in range(4):
-            grid = build_qmap(tables[stage])
-            assert values_of(grid.on, 4) == list(tables[stage].entries)
-            for r, rl in enumerate(grid.rowlabels):
-                for c, cl in enumerate(grid.collabels):
-                    state = (rl << grid.split) | cl
-                    assert grid.state_at(r, c) == state
-                    assert grid.cell(r, c) == tables[stage].entries[state]
+        for table in decompose(gray4):
+            grid = parse_grid(_grid_text(table))
+            assert len(grid.cells) == 16
+            for (rl, cl), cell in grid.cells.items():
+                assert cell == str(table.on >> (rl << 2 | cl) & 1)
 
     def test_all_zero(self):
-        grid = build_qmap(make_table([0] * 8, 3))
-        assert grid.on == 0
-        assert all(grid.cell(r, c) == 0 for r in range(2) for c in range(4))
+        grid = parse_grid(_grid_text(make_table([0] * 8, 3)))
+        assert len(grid.cells) == 8
+        assert set(grid.cells.values()) == {"0"}
 
     def test_width1_degenerate(self):
-        grid = build_qmap(make_table([0, 1], 1))
-        assert grid.split == 1
-        assert grid.rowvars == ()
-        assert len(grid.rowlabels) == 1
-        assert len(grid.collabels) == 2
+        grid = parse_grid(_grid_text(make_table([0, 1], 1)))
+        assert grid.colnames == ["q0"]
+        assert grid.rownames == []
+        assert grid.rowlabels == [0]
+        assert grid.collabels == [0, 1]
 
     def test_split_is_ceil_half(self):
         for n, k in [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)]:
-            grid = build_qmap(make_table([0] * (1 << n), n))
-            assert grid.split == k
+            grid = parse_grid(_grid_text(make_table([0] * (1 << n), n)))
+            assert len(grid.colnames) == k
+            assert len(grid.rownames) == n - k
             assert len(grid.rowlabels) == 1 << (n - k)
             assert len(grid.collabels) == 1 << k
 
@@ -198,12 +238,29 @@ class TestBuildQmap:
             assert bin(label ^ nxt).count("1") == 1
 
     def test_flipping_one_row_var_moves_one_row(self, gray4):
-        grid = build_qmap(decompose(gray4)[0])
-        rows = list(grid.rowlabels)
+        rows = parse_grid(_grid_text(decompose(gray4)[0])).rowlabels
         for r, label in enumerate(rows):
             for var_bit in (1, 2):
                 r2 = rows.index(label ^ var_bit)
                 assert abs(r2 - r) == 1 or abs(r2 - r) == len(rows) - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(toggle_tables())
+    def test_printed_cells_are_the_truth_vector(self, t):
+        grid = parse_grid(_grid_text(t))
+        k = (t.width + 1) // 2
+        names = grid.rownames + grid.colnames
+        assert len(grid.colnames) == k
+        # q_{n-1} first, down to q0, each primed iff rewritten already
+        assert [int(name[1:].rstrip("'")) for name in names] == \
+            list(range(t.width - 1, -1, -1))
+        assert all(name.endswith("'") == t.primed[int(name[1:].rstrip("'"))]
+                   for name in names)
+        assert grid.rowlabels == list(gray_sequence(t.width - k))
+        assert grid.collabels == list(gray_sequence(k))
+        assert len(grid.cells) == 1 << t.width
+        for (rl, cl), cell in grid.cells.items():
+            assert cell == str(t.on >> (rl << k | cl) & 1)
 
 
 class TestCubeCells:
@@ -250,59 +307,59 @@ class TestGrayCovers:
     def test_disjoint_matches_hand_derivation(self, gray4):
         tables = decompose(gray4)
         for stage, spec in EQ7_COVERS.items():
-            grid = build_qmap(tables[stage])
-            cover = minimize_disjoint(grid, forbidden=frozenset((stage,)))
+            table = tables[stage]
+            cover = minimize_disjoint(table, forbidden=frozenset((stage,)))
             expected = {cube(4, s) for s in spec}
             assert set(cover.cubes) == expected, f"stage {stage}"
 
     def test_esop_cube_counts(self, gray4):
         tables = decompose(gray4)
         for stage, count in [(0, 3), (1, 2), (2, 1), (3, 0)]:
-            grid = build_qmap(tables[stage])
-            cover = minimize_esop(grid, forbidden=frozenset((stage,)))
+            table = tables[stage]
+            cover = minimize_esop(table, forbidden=frozenset((stage,)))
             assert len(cover) == count
 
     def test_esop_stage0_literal_tiebreak(self, gray4):
-        grid = build_qmap(decompose(gray4)[0])
-        cover = minimize_esop(grid, forbidden=frozenset((0,)))
+        table = decompose(gray4)[0]
+        cover = minimize_esop(table, forbidden=frozenset((0,)))
         assert set(cover.cubes) == {cube(4, {1: True}), cube(4, {2: True}),
                                     cube(4, {3: True})}
         assert cover.literal_count == 3
 
     def test_esop_stage1_single_literals(self, gray4):
-        grid = build_qmap(decompose(gray4)[1])
-        cover = minimize_esop(grid, forbidden=frozenset((1,)))
+        table = decompose(gray4)[1]
+        cover = minimize_esop(table, forbidden=frozenset((1,)))
         assert set(cover.cubes) == {cube(4, {2: True}), cube(4, {3: True})}
 
     def test_esop_covers_match_toggles_on_all_states(self, gray4):
         tables = decompose(gray4)
         for stage in range(4):
-            grid = build_qmap(tables[stage])
-            cover = minimize_esop(grid, forbidden=frozenset((stage,)))
+            table = tables[stage]
+            cover = minimize_esop(table, forbidden=frozenset((stage,)))
             for state in range(16):
                 count = sum(c.covers(state) for c in cover.cubes)
-                assert count % 2 == tables[stage].entries[state]
+                assert count % 2 == tables[stage].on >> state & 1
 
     def test_stage1_complemented_alternative_verifies(self, gray4):
-        grid = build_qmap(decompose(gray4)[1])
+        table = decompose(gray4)[1]
         alt = cover_of(CoverMode.ESOP, cube(4, {2: False}), cube(4, {3: False}))
-        assert verify_cover(alt, grid)
+        assert verify_cover(alt, table)
 
     def test_hand_esop_stage0_verifies_as_esop_not_disjoint(self, gray4):
-        grid = build_qmap(decompose(gray4)[0])
+        table = decompose(gray4)[0]
         cubes = [cube(4, s) for s in EQ8_STAGE0]
-        assert verify_cover(cover_of(CoverMode.ESOP, *cubes), grid)
-        assert not verify_cover(cover_of(CoverMode.DISJOINT, *cubes), grid)
+        assert verify_cover(cover_of(CoverMode.ESOP, *cubes), table)
+        assert not verify_cover(cover_of(CoverMode.DISJOINT, *cubes), table)
         # the overlap is concrete: q3=0, q2=1, q1=1 states are double-covered
         state = 0b0110
         assert sum(c.covers(state) for c in cubes) == 2
 
     def test_all_zero_grid_empty_covers(self):
-        grid = build_qmap(make_table([0] * 16, 4))
-        assert minimize_disjoint(grid).cubes == ()
-        assert minimize_esop(grid).cubes == ()
-        assert verify_cover(cover_of(CoverMode.DISJOINT), grid)
-        assert verify_cover(cover_of(CoverMode.ESOP), grid)
+        table = make_table([0] * 16, 4)
+        assert minimize_disjoint(table).cubes == ()
+        assert minimize_esop(table).cubes == ()
+        assert verify_cover(cover_of(CoverMode.DISJOINT), table)
+        assert verify_cover(cover_of(CoverMode.ESOP), table)
 
 
 # --- PPRM --------------------------------------------------------------------
@@ -343,28 +400,28 @@ class TestExactOptimality:
     def test_all_two_var_functions_vs_brute_force(self):
         for bits in range(16):
             values = [(bits >> s) & 1 for s in range(4)]
-            grid = build_qmap(make_table(values, 2))
-            es = minimize_esop(grid)
-            assert verify_cover(es, grid)
+            table = make_table(values, 2)
+            es = minimize_esop(table)
+            assert verify_cover(es, table)
             assert (len(es), es.literal_count) == brute_min_esop(values, 2)
-            dis = minimize_disjoint(grid)
-            assert verify_cover(dis, grid)
+            dis = minimize_disjoint(table)
+            assert verify_cover(dis, table)
             assert (len(dis), dis.literal_count) == brute_min_disjoint(values, 2)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_three_var_functions_vs_brute_force(self, seed):
         rng = random.Random(seed)
         values = random_values(3, rng)
-        grid = build_qmap(make_table(values, 3))
-        es = minimize_esop(grid)
+        table = make_table(values, 3)
+        es = minimize_esop(table)
         assert (len(es), es.literal_count) == brute_min_esop(values, 3)
-        dis = minimize_disjoint(grid)
+        dis = minimize_disjoint(table)
         assert (len(dis), dis.literal_count) == brute_min_disjoint(values, 3)
 
     def test_all_three_var_functions_disjoint_vs_brute_force(self):
         for bits in range(256):
             values = [(bits >> s) & 1 for s in range(8)]
-            dis = minimize_disjoint(build_qmap(make_table(values, 3)))
+            dis = minimize_disjoint(make_table(values, 3))
             assert (len(dis), dis.literal_count) == \
                 brute_min_disjoint(values, 3), f"function {bits:#04x}"
 
@@ -373,20 +430,20 @@ class TestExactOptimality:
         # the function does not care about one drawn variable, as a
         # stage's toggle does not care about its target; restricting any
         # cover to var = 0 drops that variable at no cost, so the cover
-        # with it forbidden is still optimal over the whole grid
+        # with it forbidden is still optimal over the whole table
         rng = random.Random(400 + seed)
         n = rng.randint(2, 3)
         var = rng.randrange(n)
         low = random_values(n - 1, rng)
         values = [low[(s >> 1 & -1 << var) | (s & (1 << var) - 1)]
                   for s in range(1 << n)]
-        grid = build_qmap(make_table(values, n))
+        table = make_table(values, n)
         forbidden = frozenset((var,))
-        es = minimize_esop(grid, forbidden=forbidden)
-        assert verify_cover(es, grid)
+        es = minimize_esop(table, forbidden=forbidden)
+        assert verify_cover(es, table)
         assert (len(es), es.literal_count) == brute_min_esop(values, n)
-        dis = minimize_disjoint(grid, forbidden=forbidden)
-        assert verify_cover(dis, grid)
+        dis = minimize_disjoint(table, forbidden=forbidden)
+        assert verify_cover(dis, table)
         assert (len(dis), dis.literal_count) == brute_min_disjoint(values, n)
         assert not any(c.mask >> var & 1 for c in es.cubes + dis.cubes)
 
@@ -394,9 +451,8 @@ class TestExactOptimality:
         for bits in range(256):
             values = [(bits >> s) & 1 for s in range(8)]
             table = make_table(values, 3)
-            grid = build_qmap(table)
-            es = minimize_esop(grid)
-            assert verify_cover(es, grid)
+            es = minimize_esop(table)
+            assert verify_cover(es, table)
             assert len(es) <= len(pprm_cover(table))
 
 
@@ -406,11 +462,11 @@ class TestMinimizerProperties:
         rng = random.Random(1000 + seed)
         n = rng.randint(1, 4)
         values = random_values(n, rng)
-        grid = build_qmap(make_table(values, n))
-        es = minimize_esop(grid)
-        dis = minimize_disjoint(grid)
-        assert verify_cover(es, grid)
-        assert verify_cover(dis, grid)
+        table = make_table(values, n)
+        es = minimize_esop(table)
+        dis = minimize_disjoint(table)
+        assert verify_cover(es, table)
+        assert verify_cover(dis, table)
         for state in range(1 << n):
             dis_count = sum(c.covers(state) for c in dis.cubes)
             assert dis_count <= 1
@@ -423,11 +479,11 @@ class TestMinimizerProperties:
         rng = random.Random(2000 + seed)
         n = rng.choice([5, 6])
         values = random_values(n, rng)
-        grid = build_qmap(make_table(values, n))
-        es = minimize_esop(grid)
-        dis = minimize_disjoint(grid)
-        assert verify_cover(es, grid)
-        assert verify_cover(dis, grid)
+        table = make_table(values, n)
+        es = minimize_esop(table)
+        dis = minimize_disjoint(table)
+        assert verify_cover(es, table)
+        assert verify_cover(dis, table)
         for state in range(1 << n):
             assert sum(c.covers(state) for c in dis.cubes) <= 1
 
@@ -435,61 +491,62 @@ class TestMinimizerProperties:
         # parity of five variables: the Reed-Muller seed is already the
         # five single-literal terms and merging must not lose that
         values = [bin(s).count("1") % 2 for s in range(32)]
-        grid = build_qmap(make_table(values, 5))
-        es = minimize_esop(grid)
-        assert verify_cover(es, grid)
+        table = make_table(values, 5)
+        es = minimize_esop(table)
+        assert verify_cover(es, table)
         assert len(es) == 5
 
     def test_determinism(self):
         rng = random.Random(3)
         values = random_values(4, rng)
-        grid = build_qmap(make_table(values, 4))
-        assert minimize_esop(grid) == minimize_esop(grid)
-        assert minimize_disjoint(grid) == minimize_disjoint(grid)
+        table = make_table(values, 4)
+        assert minimize_esop(table) == minimize_esop(table)
+        assert minimize_disjoint(table) == minimize_disjoint(table)
 
 
 class TestForbiddenVariable:
     def test_avoidable_variable_is_avoided(self, gray4):
         tables = decompose(gray4)
         for stage in range(4):
-            grid = build_qmap(tables[stage])
-            for cover in (minimize_esop(grid, forbidden=frozenset((stage,))),
-                          minimize_disjoint(grid, forbidden=frozenset((stage,)))):
+            forbidden = frozenset((stage,))
+            for cover in (minimize_esop(tables[stage], forbidden=forbidden),
+                          minimize_disjoint(tables[stage],
+                                            forbidden=forbidden)):
                 for c in cover.cubes:
                     assert not c.mask >> stage & 1
 
     def test_unavoidable_variable_raises(self):
         values = [0, 1, 0, 1]  # T = q0: cannot avoid q0
-        grid = build_qmap(make_table(values, 2))
+        table = make_table(values, 2)
         assert not can_avoid_variable(values, 2, 0)
         with pytest.raises(ValueError):
-            minimize_esop(grid, forbidden=frozenset((0,)))
+            minimize_esop(table, forbidden=frozenset((0,)))
         with pytest.raises(ValueError):
-            minimize_disjoint(grid, forbidden=frozenset((0,)))
+            minimize_disjoint(table, forbidden=frozenset((0,)))
 
     def test_dontcare_makes_variable_avoidable(self):
         values = [0, 0, 1, 1]  # T = q1 does not care about q0
         assert can_avoid_variable(values, 2, 0)
-        grid = build_qmap(make_table(values, 2))
-        cover = minimize_esop(grid, forbidden=frozenset((0,)))
-        assert verify_cover(cover, grid)
+        table = make_table(values, 2)
+        cover = minimize_esop(table, forbidden=frozenset((0,)))
+        assert verify_cover(cover, table)
         for c in cover.cubes:
             assert not c.mask & 1
 
     def test_forbidden_on_heuristic_path(self):
         # width 5, function independent of q0
         values = [bin(s >> 1).count("1") % 2 for s in range(32)]
-        grid = build_qmap(make_table(values, 5))
-        cover = minimize_esop(grid, forbidden=frozenset((0,)))
-        assert verify_cover(cover, grid)
+        table = make_table(values, 5)
+        cover = minimize_esop(table, forbidden=frozenset((0,)))
+        assert verify_cover(cover, table)
         assert all(not c.mask & 1 for c in cover.cubes)
 
     def test_every_variable_forbidden(self):
         # a constant function cares about no variable: with all of them
         # projected out, the cover is the constant-1 cube over m = 0
-        grid = build_qmap(make_table([1, 1, 1, 1], 2))
+        table = make_table([1, 1, 1, 1], 2)
         for minimize in (minimize_esop, minimize_disjoint):
-            assert minimize(grid, forbidden=frozenset((0, 1))).cubes == \
+            assert minimize(table, forbidden=frozenset((0, 1))).cubes == \
                 (Cube(2, 0, 0),)
 
 
@@ -507,7 +564,7 @@ def total_functions(draw, min_m=1, max_m=8):
 class TestGreedyDisjointReference:
     @settings(max_examples=300, deadline=None)
     @given(total_functions())
-    # m = 0 is reached when every variable of a grid is forbidden
+    # m = 0 is reached when every variable of a table is forbidden
     @example(([1], 0))
     def test_same_cubes_in_same_order(self, case):
         values, m = case
@@ -595,8 +652,8 @@ class TestMinimizeEsopReference:
     @given(grids_with_forbidden(5, 8))
     def test_same_cover_on_heuristic_grids(self, case):
         values, m, forbidden = case
-        grid = build_qmap(make_table(values, m))
-        assert minimize_esop(grid, forbidden=forbidden) == \
+        table = make_table(values, m)
+        assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_heuristic(values, m, forbidden)
 
     # the heuristic merge has never been seen to leave two single
@@ -605,8 +662,8 @@ class TestMinimizeEsopReference:
     @given(grids_with_forbidden(1, 4))
     def test_same_cover_on_exact_grids(self, case):
         values, m, forbidden = case
-        grid = build_qmap(make_table(values, m))
-        assert minimize_esop(grid, forbidden=forbidden) == \
+        table = make_table(values, m)
+        assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_exact(values, m, forbidden)
 
 
@@ -663,7 +720,7 @@ def covers_to_check(draw):
     forbidden = (frozenset((var,)) if can_avoid_variable(values, m, var)
                  else frozenset())
     minimize = draw(st.sampled_from([minimize_disjoint, minimize_esop]))
-    cubes = list(minimize(build_qmap(make_table(values, m)),
+    cubes = list(minimize(make_table(values, m),
                           forbidden=forbidden).cubes)
     change = draw(st.sampled_from(
         ["none", "duplicate", "add", "drop", "wider", "narrower", "flip"]))
@@ -695,5 +752,5 @@ class TestVerifyCoverReference:
     @given(covers_to_check())
     def test_same_verdict(self, case):
         cover, values, m = case
-        assert verify_cover(cover, build_qmap(make_table(values, m))) == \
+        assert verify_cover(cover, make_table(values, m)) == \
             reference.verify_cover(cover, values, m)
