@@ -13,6 +13,23 @@ internal gate form that allows negative controls and any control count:
 rewrites negative controls as X conjugation and drops the X pairs, and
 `lower_mct` expands the wide gates into sandwiches.  Each lowering pass
 expands a repeated gate once per call, in one dict keyed by the gate.
+
+`synthesize` draws its gates from one pool that lasts for the process,
+so each distinct X, CX and CCX gate, each run of X gates on a cube's
+negative lines and each compute chain is built once per process, not
+once per call, and equal gates from two calls are one object.  Only
+`_emit` uses the pool, because its lines are below n + depth <= 29
+(n <= 16).  Its keys are finite: a gate by its lines, each below 29; a
+chain by the width n and the mask of control lines above a cube's
+lowest, at most 2^(n-1) - 1 masks per width; and an X run by its mask
+of lines, at most 2^16 - 1.  Filling every key (tracemalloc) holds
+10.5 MB of chains at n = 16 and 20.6 MB over all widths, plus 11.5 MB
+of X runs: 32 MB in all, the worst case.  One seeded n = 16 synth comes
+near it: 30.5k chains in ESOP mode, 42.5k X runs in disjoint mode, and
+about 1.2k CCX gates in either.  The passes and `parse_qasm` keep
+per-call memos, because their line numbers come from the caller
+(`parse_qasm` allows 64 lines, a hand-built `Circuit` any), and a
+process-wide memo keyed by them could grow without bound.
 """
 from __future__ import annotations
 
@@ -62,12 +79,15 @@ class Gate:
     controls are X/CX/CCX; anything with a negative control or three or
     more controls is the internal MCT form awaiting lowering.  `kind`
     and `lines` (controls, then target) are computed once, at
-    construction, and take no part in ==, hash or repr."""
+    construction, and `_qasm` on first export; none of them takes part
+    in ==, hash or repr."""
 
     target: int
     controls: tuple[Control, ...] = ()
     kind: GateKind = field(init=False, repr=False, compare=False)
     lines: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _qasm: str | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
         # each Control is a (line, positive) pair
@@ -85,6 +105,17 @@ class Gate:
             kind = GateKind.MCT
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lines", lines)
+
+    def _render_qasm(self) -> str:
+        """Derive the gate's OpenQASM line and keep it in `_qasm`;
+        `export_qasm` refuses MCT gates before it asks.  Set as an
+        attribute, not through `__dict__` as `cached_property` would:
+        that gives the instance a dict of its own, and `sim`'s reads of
+        `kind` and `lines` get several times slower (Python 3.11)."""
+        text = (f"{self.kind.value} "
+                + ",".join(f"q[{a}]" for a in self.lines) + ";")
+        object.__setattr__(self, "_qasm", text)
+        return text
 
     @classmethod
     def x(cls, target: int) -> "Gate":
@@ -270,14 +301,17 @@ def _emit(n: int,
     ancilla sandwich (a constant-1 cube is an X on the target), and an X
     cancels an unmatched X on its line with no gate touching that line
     in between, as in `lower_polarity`.  A sandwich's compute chain
-    depends only on the controls above its lowest one, so each distinct
-    chain and X run is built once per call."""
-    flip, cx, ccx = cache(Gate.x), cache(Gate.cx), cache(Gate.ccx)
-    # control lines above the lowest -> (compute Toffolis, the line that
-    # holds their AND, the uncompute Toffolis)
-    chains: dict[int, tuple[tuple[Gate, ...], int, tuple[Gate, ...]]] = {}
-    # negative lines -> (line, X gate) pairs, lowest line first
-    flips: dict[int, tuple[tuple[int, Gate], ...]] = {}
+    depends only on the controls above its lowest one.
+
+    The gates, the X runs (keyed by line mask) and the chains (keyed by
+    n and line mask) come from the process-wide pool, so each is built
+    once per process; its lines stay below n + depth <= 29, and every
+    key filled holds 32 MB, 20.6 MB of it chains (see the module
+    docstring).  The passes keep per-call memos, since their lines come
+    from the caller.  The output list, the unmatched X's and the
+    ancilla count belong to the call: the count is the longest chain
+    this call used, whether or not the pool already held it."""
+    chains = _CHAINS.setdefault(n, {})
     out: list[Gate | None] = []
     at = [0] * n  # line -> index of its unmatched X, when it has one
     pending = 0  # the lines with an unmatched X
@@ -291,16 +325,16 @@ def _emit(n: int,
                     out[at[target]] = None
                 else:
                     at[target] = len(out)
-                    out.append(flip(target))
+                    out.append(_x(target))
                 pending ^= tbit
                 continue
             lines = mask + (mask & high)
             neg = mask & ~value
             if neg:
                 neg += neg & high
-                xs = flips.get(neg)
+                xs = _FLIPS.get(neg)
                 if xs is None:
-                    xs = flips[neg] = tuple((l, flip(l)) for l in _bits(neg))
+                    xs = _FLIPS[neg] = tuple(map(_x_pair, _bits(neg)))
                 # an X before the body cancels an unmatched X on its line;
                 # one that does not is consumed by the body at once
                 for l, x in xs:
@@ -314,20 +348,33 @@ def _emit(n: int,
             if rest:
                 chain = chains.get(rest)
                 if chain is None:
-                    chain = chains[rest] = _chain(_bits(rest), n, ccx)
-                    depth = max(depth, len(chain[0]))
+                    chain = chains[rest] = _chain(_bits(rest), n, _ccx)
                 compute, acc, uncompute = chain
+                if len(compute) > depth:
+                    depth = len(compute)
                 out += compute
-                out.append(ccx(low.bit_length() - 1, acc, target))
+                out.append(_ccx(low.bit_length() - 1, acc, target))
                 out += uncompute
             else:
-                out.append(cx(low.bit_length() - 1, target))
+                out.append(_cx(low.bit_length() - 1, target))
             if neg:
                 for l, x in reversed(xs):
                     at[l] = len(out)
                     out.append(x)
                 pending |= neg
     return Circuit(n, depth, tuple(filter(None, out)))  # gates are truthy
+
+
+# The process-wide pool of `_emit` (see the module docstring): the X, CX
+# and CCX gates; each negative-line mask's (line, X gate) pairs, lowest
+# line first; and, per width n, each mask of control lines above a
+# cube's lowest -> (compute Toffolis, the line that holds their AND, the
+# uncompute Toffolis).
+_x, _cx, _ccx = cache(Gate.x), cache(Gate.cx), cache(Gate.ccx)
+_x_pair = cache(lambda line: (line, _x(line)))
+_FLIPS: dict[int, tuple[tuple[int, Gate], ...]] = {}
+_CHAINS: dict[int, dict[int, tuple[tuple[Gate, ...], int,
+                                   tuple[Gate, ...]]]] = {}
 
 
 def _chain(controls: Sequence[int], base: int,

@@ -26,21 +26,19 @@ def export_qasm(c: Circuit) -> str:
     if c.has_mct():
         g = next(g for g in c.gates if g.kind is GateKind.MCT)
         raise UnloweredMct(f"gate {g} must be lowered before QASM export")
+    # each gate derives its line once, on first export (`Gate._qasm`).
+    # `synthesize` draws its gates from a process-wide pool (lines below
+    # 29, 32 MB with every key filled; see `circuit`), so its repeated
+    # gates render once per process.  Gates that `parse_qasm` (one object
+    # per distinct gate of a call), the passes or a caller build are not
+    # pooled and render once per object, since a process-wide memo keyed
+    # by their caller-supplied lines could grow without bound
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{c.total_width}];",
+        *[g._qasm or g._render_qasm() for g in c.gates],
     ]
-    # a lowered gate's kind follows from its line count, so each distinct
-    # `lines` tuple is rendered once; lowered circuits repeat a few tuples
-    # (X/CX/CCX on the same lines) for most of their gates
-    rendered: dict[tuple[int, ...], str] = {}
-    for g in c.gates:
-        text = rendered.get(g.lines)
-        if text is None:
-            text = rendered[g.lines] = (
-                f"{g.kind.value} " + ",".join(f"q[{a}]" for a in g.lines) + ";")
-        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -75,6 +73,9 @@ def parse_qasm(text: str) -> Circuit:
             f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
     gates: list[Gate] = []
+    # lines -> gate, so that a repeated gate is one object and
+    # `export_qasm` renders its line once
+    made: dict[tuple[int, ...], Gate] = {}
     for lineno, stmt in statements[3:]:
         gm = _GATE_RE.match(stmt)
         if gm is None:
@@ -100,10 +101,14 @@ def parse_qasm(text: str) -> Circuit:
         if len(args) != arity:
             raise QasmSyntaxError(
                 f"{mnemonic} takes {arity} operands, got {len(args)}", lineno)
-        try:
-            gates.append(Gate.mct(args[:-1], args[-1]))
-        except ValueError as exc:
-            raise QasmSyntaxError(str(exc), lineno) from None
+        key = tuple(args)
+        g = made.get(key)
+        if g is None:
+            try:
+                g = made[key] = Gate.mct(args[:-1], args[-1])
+            except ValueError as exc:
+                raise QasmSyntaxError(str(exc), lineno) from None
+        gates.append(g)
 
     return Circuit(width, 0, tuple(gates))
 

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -27,6 +27,7 @@ from qmap_synth import (
     ReversibleFunction,
     cost,
     decompose,
+    export_qasm,
     identity_function,
     invert,
     lower_mct,
@@ -39,6 +40,7 @@ from qmap_synth import (
     verify,
 )
 from qmap_synth.cascade import resolve_order
+from qmap_synth import circuit
 from qmap_synth.circuit import _emit
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, UnloweredMct
 
@@ -305,6 +307,82 @@ class TestEmitAgainstReference:
         c = _emit(4, [(1, [(0b111, 0b111), (0b110, 0b110)])])
         assert c.gates == (Gate.ccx(2, 3, 4), Gate.ccx(0, 4, 1),
                            Gate.ccx(2, 3, 4), Gate.ccx(2, 3, 1))
+
+
+def empty_pool():
+    """Drop every gate, X run and chain of `_emit`'s process-wide pool."""
+    for memo in (circuit._x, circuit._cx, circuit._ccx, circuit._x_pair):
+        memo.cache_clear()
+    circuit._FLIPS.clear()
+    circuit._CHAINS.clear()
+
+
+def pool_sizes():
+    return ([m.cache_info().currsize for m in (
+                circuit._x, circuit._cx, circuit._ccx, circuit._x_pair)],
+            len(circuit._FLIPS),
+            {n: len(chains) for n, chains in circuit._CHAINS.items()})
+
+
+modes = st.sampled_from(["esop", "disjoint"])
+orders = st.sampled_from(["natural", "search"])
+
+
+class TestEmitPool:
+    """`_emit` draws its gates, X runs and chains from one pool that lasts
+    for the process; a circuit must not depend on what earlier calls
+    left in it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), modes, orders,
+           st.integers(1, 9), st.integers(0, 2**32 - 1), modes, orders)
+    # a narrow function after a wide one, whose chains need more ancillas
+    @example(3, 0, "disjoint", "natural", 9, 1, "disjoint", "natural")
+    @example(4, 2, "esop", "search", 9, 3, "esop", "natural")
+    def test_output_does_not_depend_on_earlier_calls(
+            self, gw, gseed, gmode, gorder, fw, fseed, fmode, forder):
+        g = random_feasible_function(gw, random.Random(gseed))
+        f = random_feasible_function(fw, random.Random(fseed))
+        empty_pool()
+        before = synthesize(g, mode=gmode, order=gorder)
+        synthesize(f, mode=fmode, order=forder)
+        after = synthesize(g, mode=gmode, order=gorder)
+        assert export_qasm(after) == export_qasm(before)
+        # the ancillas this call's chains use, although the pool held them
+        assert after.ancilla_count == before.ancilla_count
+
+    def test_ancillas_counted_on_a_pool_hit(self):
+        # width 6 ESOP needs ancillas; a second call finds every chain in
+        # the pool and must still declare them
+        f = random_feasible_function(6, random.Random(7))
+        first = synthesize(f)
+        assert first.ancilla_count > 0
+        assert synthesize(f).ancilla_count == first.ancilla_count
+
+    def test_equal_gates_from_two_calls_are_one_object(self):
+        a = synthesize(random_feasible_function(6, random.Random(5)))
+        b = synthesize(random_feasible_function(6, random.Random(6)))
+        first = {g: g for g in a.gates}
+        shared = [g for g in b.gates if g in first]
+        assert {g.kind for g in shared} == {
+            GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI}
+        assert all(first[g] is g for g in shared)
+
+    def test_second_pass_over_a_batch_grows_no_memo(self):
+        rng = random.Random(11)
+        batch = [random_feasible_function(rng.randint(1, 8), rng)
+                 for _ in range(12)]
+
+        def compile_all():
+            for f in batch:
+                for mode in ("esop", "disjoint"):
+                    for order in ("natural", "search"):
+                        synthesize(f, mode=mode, order=order)
+
+        compile_all()
+        filled = pool_sizes()
+        compile_all()
+        assert pool_sizes() == filled
 
 
 class TestPassesAgainstReference:
