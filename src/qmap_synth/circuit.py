@@ -107,11 +107,14 @@ class Gate:
         object.__setattr__(self, "lines", lines)
 
     def _render_qasm(self) -> str:
-        """Derive the gate's OpenQASM line and keep it in `_qasm`;
-        `export_qasm` refuses MCT gates before it asks.  Set as an
+        """Derive the gate's OpenQASM line and keep it in `_qasm`; an
+        MCT gate has none and raises UnloweredMct.  Set as an
         attribute, not through `__dict__` as `cached_property` would:
         that gives the instance a dict of its own, and `sim`'s reads of
         `kind` and `lines` get several times slower (Python 3.11)."""
+        if self.kind is GateKind.MCT:
+            raise UnloweredMct(
+                f"gate {self} must be lowered before QASM export")
         text = (f"{self.kind.value} "
                 + ",".join(f"q[{a}]" for a in self.lines) + ";")
         object.__setattr__(self, "_qasm", text)

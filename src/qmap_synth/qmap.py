@@ -20,14 +20,14 @@ On tables of up to 4 variables both minimizers are exact in (cube count,
 then total literal count).  The table width counts every variable,
 forbidden ones included, so a width-5 table with one forbidden variable
 is not exact even though its cover has 4 free variables.  The exact
-engine is a dynamic program over the cofactor decomposition
-f = P xor x'Q xor xR  of every subfunction, tabulated once per mode and
-reused.  A forbidden variable must be one the function ignores; it is
-projected out before covering and its slot reopened after.  On wider
-tables a documented greedy heuristic applies: largest-block-first for
-disjoint covers, each block grown from its seed cell one free variable
-at a time, and a positive-polarity Reed-Muller seed with pairwise term
-merging for ESOP.
+engine is one memoized recurrence over the cofactor decomposition
+f = P xor x'Q xor xR  of every subfunction, on truth-vector ints.  A
+forbidden variable must be one of the table's and one the function
+ignores; it is projected out before covering and its slot reopened
+after.  On wider tables a documented greedy heuristic applies:
+largest-block-first for disjoint covers, each block grown from its seed
+cell one free variable at a time, and a positive-polarity Reed-Muller
+seed with pairwise term merging for ESOP.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  The
@@ -41,8 +41,6 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .cascade import ToggleTable
 
@@ -183,100 +181,64 @@ def verify_cover(cover: Cover, t: ToggleTable) -> bool:
 # --- exact minimization ----------------------------------------------------
 #
 # Key encoding: cost = cubes * 128 + literals, so a single integer min is
-# the lexicographic (cube count, literal count) min.  For every function
-# on m <= 4 variables (truth vector packed into an int, bit x = f(x)) the
-# table holds the optimal key; the recurrence splits on the top variable:
+# the lexicographic (cube count, literal count) min.  The optimal key of
+# a function on m <= 4 variables (truth vector f, bit x = f(x)) comes
+# from splitting on the top variable:
 #   f = P xor x'Q xor xR  with  Q = P xor f0,  R = P xor f1
-# minimized over all subfunction choices P.  Terms in Q and R pay one
-# extra literal per cube for the added polarity literal.  The disjoint
-# table uses the same split restricted to P <= f0 AND f1 (cells of P are
-# covered on both sides, so they must be 1 in both cofactors), which
-# makes Q and R the exact set differences and keeps all terms disjoint.
+# minimized over all subfunctions P on m - 1 variables.  Terms in Q and R
+# pay one extra literal per cube for the added polarity literal.  The
+# disjoint mode keeps only P <= f0 AND f1 (cells of P are covered on both
+# sides, so they must be 1 in both cofactors), which makes Q and R the
+# exact set differences and keeps all terms disjoint.  Of the P that
+# reach the minimum, the first in ascending order is taken (the min of
+# (key, P) pairs).  The splits of functions on fewer than
+# EXACT_WIDTH_CAP variables are memoized, 2 + 4 + 16 + 256 = 278 per
+# mode at most, whatever a caller minimizes.  A 4-variable function's
+# top split is computed on each call: a memo of all 65,536 in both
+# modes would hold about 29 MB (tracemalloc, extrapolated from 4,096), and
+# `synthesize` never asks for one, since its stages forbid the target.
 
-_KEY_LITS = 128
-_INF = 0xFFFF
-
-
-def _key(cubes: int, lits: int) -> int:
-    return cubes * _KEY_LITS + lits
-
-
-# lazily built; concurrent rebuilds are idempotent, so no lock is needed
-_tables_cache: dict[tuple[str, int], np.ndarray] = {}
-
-
-def _tables(kind: str, m: int) -> list[np.ndarray]:
-    """Optimal-key tables for 0..m variables (kind 'esop' or 'disjoint')."""
-    out = []
-    for level in range(m + 1):
-        cached = _tables_cache.get((kind, level))
-        if cached is None:
-            if level == 0:
-                cached = np.array([_key(0, 0), _key(1, 0)], dtype=np.uint16)
-            else:
-                cached = _build_level(out[level - 1], kind == "disjoint")
-            _tables_cache[(kind, level)] = cached
-        out.append(cached)
-    return out
+# (disjoint, f, m) -> split; filled lazily, and a concurrent fill writes
+# the same value, so no lock is needed
+_SPLITS: dict[tuple[bool, int, int], tuple[int, int]] = {}
 
 
-def _build_level(prev: np.ndarray, disjoint: bool) -> np.ndarray:
-    half = prev.size
-    prev32 = prev.astype(np.uint32)
-    wrapped = prev32 + (prev32 >> 7)  # one extra literal per cube
-    best = np.full((half, half), _INF, dtype=np.uint32)  # [f1, f0]
-    idx = np.arange(half, dtype=np.int64)
-    if disjoint:
-        subset = np.empty(half, dtype=bool)
-    for p in range(half):
-        xp = wrapped[idx ^ p]
-        cand = int(prev32[p]) + xp[:, None] + xp[None, :]
-        if disjoint:
-            np.equal(idx | p, idx, out=subset)
-            cand = np.where(subset[:, None] & subset[None, :], cand, _INF)
-        np.minimum(best, cand, out=best)
-    return best.ravel().astype(np.uint16)
-
-
-def _wrapped_key(table: np.ndarray, f: int) -> int:
-    k = int(table[f])
-    return k + (k >> 7)
-
-
-def _reconstruct(kind: str, tabs: list[np.ndarray], f: int,
-                 m: int) -> list[tuple[int, int]]:
-    """One optimal cover of the fully-specified function f, as
-    (mask, value) pairs over m variables."""
+def _split(disjoint: bool, f: int, m: int) -> tuple[int, int]:
+    """The optimal key of f over m variables and the P it splits on
+    (0 when m is 0)."""
+    split = _SPLITS.get((disjoint, f, m))
+    if split is not None:
+        return split
     if m == 0:
-        return [] if f == 0 else [(0, 0)]
-    half_states = 1 << (m - 1)
-    f0 = f & ((1 << half_states) - 1)
-    f1 = f >> half_states
-    target = int(tabs[m][f])
-    prev = tabs[m - 1]
-    chosen = None
-    for p in range(1 << half_states):
-        if kind == "disjoint" and (p | (f0 & f1)) != (f0 & f1):
-            continue
-        q, r = p ^ f0, p ^ f1
-        key = int(prev[p]) + _wrapped_key(prev, q) + _wrapped_key(prev, r)
-        if key == target:
-            chosen = (p, q, r)
-            break
-    assert chosen is not None, "table value must be realizable"
-    p, q, r = chosen
-    bit = 1 << (m - 1)
-    cubes = _reconstruct(kind, tabs, p, m - 1)
-    cubes += [(mask | bit, value) for mask, value in
-              _reconstruct(kind, tabs, q, m - 1)]
-    cubes += [(mask | bit, value | bit) for mask, value in
-              _reconstruct(kind, tabs, r, m - 1)]
-    return cubes
+        split = f << 7, 0  # one cube with no literal, or none
+    else:
+        half = 1 << (m - 1)
+        f0, f1 = f & ((1 << half) - 1), f >> half
+        allowed = f0 & f1 if disjoint else (1 << half) - 1
+        keys = [_split(disjoint, g, m - 1)[0] for g in range(1 << half)]
+        wrapped = [k + (k >> 7) for k in keys]  # one literal more per cube
+        split = min((keys[p] + wrapped[p ^ f0] + wrapped[p ^ f1], p)
+                    for p in range(allowed + 1) if p & allowed == p)
+    if m < EXACT_WIDTH_CAP:
+        _SPLITS[disjoint, f, m] = split
+    return split
 
 
 def _exact_cubes(kind: str, on: int, m: int) -> list[tuple[int, int]]:
-    """Exact minimum cover of a function on m <= 4 variables."""
-    return _reconstruct(kind, _tables(kind, m), on, m)
+    """One exact minimum cover of a function on m <= 4 variables, as
+    (mask, value) pairs: the cubes of P, then of Q and R with the top
+    variable added negative and positive."""
+    if m == 0:
+        return [(0, 0)] if on else []
+    p = _split(kind == "disjoint", on, m)[1]
+    bit = 1 << (m - 1)  # the top variable; also each cofactor's cell count
+    f0, f1 = on & ((1 << bit) - 1), on >> bit
+    cubes = _exact_cubes(kind, p, m - 1)
+    cubes += [(mask | bit, value) for mask, value in
+              _exact_cubes(kind, p ^ f0, m - 1)]
+    cubes += [(mask | bit, value | bit) for mask, value in
+              _exact_cubes(kind, p ^ f1, m - 1)]
+    return cubes
 
 
 # --- heuristic minimization ------------------------------------------------
@@ -433,6 +395,11 @@ def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
 
 def _prepare(t: ToggleTable, forbidden: frozenset[int]):
     on, m = t.on, t.width
+    for var in sorted(forbidden):
+        if not 0 <= var < m:
+            raise ValueError(
+                f"forbidden variable q{var} is outside the table's "
+                f"{m} variables")
     for var in sorted(forbidden, reverse=True):
         on = _remove_var(on, m, var)
         if on is None:

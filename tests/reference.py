@@ -12,16 +12,21 @@ on demand, a circuit's bounds check run on every gate, a QASM renderer
 that formats every gate afresh, and the realize and lowering passes
 that build every gate anew, per cube and per literal.  The cover code
 that now works on truth-vector ints keeps its list form
-here too: variable projection, the Reed-Muller transform, the cover
-check and the exact engine's truth-vector read, one cell at a time over
-`list[int]`.  `replay` runs a decomposition's toggle
-tables on one input.  The property tests require the library to agree
-with them exactly.
+here too: variable projection, the Reed-Muller transform and the cover
+check, one cell at a time over `list[int]`.  The exact minimizer is
+kept as it was before it became one memoized recurrence: numpy tables
+of every function's optimal key, built level by level, and a cover read
+back by rescanning the splits for the first one that reaches the
+table's key.  `replay` runs a decomposition's toggle tables on one
+input.  The property tests require the library to agree with them
+exactly.
 """
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from qmap_synth import (
     Circuit,
@@ -43,7 +48,6 @@ from qmap_synth.errors import (
     NoFeasibleOrder,
     UnloweredMct,
 )
-from qmap_synth.qmap import _reconstruct, _tables
 
 
 def compile_gate(g: Gate) -> tuple[int, int, int]:
@@ -153,7 +157,72 @@ def exact_cubes(kind: str, values: Sequence[int],
     """Exact cover of the function whose truth vector is summed one cell
     at a time."""
     f = sum(v << state for state, v in enumerate(values))
-    return _reconstruct(kind, _tables(kind, m), f, m)
+    return reconstruct(kind, exact_tables(kind, m), f, m)
+
+
+# The exact engine as optimal-key tables.  Key: cubes * 128 + literals.
+# Level m holds the key of every function f on m variables, the minimum
+# over the splits  f = P xor x'Q xor xR,  Q = P xor f0,  R = P xor f1,
+# of key(P) + key(Q) + key(R) plus one literal per cube of Q and R;
+# disjoint mode keeps only P <= f0 AND f1.
+
+_INF = 0xFFFF
+
+
+def exact_tables(kind: str, m: int) -> list[np.ndarray]:
+    """Optimal-key tables for 0..m variables (kind 'esop' or 'disjoint')."""
+    tabs = [np.array([0, 128], dtype=np.uint16)]
+    for _ in range(m):
+        prev32 = tabs[-1].astype(np.uint32)
+        half = prev32.size
+        wrapped = prev32 + (prev32 >> 7)  # one extra literal per cube
+        best = np.full((half, half), _INF, dtype=np.uint32)  # [f1, f0]
+        idx = np.arange(half, dtype=np.int64)
+        for p in range(half):
+            xp = wrapped[idx ^ p]
+            cand = int(prev32[p]) + xp[:, None] + xp[None, :]
+            if kind == "disjoint":
+                subset = (idx | p) == idx
+                cand = np.where(subset[:, None] & subset[None, :], cand, _INF)
+            np.minimum(best, cand, out=best)
+        tabs.append(best.ravel().astype(np.uint16))
+    return tabs
+
+
+def reconstruct(kind: str, tabs: list[np.ndarray], f: int,
+                m: int) -> list[tuple[int, int]]:
+    """One optimal cover of f as (mask, value) pairs over m variables:
+    the cubes of the first P, in ascending order, whose split reaches
+    the table's key, then those of Q and R with the top variable added
+    negative and positive."""
+    if m == 0:
+        return [] if f == 0 else [(0, 0)]
+    half_states = 1 << (m - 1)
+    f0 = f & ((1 << half_states) - 1)
+    f1 = f >> half_states
+    prev = tabs[m - 1]
+
+    def wrapped(g: int) -> int:
+        k = int(prev[g])
+        return k + (k >> 7)
+
+    chosen = None
+    for p in range(1 << half_states):
+        if kind == "disjoint" and (p | (f0 & f1)) != (f0 & f1):
+            continue
+        q, r = p ^ f0, p ^ f1
+        if int(prev[p]) + wrapped(q) + wrapped(r) == int(tabs[m][f]):
+            chosen = (p, q, r)
+            break
+    assert chosen is not None, "table value must be realizable"
+    p, q, r = chosen
+    bit = 1 << (m - 1)
+    cubes = reconstruct(kind, tabs, p, m - 1)
+    cubes += [(mask | bit, value) for mask, value in
+              reconstruct(kind, tabs, q, m - 1)]
+    cubes += [(mask | bit, value | bit) for mask, value in
+              reconstruct(kind, tabs, r, m - 1)]
+    return cubes
 
 
 def find_feasible_order(f: ReversibleFunction) -> StageOrder:

@@ -23,6 +23,7 @@ from qmap_synth import (
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import _grid_text
 from qmap_synth.qmap import (
+    _SPLITS,
     _exact_cubes,
     _greedy_disjoint,
     _merge_terms,
@@ -541,6 +542,13 @@ class TestForbiddenVariable:
         assert verify_cover(cover, table)
         assert all(not c.mask & 1 for c in cover.cubes)
 
+    @pytest.mark.parametrize("minimize", [minimize_esop, minimize_disjoint])
+    @pytest.mark.parametrize("var", [-1, 3, 5])  # -1, width, width + 2
+    def test_variable_outside_the_table_raises(self, minimize, var):
+        table = make_table(values_of(0b01101001, 3), 3)
+        with pytest.raises(ValueError, match=rf"\bq{var}\b"):
+            minimize(table, forbidden=frozenset((var,)))
+
     def test_every_variable_forbidden(self):
         # a constant function cares about no variable: with all of them
         # projected out, the cover is the constant-1 cube over m = 0
@@ -686,6 +694,24 @@ class TestRemoveVarReference:
 
 
 class TestExactCubesReference:
+    @pytest.mark.parametrize("kind", ["esop", "disjoint"])
+    def test_every_function_up_to_three_variables(self, kind):
+        for m in range(4):
+            tabs = reference.exact_tables(kind, m)
+            for on in range(1 << (1 << m)):
+                assert _exact_cubes(kind, on, m) == \
+                    reference.reconstruct(kind, tabs, on, m)
+
+    def test_memo_is_bounded_by_width_4_tables(self):
+        # only the splits of functions on at most 3 variables are kept:
+        # 2 + 4 + 16 + 256 per mode
+        rng = random.Random(4)
+        for on in rng.sample(range(1 << 16), 300):
+            table = make_table(values_of(on, 4), 4)
+            for minimize in (minimize_esop, minimize_disjoint):
+                assert verify_cover(minimize(table), table)
+        assert len(_SPLITS) <= 2 * (2 + 4 + 16 + 256)
+
     @settings(max_examples=300, deadline=None)
     @given(total_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
     def test_same_completion_and_cubes(self, case, kind):
