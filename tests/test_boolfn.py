@@ -124,6 +124,25 @@ class TestGenerators:
             identity_function(n)
 
 
+class TestSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.randoms(use_true_random=False))
+    def test_slice_bit_is_output_bit(self, n, rng):
+        f = random_bijection(n, rng)
+        assert len(f.slices) == n
+        for j, line in enumerate(f.slices):
+            assert line >> (1 << n) == 0
+            assert all(line >> x & 1 == f.table[x] >> j & 1
+                       for x in range(1 << n))
+
+    def test_widest_table(self):
+        # outputs above 255 take their bits from the high byte
+        f = gray_to_binary_function(16)
+        for j in (7, 8, 15):
+            assert all(f.slices[j] >> x & 1 == f.table[x] >> j & 1
+                       for x in range(0, 1 << 16, 97))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_parse_render_roundtrip(self, seed):

@@ -207,8 +207,8 @@ class TestAgainstExhaustiveReference:
     # set 011 fails and is a child of both 001 and 010, which pass
     @example(ReversibleFunction(3, (6, 5, 1, 2, 4, 3, 7, 0)))
     def test_same_order_or_same_refusal(self, f):
-        with mock.patch.object(cascade, "_prefix_injective",
-                               wraps=cascade._prefix_injective) as spy:
+        with mock.patch.object(cascade, "_advance",
+                               wraps=cascade._advance) as spy:
             got = outcome(find_feasible_order, f)
         assert got == outcome(reference.find_feasible_order, f)
         if got is not NoFeasibleOrder:
@@ -228,10 +228,11 @@ def result(fn, *args):
 
 
 class TestKernelAgainstScalarLoop:
-    """`decompose` computes its tables with a numpy kernel and, when a
-    stage reads its target, runs the inputs one at a time to find the
-    witness of CascadeInfeasible; `reference.decompose` is the scalar
-    loop that builds every table that way."""
+    """`decompose` and `_stage_vectors` compute their tables by a walk
+    over the function's output slices, one delta swap per slice and
+    stage, and, when a stage reads its target, run the inputs one at a
+    time to find the witness of CascadeInfeasible; `reference.decompose`
+    is the scalar loop that builds every table that way."""
 
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
@@ -245,8 +246,26 @@ class TestKernelAgainstScalarLoop:
         assert (result(decompose, f, order)
                 == result(reference.decompose, f, order))
 
+    @settings(max_examples=200, deadline=None)
+    @given(cascade_inputs())
+    @example((swap2_function(), "natural"))
+    def test_stage_vectors_are_the_squeezed_tables(self, case):
+        f, order = case
+        try:
+            order = resolve_order(f, order)
+        except NoFeasibleOrder:
+            return
+
+        def squeezed(f, order):
+            return [(t.target, _truth_vector(
+                        reference.remove_var(t.entries, f.width, t.target)))
+                    for t in reference.decompose(f, order)]
+
+        assert (result(cascade._stage_vectors, f, order)
+                == result(squeezed, f, order))
+
     def test_swap_witness_comes_from_the_later_stage(self):
-        # the kernel stops at stage 0, whose toggle reads q0; the witness
+        # the walk stops at stage 0, whose toggle reads q0; the witness
         # search then finds the two inputs that meet at stage 1
         with pytest.raises(CascadeInfeasible) as exc:
             decompose(swap2_function())

@@ -549,6 +549,11 @@ class TestForbiddenVariable:
         with pytest.raises(ValueError, match=rf"\bq{var}\b"):
             minimize(table, forbidden=frozenset((var,)))
 
+    @pytest.mark.parametrize("var", [-1, 3, 5])  # -1, width, width + 2
+    def test_avoiding_a_variable_outside_the_table_raises(self, var):
+        with pytest.raises(ValueError, match=rf"\bq{var}\b"):
+            can_avoid_variable(values_of(0b01101001, 3), 3, var)
+
     def test_every_variable_forbidden(self):
         # a constant function cares about no variable: with all of them
         # projected out, the cover is the constant-1 cube over m = 0
