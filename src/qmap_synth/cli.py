@@ -206,18 +206,16 @@ def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
     collabels = gray_sequence(k)
     lines.append(" " * left + "".join(f"{cl:0{k}b}".rjust(4)
                                       for cl in collabels))
+    if overlay_cubes is None:
+        texts = bin(t.on)[:1:-1].ljust(1 << t.width, "0")
+    else:  # each cell's symbols, in cover order
+        texts = [""] * (1 << t.width)
+        for i, cube in enumerate(overlay_cubes):
+            for state in cube.cells():
+                texts[state] += _group_symbol(i)
     for rl in gray_sequence(rbits):
         label = format(rl, f"0{rbits}b") if rbits else ""
-        cells = []
-        for cl in collabels:
-            state = rl << k | cl
-            if overlay_cubes is None:
-                text = str(t.on >> state & 1)
-            else:
-                text = "".join(
-                    _group_symbol(i) for i, cube in enumerate(overlay_cubes)
-                    if cube.covers(state)) or "."
-            cells.append(text.rjust(4))
+        cells = [(texts[rl << k | cl] or ".").rjust(4) for cl in collabels]
         lines.append(label.rjust(left) + "".join(cells))
     return "\n".join(lines)
 

@@ -25,12 +25,18 @@ f = P xor x'Q xor xR  of every subfunction, on truth-vector ints.  A
 forbidden variable must be one of the table's and one the function
 ignores; it is projected out before covering and its slot reopened
 after.  On wider tables a documented greedy heuristic applies:
-largest-block-first for disjoint covers, each block grown from its seed
-cell one free variable at a time, and a positive-polarity Reed-Muller
-seed with pairwise term merging for ESOP.
+largest-block-first for disjoint covers, and a positive-polarity
+Reed-Muller seed with pairwise term merging for ESOP.  The disjoint
+heuristic seeds each block at the lowest uncovered 1-cell, so a block
+frees only variables where its seed has a 0, and its free sets grow
+level by level: a set of k + 1 variables is one of k joined with a
+variable above its top one, kept when its far corner is an uncovered
+1-cell and each of its other k-subsets fits (Apriori's candidate join,
+Agrawal & Srikant, VLDB 1994), so each test reads one bit.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
-(mask, value) pairs do and the merge order is that of the pairs.  The
+(mask, value) pairs do and the merge order is that of the pairs.  Its
+heap queues a merged term only if it has a merge partner.  The
 public minimizers and `synthesize` share the int cores `_disjoint_terms`
 and `_esop_terms`, which take the truth vector and return sorted
 (mask, value) pairs; only the public ones build `Cube`s.
@@ -263,17 +269,21 @@ def _merge_terms(terms: list[int], m: int) -> list[int]:
     t with either one gives the other.  Partners are tried in that
     order, variable by variable from the lowest.
 
-    A min-heap holds every term that may have a partner.  A term gains
-    one only when a term enters the pool, and the relation is symmetric,
-    so pushing the entering term and its partners keeps that true; stale
-    entries are skipped when popped."""
+    A min-heap holds every pool term that has a partner, among stale
+    entries that are skipped when popped.  A term gains a partner only
+    when a term enters the pool, and the relation is symmetric, so the
+    scan of an entering term's 2m neighbours pushes those in the pool
+    and pushes the entering term itself only if it found one.  Equal
+    input terms cancel in pairs before the merge starts."""
     slots = []  # per variable: value bit, mask bit, both, all but both
     for i in range(m):
         b, mb = 1 << i, 1 << i + m
         slots.append((b, mb, mb | b, ~(mb | b)))
-    pool: set[int] = set()
-    for t in terms:
-        pool.symmetric_difference_update((t,))
+    pool = set(terms)
+    if len(pool) != len(terms):  # equal terms cancel in pairs
+        pool = set()
+        for t in terms:
+            pool.symmetric_difference_update((t,))
     heap = list(pool)
     heapq.heapify(heap)
     while heap:
@@ -298,7 +308,7 @@ def _merge_terms(terms: list[int], m: int) -> list[int]:
             pool.remove(merged)
             continue
         pool.add(merged)
-        heapq.heappush(heap, merged)
+        alone = True
         for b, mb, both, rest in slots:
             if merged & mb:
                 p, q = merged ^ b, merged & rest
@@ -306,38 +316,68 @@ def _merge_terms(terms: list[int], m: int) -> list[int]:
                 p, q = merged | both, merged | mb
             if p in pool:
                 heapq.heappush(heap, p)
+                alone = False
             if q in pool:
                 heapq.heappush(heap, q)
+                alone = False
+        if not alone:
+            heapq.heappush(heap, merged)
     return sorted(pool)
 
 
 def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
     1-cell and take the biggest cube that fits in uncovered 1-cells, so
-    the result is disjoint by construction.  The cubes that fit grow
-    level by level, one free variable at a time (a cube fits only if it
-    fits with its highest free variable fixed); the last level's greatest
-    free set leaves the first mask in (literal count, mask) order."""
+    the result is disjoint by construction.
+
+    The uncovered 1-cells are `need`; every cell outside it is a 0-cell
+    or covered.  No cell below the seed is in `need`, so a cube can
+    free only variables where the seed has a 0, and its cells are then
+    seed + s for every subset s of its free set: a cube fits iff bit s
+    of near = need >> seed is set for each such s.  A free set fits only
+    if each of its subsets does, so the sets that fit grow level by
+    level as in Apriori: a set of k + 1 variables is a set of level k
+    joined with a variable of level 1 above its top one, kept iff its
+    far corner is in `near` and each of its other k-subsets is in level
+    k (those give every cell but the corner).  The last level's
+    greatest free set leaves the first mask in (literal count, mask)
+    order."""
+    full = (1 << m) - 1
     need = on
-    # cells no new cube may touch: the 0-cells, then every covered cell
-    taken = ((1 << (1 << m)) - 1) & ~on
     out: list[tuple[int, int]] = []
     while need:
         seed = (need & -need).bit_length() - 1
-        level = {0: 1 << seed}  # the seed's own minterm always fits
+        near = need >> seed
+        singles = []  # level 1: the seed's 0-bits whose neighbour is needed
+        zeros = full ^ seed
+        while zeros:
+            w = zeros & -zeros
+            zeros ^= w
+            if near >> w & 1:
+                singles.append(w)
+        last, level = {0}, set(singles)
         while level:
-            last, level = level, {}
-            for free, cells in last.items():
-                for v in range(free.bit_length(), m):
-                    grown = cells | (cells >> (1 << v) if seed >> v & 1
-                                     else cells << (1 << v))
-                    if not grown & taken:
-                        level[free | 1 << v] = grown
-        free, cells = max(last.items())
-        mask = ((1 << m) - 1) ^ free
-        out.append((mask, seed & mask))
-        taken |= cells
-        need &= ~cells
+            last, level = level, set()
+            for free in last:
+                for w in singles:
+                    if w <= free or not near >> (free | w) & 1:
+                        continue
+                    grown, rest = free | w, free
+                    while rest:
+                        low = rest & -rest
+                        if grown ^ low not in last:
+                            break
+                        rest ^= low
+                    else:
+                        level.add(grown)
+        free = max(last)
+        cells, rest = 1, free
+        while rest:
+            low = rest & -rest
+            cells |= cells << low
+            rest ^= low
+        out.append((full ^ free, seed))
+        need ^= cells << seed
     return out
 
 

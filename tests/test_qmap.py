@@ -566,9 +566,10 @@ class TestForbiddenVariable:
 @st.composite
 def total_functions(draw, min_m=1, max_m=8):
     """(values, m) for min_m <= m <= max_m, with a drawn mix of 1s and 0s
-    so that both scattered and large blocks occur."""
+    so that both scattered and large blocks occur; the 7-in-8 mix gives
+    cubes with 3 or more free variables."""
     m = draw(st.integers(min_m, max_m))
-    mix = draw(st.sampled_from([(0, 1), (1, 1, 1, 0)]))
+    mix = draw(st.sampled_from([(0, 1), (1, 1, 1, 0), (1,) * 7 + (0,)]))
     values = draw(st.lists(st.sampled_from(mix), min_size=1 << m,
                            max_size=1 << m))
     return values, m
@@ -579,6 +580,17 @@ class TestGreedyDisjointReference:
     @given(total_functions())
     # m = 0 is reached when every variable of a table is forbidden
     @example(([1], 0))
+    # dense tables grow cubes of 3 or more free variables, whose level
+    # joins test every subset one smaller: all ones, all ones but one
+    # cell (the first, a middle one, the last), and a fixed 7-in-8 mix
+    @example(([1] * 32, 5))
+    @example(([1] * 64, 6))
+    @example(([1] * 128, 7))
+    @example(([1] * 256, 8))
+    @example(([0] + [1] * 31, 5))
+    @example(([1] * 77 + [0] + [1] * 50, 7))
+    @example(([1] * 255 + [0], 8))
+    @example(([0 if s % 8 == 5 or s == 70 else 1 for s in range(256)], 8))
     def test_same_cubes_in_same_order(self, case):
         values, m = case
         assert _greedy_disjoint(_truth_vector(values), m) == \
@@ -621,8 +633,9 @@ def term_lists(draw):
 
 @st.composite
 def pprm_seeds(draw):
-    """(terms, m): the Reed-Muller monomials of a random 0/1 vector."""
-    m = draw(st.integers(1, 7))
+    """(terms, m): the Reed-Muller monomials of a random 0/1 vector, for
+    m up to 8, the widest stage of the benchmark's rand-esop tables."""
+    m = draw(st.integers(1, 8))
     return pairs_of(_pprm_terms(draw(st.integers(0, (1 << (1 << m)) - 1)), m),
                     m), m
 
@@ -641,6 +654,27 @@ class TestMergeTermsReference:
         terms, m = case
         assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
             reference.merge_terms(terms, m)
+
+    def test_merged_term_that_gains_a_partner_later(self):
+        # 1 xor x0' gives x0, which enters with no partner; x1' xor x0'x1'
+        # then gives x0 x1', whose entry makes x0 its partner: the two
+        # merge into x0 x1
+        terms, m = [(0, 0), (1, 0), (2, 0), (3, 0)], 2
+        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
+            reference.merge_terms(terms, m) == [(3, 3)]
+
+    def test_holds_no_memory_after_return(self):
+        # no pool or heap of the merge outlives the call
+        terms = _pprm_terms(random.Random(12).getrandbits(1 << 12), 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _merge_terms(terms, 12)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
 
 @st.composite
