@@ -11,8 +11,7 @@ The public passes build the same circuit step by step, through an
 internal gate form that allows negative controls and any control count:
 `realize_stage` maps each cube to one such gate, `lower_polarity`
 rewrites negative controls as X conjugation and drops the X pairs, and
-`lower_mct` expands the wide gates into sandwiches.  Each lowering pass
-expands a repeated gate once per call, in one dict keyed by the gate.
+`lower_mct` expands the wide gates into sandwiches.
 
 `synthesize` draws its gates from one pool that lasts for the process,
 so each distinct X, CX and CCX gate, each run of X gates on a cube's
@@ -26,10 +25,10 @@ of lines, at most 2^16 - 1.  Filling every key (tracemalloc) holds
 10.5 MB of chains at n = 16 and 20.6 MB over all widths, plus 11.5 MB
 of X runs: 32 MB in all, the worst case.  One seeded n = 16 synth comes
 near it: 30.5k chains in ESOP mode, 42.5k X runs in disjoint mode, and
-about 1.2k CCX gates in either.  The passes and `parse_qasm` keep
-per-call memos, because their line numbers come from the caller
+about 1.2k CCX gates in either.  The passes and `parse_qasm` build
+their gates per call, because their line numbers come from the caller
 (`parse_qasm` allows 64 lines, a hand-built `Circuit` any), and a
-process-wide memo keyed by them could grow without bound.
+process-wide pool keyed by them could grow without bound.
 """
 from __future__ import annotations
 
@@ -191,9 +190,6 @@ def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
     """Rewrite negative controls as X-conjugation, then drop X pairs on a
     line with no gate touching that line in between."""
     flip = cache(Gate.x)
-    # gate -> (its negative lines, lowest first; the gate with every
-    # control positive)
-    conjugated: dict[Gate, tuple[list[int], Gate]] = {}
     out: list[Gate | None] = []
     pending: dict[int, int] = {}  # line -> index of an unmatched X
 
@@ -205,18 +201,13 @@ def lower_polarity(gates: Sequence[Gate]) -> list[Gate]:
         else:
             out[prev] = None
 
-    not_ = GateKind.NOT  # a local: a member lookup costs ten times as much
     for g in gates:
-        if g.kind is not_:
+        if g.kind is GateKind.NOT:
             x(g.target)
             continue
-        entry = conjugated.get(g)
-        if entry is None:
-            neg = sorted(c.line for c in g.controls if not c.positive)
-            entry = conjugated[g] = (neg, Gate(g.target, tuple(
-                c if c.positive else Control(c.line)
-                for c in g.controls)) if neg else g)
-        neg, g = entry
+        neg = sorted(c.line for c in g.controls if not c.positive)
+        if neg:
+            g = Gate.mct(g.lines[:-1], g.target)
         for line in neg:
             x(line)
         for line in g.lines:  # the gate reads its X-conjugated lines too
@@ -238,23 +229,20 @@ def lower_mct(circuit: Circuit) -> Circuit:
     """
     base = circuit.total_width
     ccx = cache(Gate.ccx)
-    sandwiches: dict[Gate, tuple[Gate, ...]] = {}
     out: list[Gate] = []
-    mct = GateKind.MCT  # a local: a member lookup costs ten times as much
+    depth = 0  # the longest compute chain, so the ancillas it needs
     for g in circuit.gates:
-        if g.kind is not mct:
+        if g.kind is not GateKind.MCT:
             out.append(g)
             continue
-        sandwich = sandwiches.get(g)
-        if sandwich is None:
-            if not all(c.positive for c in g.controls):
-                raise ValueError("lower_polarity must run before lower_mct")
-            compute, acc, uncompute = _chain(g.lines[1:-1], base, ccx)
-            sandwich = sandwiches[g] = (
-                *compute, ccx(g.lines[0], acc, g.target), *uncompute)
-        out += sandwich
-    allocated = max((len(s) // 2 for s in sandwiches.values()), default=0)
-    return Circuit(circuit.data_width, circuit.ancilla_count + allocated,
+        if not all(c.positive for c in g.controls):
+            raise ValueError("lower_polarity must run before lower_mct")
+        compute, acc, uncompute = _chain(g.lines[1:-1], base, ccx)
+        depth = max(depth, len(compute))
+        out += compute
+        out.append(ccx(g.lines[0], acc, g.target))
+        out += uncompute
+    return Circuit(circuit.data_width, circuit.ancilla_count + depth,
                    tuple(out))
 
 
@@ -286,7 +274,7 @@ def synthesize(f: ReversibleFunction, *,
     permutation equals f (checked exhaustively).  Raises
     CascadeInfeasible/NoFeasibleOrder when no stage cascade exists.
     """
-    mode = CoverMode(mode) if not isinstance(mode, CoverMode) else mode
+    mode = CoverMode(mode)
     n = f.width
     minimize = _disjoint_terms if mode is CoverMode.DISJOINT else _esop_terms
     exact = n <= EXACT_WIDTH_CAP
@@ -310,10 +298,9 @@ def _emit(n: int,
     n and line mask) come from the process-wide pool, so each is built
     once per process; its lines stay below n + depth <= 29, and every
     key filled holds 32 MB, 20.6 MB of it chains (see the module
-    docstring).  The passes keep per-call memos, since their lines come
-    from the caller.  The output list, the unmatched X's and the
-    ancilla count belong to the call: the count is the longest chain
-    this call used, whether or not the pool already held it."""
+    docstring).  The output list, the unmatched X's and the ancilla
+    count belong to the call: the count is the longest chain this call
+    used, whether or not the pool already held it."""
     chains = _CHAINS.setdefault(n, {})
     out: list[Gate | None] = []
     at = [0] * n  # line -> index of its unmatched X, when it has one

@@ -19,10 +19,7 @@ from .errors import (
     AncillaNotRestored,
     CascadeInfeasible,
     NoFeasibleOrder,
-    QasmSyntaxError,
     StageOutOfRange,
-    TruthTableError,
-    WidthOutOfRange,
 )
 from .qasm import export_qasm, parse_qasm, split_ancillas
 from .qmap import gray_sequence, minimize_disjoint, minimize_esop
@@ -275,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_files(args)
         return _COMMANDS[args.subcommand](args)
-    except (TruthTableError, QasmSyntaxError, WidthOutOfRange,
-            StageOutOfRange, FileNotFoundError, OSError, ValueError) as exc:
+    except (ValueError, OSError, StageOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CascadeInfeasible, NoFeasibleOrder) as exc:

@@ -2,10 +2,12 @@
 
 Export is deterministic byte-for-byte; the parser accepts exactly what
 export produces plus blank lines and // comments, and reports the line
-number of anything else.  QASM has a single flat register, so a parsed
-circuit comes back with every line as a data line; `split_ancillas`
-reinterprets the top lines as ancillas when the caller knows the data
-width.
+number of anything else.  A synthesized circuit of width 16 repeats a
+few hundred distinct statements over millions of lines, so the parser
+parses each distinct statement once per call, at its first line.  QASM
+has a single flat register, so a parsed circuit comes back with every
+line as a data line; `split_ancillas` reinterprets the top lines as
+ancillas when the caller knows the data width.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import QasmSyntaxError
 
 __all__ = ["export_qasm", "parse_qasm", "split_ancillas"]
 
-_MNEMONIC_ARITY = {"x": 1, "cx": 2, "ccx": 3}
+_GATES = {"x": (1, Gate.x), "cx": (2, Gate.cx), "ccx": (3, Gate.ccx)}
 MAX_QREG_WIDTH = 64  # `synthesize` emits at most 16 data + 13 ancilla lines
 
 
@@ -29,9 +31,9 @@ def export_qasm(c: Circuit) -> str:
     # `synthesize` draws its gates from a process-wide pool (lines below
     # 29, 32 MB with every key filled; see `circuit`), so its repeated
     # gates render once per process.  Gates that `parse_qasm` (one object
-    # per distinct gate of a call), the passes or a caller build are not
-    # pooled and render once per object, since a process-wide memo keyed
-    # by their caller-supplied lines could grow without bound
+    # per distinct statement of a call), the passes or a caller build are
+    # not pooled and render once per object, since a process-wide pool
+    # keyed by their caller-supplied lines could grow without bound
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
@@ -72,44 +74,48 @@ def parse_qasm(text: str) -> Circuit:
             f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
     gates: list[Gate] = []
-    # lines -> gate, so that a repeated gate is one object and
-    # `export_qasm` renders its line once
-    made: dict[tuple[int, ...], Gate] = {}
+    # statement -> gate, so that each distinct statement is parsed once
+    # and a repeated gate is one object that `export_qasm` renders once
+    parsed: dict[str, Gate] = {}
     for lineno, stmt in statements[3:]:
-        gm = _GATE_RE.match(stmt)
-        if gm is None:
-            raise QasmSyntaxError(f"unparseable statement {stmt!r}", lineno)
-        mnemonic, argtext = gm.group(1), gm.group(2)
-        arity = _MNEMONIC_ARITY.get(mnemonic)
-        if arity is None:
-            raise QasmSyntaxError(
-                f"unsupported gate {mnemonic!r} (subset is x/cx/ccx)", lineno)
-        args = []
-        for piece in argtext.split(","):
-            am = _ARG_RE.match(piece.strip())
-            if am is None:
-                raise QasmSyntaxError(f"bad operand {piece.strip()!r}", lineno)
-            if am.group(1) != reg:
-                raise QasmSyntaxError(
-                    f"unknown register {am.group(1)!r}", lineno)
-            index = int(am.group(2))
-            if index >= width:
-                raise QasmSyntaxError(
-                    f"index {index} out of range for q[{width}]", lineno)
-            args.append(index)
-        if len(args) != arity:
-            raise QasmSyntaxError(
-                f"{mnemonic} takes {arity} operands, got {len(args)}", lineno)
-        key = tuple(args)
-        g = made.get(key)
+        g = parsed.get(stmt)
         if g is None:
-            try:
-                g = made[key] = Gate.mct(args[:-1], args[-1])
-            except ValueError as exc:
-                raise QasmSyntaxError(str(exc), lineno) from None
+            g = parsed[stmt] = _parse_gate(stmt, reg, width, lineno)
         gates.append(g)
 
     return Circuit(width, 0, tuple(gates))
+
+
+def _parse_gate(stmt: str, reg: str, width: int, lineno: int) -> Gate:
+    """The gate of one statement over register `reg` of `width` lines;
+    anything else raises QasmSyntaxError at lineno."""
+    gm = _GATE_RE.match(stmt)
+    if gm is None:
+        raise QasmSyntaxError(f"unparseable statement {stmt!r}", lineno)
+    mnemonic, argtext = gm.group(1), gm.group(2)
+    if mnemonic not in _GATES:
+        raise QasmSyntaxError(
+            f"unsupported gate {mnemonic!r} (subset is x/cx/ccx)", lineno)
+    arity, make = _GATES[mnemonic]
+    args = []
+    for piece in argtext.split(","):
+        am = _ARG_RE.match(piece.strip())
+        if am is None:
+            raise QasmSyntaxError(f"bad operand {piece.strip()!r}", lineno)
+        if am.group(1) != reg:
+            raise QasmSyntaxError(f"unknown register {am.group(1)!r}", lineno)
+        index = int(am.group(2))
+        if index >= width:
+            raise QasmSyntaxError(
+                f"index {index} out of range for q[{width}]", lineno)
+        args.append(index)
+    if len(args) != arity:
+        raise QasmSyntaxError(
+            f"{mnemonic} takes {arity} operands, got {len(args)}", lineno)
+    try:
+        return make(*args)  # controls, then target
+    except ValueError as exc:
+        raise QasmSyntaxError(str(exc), lineno) from None
 
 
 def split_ancillas(c: Circuit, data_width: int) -> Circuit:

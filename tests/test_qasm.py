@@ -139,6 +139,14 @@ class TestParse:
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg r[2];\ncx r[0],r[1];\n'
         assert parse_qasm(text) == Circuit(2, 0, (Gate.cx(0, 1),))
 
+    def test_repeated_statement_is_one_gate(self):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+                + "ccx q[0],q[1],q[2];\n" * 10_000)
+        gates = parse_qasm(text).gates
+        assert len(gates) == 10_000
+        assert gates[0] == Gate.ccx(0, 1, 2)
+        assert all(g is gates[0] for g in gates)
+
 
 class TestParseErrors:
     def test_missing_version(self):
@@ -179,6 +187,18 @@ class TestParseErrors:
         with pytest.raises(QasmSyntaxError) as exc:
             parse_qasm(text)
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("stmt, message", [
+        ("h q[0];", "unsupported gate 'h' (subset is x/cx/ccx)"),
+        ("cx q[1],q[1];", "target line 1 is also a control"),
+    ])
+    def test_repeated_bad_statement_reported_at_first_line(self, stmt, message):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+                f"x q[0];\n{stmt}\nx q[0];\n{stmt}\n")
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(text)
+        assert exc.value.line == 5
+        assert str(exc.value) == f"line 5: {message}"
 
     def test_junk_statement(self):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbarrier;\n'
