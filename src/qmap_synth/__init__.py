@@ -23,7 +23,6 @@ from .circuit import (
     Gate,
     GateKind,
     cost,
-    invert,
     lower_mct,
     lower_polarity,
     realize_stage,
@@ -37,10 +36,8 @@ from .qmap import (
     build_qmap,
     minimize_disjoint,
     minimize_esop,
-    pprm_cover,
-    verify_cover,
 )
-from .sim import Counterexample, permutation_of, run, verify
+from .sim import Counterexample, verify
 
 __version__ = "0.1.0"
 
@@ -62,7 +59,6 @@ __all__ = [
     "Gate",
     "GateKind",
     "cost",
-    "invert",
     "lower_mct",
     "lower_polarity",
     "realize_stage",
@@ -76,10 +72,6 @@ __all__ = [
     "build_qmap",
     "minimize_disjoint",
     "minimize_esop",
-    "pprm_cover",
-    "verify_cover",
     "Counterexample",
-    "permutation_of",
-    "run",
     "verify",
 ]

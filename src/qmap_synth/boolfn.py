@@ -106,19 +106,6 @@ class ReversibleFunction:
         return tuple(int(halves[j >> 3].translate(_BIT[j & 7]), 2)
                      for j in range(self.width))
 
-    def inverse(self) -> "ReversibleFunction":
-        inv = [0] * len(self.table)
-        for x, y in enumerate(self.table):
-            inv[y] = x
-        return ReversibleFunction(self.width, tuple(inv))
-
-    def compose(self, other: "ReversibleFunction") -> "ReversibleFunction":
-        """self after other: x -> self(other(x))."""
-        if other.width != self.width:
-            raise ValueError("width mismatch")
-        return ReversibleFunction(
-            self.width, tuple(self.table[y] for y in other.table))
-
 
 def is_bijective(table: Sequence[int]) -> bool:
     """True iff the table is a permutation of {0, ..., len-1}."""

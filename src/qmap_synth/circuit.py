@@ -11,7 +11,8 @@ The public passes build the same circuit step by step, through an
 internal gate form that allows negative controls and any control count:
 `realize_stage` maps each cube to one such gate, `lower_polarity`
 rewrites negative controls as X conjugation and drops the X pairs, and
-`lower_mct` expands the wide gates into sandwiches.
+`lower_mct` expands the wide gates into sandwiches.  Every gate is its
+own inverse, so a circuit's gates in reverse order are its inverse.
 
 `synthesize` draws its gates from one pool that lasts for the process,
 so each distinct X, CX and CCX gate, each run of X gates on a cube's
@@ -55,7 +56,6 @@ __all__ = [
     "lower_polarity",
     "lower_mct",
     "synthesize",
-    "invert",
     "cost",
 ]
 
@@ -163,9 +163,6 @@ class Circuit:
 
     def census(self) -> dict[str, int]:
         return {k.value: n for k, n in _kind_counts(self.gates).items()}
-
-    def has_mct(self) -> bool:
-        return GateKind.MCT in map(attrgetter("kind"), self.gates)
 
 
 def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
@@ -380,12 +377,6 @@ def _chain(controls: Sequence[int], base: int,
         compute.append(ccx(c, acc, base + i))
         acc = base + i
     return tuple(compute), acc, tuple(reversed(compute))
-
-
-def invert(c: Circuit) -> Circuit:
-    """Reverse the gate order; every basis gate is self-inverse, so this
-    is the functional inverse."""
-    return Circuit(c.data_width, c.ancilla_count, tuple(reversed(c.gates)))
 
 
 def _kind_counts(gates: Sequence[Gate]) -> dict[GateKind, int]:

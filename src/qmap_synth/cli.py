@@ -22,7 +22,7 @@ from .errors import (
     StageOutOfRange,
 )
 from .qasm import export_qasm, parse_qasm, split_ancillas
-from .qmap import gray_sequence, minimize_disjoint, minimize_esop
+from .qmap import minimize_disjoint, minimize_esop
 from .sim import verify
 
 EXIT_OK = 0
@@ -117,6 +117,8 @@ def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
 
 
 def _diagram(c: Circuit) -> str:
+    """One row per line: a gate draws X on its target, * on its controls
+    (`synthesize` emits no negative control) and | between them."""
     names = [f"q{i}" for i in range(c.data_width)]
     names += [f"a{i}" for i in range(c.ancilla_count)]
     pad = max(len(s) for s in names)
@@ -126,9 +128,8 @@ def _diagram(c: Circuit) -> str:
         for line in range(c.total_width):
             if line == g.target:
                 ch = "X"
-            elif any(ctl.line == line for ctl in g.controls):
-                ch = "*" if next(ctl.positive for ctl in g.controls
-                                 if ctl.line == line) else "o"
+            elif line in g.lines:
+                ch = "*"
             elif lo < line < hi:
                 ch = "|"
             else:
@@ -189,6 +190,11 @@ def _var_names(t: ToggleTable) -> list[str]:
     return [f"q{i}'" if t.primed[i] else f"q{i}" for i in range(t.width)]
 
 
+def _gray_sequence(bits: int) -> tuple[int, ...]:
+    """Reflected Gray order of all `bits`-bit values."""
+    return tuple(i ^ (i >> 1) for i in range(1 << bits))
+
+
 def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
     """The table's Gray-labelled grid: rows read q_{n-1}..q_k and columns
     q_{k-1}..q_0, k = ceil(n/2), each block labelled in reflected Gray
@@ -200,7 +206,7 @@ def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
     colhdr = " ".join(reversed(names[:k]))
     left = max(len(rowhdr), rbits) + 2
     lines = [f"rows: {rowhdr} | cols: {colhdr}"]
-    collabels = gray_sequence(k)
+    collabels = _gray_sequence(k)
     lines.append(" " * left + "".join(f"{cl:0{k}b}".rjust(4)
                                       for cl in collabels))
     if overlay_cubes is None:
@@ -210,7 +216,7 @@ def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
         for i, cube in enumerate(overlay_cubes):
             for state in cube.cells():
                 texts[state] += _group_symbol(i)
-    for rl in gray_sequence(rbits):
+    for rl in _gray_sequence(rbits):
         label = format(rl, f"0{rbits}b") if rbits else ""
         cells = [(texts[rl << k | cl] or ".").rjust(4) for cl in collabels]
         lines.append(label.rjust(left) + "".join(cells))

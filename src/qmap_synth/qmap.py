@@ -4,9 +4,8 @@ A toggle function over m variables is held as one truth-vector int,
 `on`, with bit s set when f(s) = 1; a toggle of a reversible function's
 stage is defined on every state, so there are no don't-cares.  The
 public minimizers take a stage's `ToggleTable` and read its `on` and
-`width`.  A cube's cells are the bits of base(mask) << value, where
-base(mask) has a bit for each cell s with s & mask == 0, so the
-minimizers and the cover check are shifts and masks over these ints.
+`width`.  A cube's cells are the states s with s & mask == value, and
+the minimizers find them with shifts and masks over these ints.
 The Gray-labelled 2-D grid of the paper (row and column labels in
 reflected Gray order, so neighbouring cells differ in one variable) is
 only drawn, by the `show` command.  Covers come in two flavours:
@@ -59,18 +58,10 @@ __all__ = [
     "Cube",
     "Cover",
     "build_qmap",
-    "gray_sequence",
     "minimize_disjoint",
     "minimize_esop",
-    "pprm_cover",
-    "verify_cover",
     "can_avoid_variable",
 ]
-
-
-def gray_sequence(bits: int) -> tuple[int, ...]:
-    """Reflected Gray order of all `bits`-bit values."""
-    return tuple(i ^ (i >> 1) for i in range(1 << bits))
 
 
 class CoverMode(Enum):
@@ -97,9 +88,6 @@ class Cube:
     @property
     def literal_count(self) -> int:
         return bin(self.mask).count("1")
-
-    def covers(self, state: int) -> bool:
-        return (state & self.mask) == self.value
 
     def cells(self) -> Iterator[int]:
         free = ~self.mask & ((1 << self.width) - 1)
@@ -149,34 +137,6 @@ def build_qmap(t: ToggleTable) -> ToggleTable:
     rebuild (bench/pipeline.py) calls it between `decompose` and
     `minimize_*`."""
     return t
-
-
-def _base(m: int, mask: int) -> int:
-    """Cells s < 2^m with s & mask == 0: the cells of cube (mask, 0)."""
-    base = (1 << (1 << m)) - 1
-    while mask:
-        low = mask & -mask
-        base &= _clear(m, low)
-        mask ^= low
-    return base
-
-
-def verify_cover(cover: Cover, t: ToggleTable) -> bool:
-    """Check the mode's covering invariant.
-
-    Disjoint: no two cubes share any cell, every 1 covered exactly once,
-    no 0 covered.  ESOP: every 1 covered an odd number of times, every 0
-    an even number.
-    """
-    if any(c.width != t.width for c in cover.cubes):
-        return False
-    acc = 0  # the cells covered an odd number of times
-    for c in cover.cubes:
-        cells = _base(t.width, c.mask) << c.value
-        if cover.mode is CoverMode.DISJOINT and acc & cells:
-            return False
-        acc ^= cells
-    return acc == t.on
 
 
 # --- exact minimization ----------------------------------------------------
@@ -485,10 +445,3 @@ def minimize_esop(t: ToggleTable,
     on, m, removed = _prepare(t, forbidden)
     terms = _esop_terms(on, m, t.width <= EXACT_WIDTH_CAP)
     return _finish(terms, removed, t.width, CoverMode.ESOP)
-
-
-def pprm_cover(t: ToggleTable) -> Cover:
-    """Positive-polarity Reed-Muller expansion as an ESOP cover."""
-    terms = _decode(_pprm_terms(t.on, t.width), t.width)
-    cubes = tuple(Cube(t.width, mk, v) for mk, v in terms)
-    return Cover(CoverMode.ESOP, cubes)

@@ -5,21 +5,24 @@ decomposition and the stage-order search as they were before they became
 bitset, numpy or prefix-set code: one input word at a time through every
 gate, one cell at a time through every candidate cube, one input at a
 time through every stage, and a full decomposition for every one of the
-n! stage orders.  Beside them are the heuristic ESOP minimizer on
-(mask, value) tuples, whose merge loop rescans the sorted pool after
-every merge, a gate's kind, lines and checks derived
-on demand, a circuit's bounds check run on every gate, a QASM renderer
-that formats every gate afresh, and the realize and lowering passes
-that build every gate anew, per cube and per literal.  The cover code
-that now works on truth-vector ints keeps its list form
-here too: variable projection, the Reed-Muller transform and the cover
-check, one cell at a time over `list[int]`.  The exact minimizer is
-kept as it was before it became one memoized recurrence: numpy tables
-of every function's optimal key, built level by level, and a cover read
-back by rescanning the splits for the first one that reaches the
-table's key.  `replay` runs a decomposition's toggle tables on one
-input.  The property tests require the library to agree with them
-exactly.
+n! stage orders.  The library's simulator is `verify` alone, so the
+tests read a circuit's output words and an unlowered circuit's
+permutation from `run` and `permutation_of` here.  Beside them are the
+heuristic ESOP minimizer on (mask, value) tuples, whose merge loop
+rescans the sorted pool after every merge, a gate's kind, lines and
+checks derived on demand, a circuit's bounds check run on every gate, a
+QASM renderer that formats every gate afresh, and the realize and
+lowering passes that build every gate anew, per cube and per literal.
+The cover code that now works on truth-vector ints keeps its list form
+here too: variable projection and the Reed-Muller transform, one cell
+at a time over `list[int]`.  `verify_cover`, the covering invariant
+counted cell by cell, is the tests' only cover check.  The exact
+minimizer is kept as it was before it became one memoized recurrence:
+numpy tables of every function's optimal key, built level by level, and
+a cover read back by rescanning the splits for the first one that
+reaches the table's key.  `replay` runs a decomposition's toggle tables
+on one input.  The property tests require the library to agree with
+them exactly.
 """
 from __future__ import annotations
 
@@ -141,12 +144,14 @@ def pprm_terms(values: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 
 def verify_cover(cover: Cover, values: Sequence[int], width: int) -> bool:
-    """The covering invariant of `qmap.verify_cover`, counted cell by
-    cell."""
+    """The mode's covering invariant, counted cell by cell: every cube
+    is `width` wide; disjoint covers no cell twice, every 1 once and no
+    0; ESOP covers every 1 an odd number of times and every 0 an even
+    number."""
     if any(c.width != width for c in cover.cubes):
         return False
     for state, v in enumerate(values):
-        count = sum(c.covers(state) for c in cover.cubes)
+        count = sum((state & c.mask) == c.value for c in cover.cubes)
         if count % 2 != v or cover.mode is CoverMode.DISJOINT and count > 1:
             return False
     return True

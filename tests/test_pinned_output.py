@@ -1,5 +1,6 @@
-"""Exact output pins: the text of `qmap-synth show` and the sha256 of the
-QASM `synthesize` emits.  A refactor of the minimizers or of the grid
+"""Exact output pins: the text of `qmap-synth show`, the summary and
+diagram `synth --diagram` prints, and the sha256 of the QASM
+`synthesize` emits.  A refactor of the minimizers or of the grid
 layout must leave both byte-identical; a change that alters them on
 purpose must record the new values and say why."""
 import hashlib
@@ -200,3 +201,36 @@ class TestSynthDigest:
                     [3, 0, 4, 1, 2])
         assert qasm_sha256(f, mode="esop", order="search") == \
             "b88ab3463b4f027d1fd2a9ced3c07e06d5945ea87ce4a2f8be7b1ab4bb167512"
+
+
+# `synth --diagram`'s stderr on the Gray table: the summary, then one row
+# per line; the disjoint circuit's ancilla row is a0
+GRAY4_DIAGRAMS = {
+    "esop": """\
+lines: 4 data + 0 ancilla
+gates: 6 (x=0 cx=6 ccx=0 mct=0)
+cost(count): 6
+q0:-X--X--X----------
+q1:-*--|--|--X--X----
+q2:----*--|--*--|--X-
+q3:-------*-----*--*-
+""",
+    "disjoint": """\
+lines: 4 data + 1 ancilla
+gates: 27 (x=12 cx=1 ccx=14 mct=0)
+cost(count): 27
+q0:----------X--------------X--------------X--------------X-------------------------
+q1:----------*--------X-----*--------------*--------X-----*--------X--------X-------
+q2:-X-----*--|--*--X-----*--|--*-----X--*--|--*--X-----*--|--*-----*-----X--*--X--X-
+q3:----X--*--|--*--------*--|--*--X-----*--|--*--------*--|--*--X--*--X-----*-----*-
+a0:-------X--*--X--------X--*--X--------X--*--X--------X--*--X----------------------
+""",
+}
+
+
+class TestDiagramText:
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    def test_gray4(self, gray4_file, capsys, mode):
+        assert main(["synth", "--input", str(gray4_file), "--mode", mode,
+                     "--diagram"]) == 0
+        assert capsys.readouterr().err == GRAY4_DIAGRAMS[mode]
