@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
+from ._value import Value
 from .errors import (
     DuplicateInputRow,
     MissingInputRow,
@@ -72,39 +72,45 @@ _BIT = [bytes.maketrans(bytes(range(256)),
         for j in range(8)]
 
 
-@dataclass(frozen=True)
-class ReversibleFunction:
+class ReversibleFunction(Value):
     """A bijective mapping on n-bit words, stored as a permutation table;
     `slices` is its bit-sliced form, built on first use."""
 
-    width: int
-    table: tuple[int, ...]
+    _fields = ("width", "table")
+    __slots__ = _fields + ("_slices",)
+    _slices: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if len(self.table) != 1 << self.width:
+    def __init__(self, width: int, table: tuple[int, ...]) -> None:
+        _check_width(width)
+        if len(table) != 1 << width:
             raise ValueError(
-                f"table has {len(self.table)} entries, expected {1 << self.width}")
-        if not is_bijective(self.table):
+                f"table has {len(table)} entries, expected {1 << width}")
+        if not is_bijective(table):
             raise ValueError("table is not a permutation")
+        self._init(width, table)
+        object.__setattr__(self, "_slices", None)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
-    @cached_property
+    @property
     def slices(self) -> tuple[int, ...]:
         """slices[j] is the truth vector of output bit j: bit x of it is
         bit j of f(x).  Each output word is split into its low and high
         byte (a table has at most 16 bits), highest input first, and
         each byte maps to the digit of its bit j, so one slice is one
-        `int(digits, 2)`."""
-        words = array("H", self.table).tobytes()
-        # from the last word back; a little-endian word's low byte is first
-        halves = (words[-2::-2], words[-1::-2])
-        if sys.byteorder == "big":
-            halves = halves[::-1]
-        return tuple(int(halves[j >> 3].translate(_BIT[j & 7]), 2)
-                     for j in range(self.width))
+        `int(digits, 2)`.  Built on first use and kept in a slot."""
+        if self._slices is None:
+            words = array("H", self.table).tobytes()
+            # from the last word back; a little-endian word's low byte
+            # is first
+            halves = (words[-2::-2], words[-1::-2])
+            if sys.byteorder == "big":
+                halves = halves[::-1]
+            object.__setattr__(self, "_slices", tuple(
+                int(halves[j >> 3].translate(_BIT[j & 7]), 2)
+                for j in range(self.width)))
+        return self._slices
 
 
 def is_bijective(table: Sequence[int]) -> bool:

@@ -23,9 +23,9 @@ over the inputs finds the witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
+from ._value import Value
 from .boolfn import ReversibleFunction, _clear, _remove_var
 from .errors import (
     CascadeInfeasible,
@@ -45,16 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StageOrder:
+class StageOrder(Value):
     """The sequence in which target bits are rewritten."""
 
-    order: tuple[int, ...]
+    __slots__ = _fields = ("order",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"not a permutation of 0..{len(self.order) - 1}: "
-                             f"{self.order}")
+    def __init__(self, order: tuple[int, ...]) -> None:
+        if sorted(order) != list(range(len(order))):
+            raise ValueError(f"not a permutation of 0..{len(order) - 1}: "
+                             f"{order}")
+        self._init(order)
 
     @classmethod
     def natural(cls, n: int) -> "StageOrder":
@@ -67,8 +67,7 @@ class StageOrder:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class ToggleTable:
+class ToggleTable(Value):
     """A stage's flip function over intermediate states, as one truth
     vector: bit v of `on` is 1 if the target bit must flip when the stage
     sees intermediate state v and 0 if it must hold.  Every state of a
@@ -76,17 +75,15 @@ class ToggleTable:
     primed[j] marks bit j as already rewritten by an earlier stage.
     """
 
-    stage: int
-    target: int
-    width: int
-    on: int
-    primed: tuple[bool, ...]
+    __slots__ = _fields = ("stage", "target", "width", "on", "primed")
 
-    def __post_init__(self) -> None:
-        if self.on < 0 or self.on >> (1 << self.width):
+    def __init__(self, stage: int, target: int, width: int, on: int,
+                 primed: tuple[bool, ...]) -> None:
+        if on < 0 or on >> (1 << width):
             raise ValueError("on must be a truth vector of 2^width bits")
-        if len(self.primed) != self.width:
+        if len(primed) != width:
             raise ValueError("primed flags must cover every bit")
+        self._init(stage, target, width, on, primed)
 
     @property
     def entries(self) -> tuple[int, ...]:

@@ -33,7 +33,6 @@ process-wide pool keyed by them could grow without bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from operator import attrgetter
@@ -41,6 +40,7 @@ from types import MappingProxyType
 from typing import (Callable, ClassVar, Iterable, Literal, Mapping,
                     NamedTuple, Sequence)
 
+from ._value import Value
 from .boolfn import ReversibleFunction
 from .cascade import StageOrder, _stage_vectors, resolve_order
 from .errors import UnloweredMct
@@ -72,8 +72,7 @@ class Control(NamedTuple):
     positive: bool = True
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Value):
     """Controlled bit flip.  The kind is derived: 0/1/2 all-positive
     controls are X/CX/CCX; anything with a negative control or three or
     more controls is the internal MCT form awaiting lowering.  `kind`
@@ -81,20 +80,20 @@ class Gate:
     construction, and `_qasm` on first export; none of them takes part
     in ==, hash or repr."""
 
-    target: int
-    controls: tuple[Control, ...] = ()
-    kind: GateKind = field(init=False, repr=False, compare=False)
-    lines: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _qasm: str | None = field(default=None, init=False, repr=False,
-                              compare=False)
+    _fields = ("target", "controls")
+    __slots__ = _fields + ("kind", "lines", "_qasm")
+    kind: GateKind
+    lines: tuple[int, ...]
+    _qasm: str | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, target: int,
+                 controls: tuple[Control, ...] = ()) -> None:
         # each Control is a (line, positive) pair
-        ctl, pos = zip(*self.controls) if self.controls else ((), ())
-        lines = ctl + (self.target,)
+        ctl, pos = zip(*controls) if controls else ((), ())
+        lines = ctl + (target,)
         if len(set(lines)) != len(lines):
-            if self.target in ctl:
-                raise ValueError(f"target line {self.target} is also a control")
+            if target in ctl:
+                raise ValueError(f"target line {target} is also a control")
             raise ValueError(f"duplicate control lines in {list(ctl)}")
         if min(lines) < 0:
             raise ValueError("negative line index")
@@ -102,15 +101,14 @@ class Gate:
             kind = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)[len(ctl)]
         else:
             kind = GateKind.MCT
+        self._init(target, controls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_qasm", None)
 
     def _render_qasm(self) -> str:
         """Derive the gate's OpenQASM line and keep it in `_qasm`; an
-        MCT gate has none and raises UnloweredMct.  Set as an
-        attribute, not through `__dict__` as `cached_property` would:
-        that gives the instance a dict of its own, and `sim`'s reads of
-        `kind` and `lines` get several times slower (Python 3.11)."""
+        MCT gate has none and raises UnloweredMct."""
         if self.kind is GateKind.MCT:
             raise UnloweredMct(
                 f"gate {self} must be lowered before QASM export")
@@ -136,23 +134,31 @@ class Gate:
         return cls(target, tuple(map(Control, controls)))
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Value):
     """Ordered gates over data_width lines plus trailing ancilla lines."""
 
-    data_width: int
-    ancilla_count: int
-    gates: tuple[Gate, ...]
+    __slots__ = _fields = ("data_width", "ancilla_count", "gates")
 
-    def __post_init__(self) -> None:
+    def __init__(self, data_width: int, ancilla_count: int,
+                 gates: tuple[Gate, ...]) -> None:
+        self._init(data_width, ancilla_count, gates)
         width = self.total_width
         # distinct line tuples in order of first use, so the first one
         # out of range belongs to the first offending gate
-        for lines in {g.lines: None for g in self.gates}:
+        for lines in {g.lines: None for g in gates}:
             if max(lines) >= width:
-                g = next(g for g in self.gates if g.lines == lines)
+                g = next(g for g in gates if g.lines == lines)
                 raise ValueError(
                     f"gate {g} uses a line >= total width {width}")
+
+    @classmethod
+    def _unchecked(cls, data_width: int, ancilla_count: int,
+                   gates: tuple[Gate, ...]) -> "Circuit":
+        """The circuit without the bounds walk over its gates, for
+        `_emit`, whose lines are below n + depth by construction."""
+        c = object.__new__(cls)
+        c._init(data_width, ancilla_count, gates)
+        return c
 
     @property
     def total_width(self) -> int:
@@ -297,7 +303,9 @@ def _emit(n: int,
     key filled holds 32 MB, 20.6 MB of it chains (see the module
     docstring).  The output list, the unmatched X's and the ancilla
     count belong to the call: the count is the longest chain this call
-    used, whether or not the pool already held it."""
+    used, whether or not the pool already held it.  Its lines are in
+    range by construction, so the circuit is built without the public
+    constructor's walk over the gates."""
     chains = _CHAINS.setdefault(n, {})
     out: list[Gate | None] = []
     at = [0] * n  # line -> index of its unmatched X, when it has one
@@ -349,7 +357,8 @@ def _emit(n: int,
                     at[l] = len(out)
                     out.append(x)
                 pending |= neg
-    return Circuit(n, depth, tuple(filter(None, out)))  # gates are truthy
+    # gates are truthy
+    return Circuit._unchecked(n, depth, tuple(filter(None, out)))
 
 
 # The process-wide pool of `_emit` (see the module docstring): the X, CX
@@ -386,12 +395,14 @@ def _kind_counts(gates: Sequence[Gate]) -> dict[GateKind, int]:
     return {k: kinds.count(k) for k in GateKind}
 
 
-@dataclass(frozen=True)
-class CostModel:
-    mode: Literal["count", "weighted"] = "count"
+class CostModel(Value):
+    __slots__ = _fields = ("mode",)
     # the per-kind cost of the weighted mode
     weights: ClassVar[Mapping[GateKind, float]] = MappingProxyType(
         {GateKind.NOT: 1.0, GateKind.CNOT: 1.0, GateKind.TOFFOLI: 5.0})
+
+    def __init__(self, mode: Literal["count", "weighted"] = "count") -> None:
+        self._init(mode)
 
 
 def cost(c: Circuit, m: CostModel | None = None) -> float:

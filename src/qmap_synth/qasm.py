@@ -4,7 +4,9 @@ Export is deterministic byte-for-byte; the parser accepts exactly what
 export produces plus blank lines and // comments, and reports the line
 number of anything else.  A synthesized circuit of width 16 repeats a
 few hundred distinct statements over millions of lines, so the parser
-parses each distinct statement once per call, at its first line.  QASM
+parses each distinct line once per call, at its first occurrence, and
+reads the text one chunk of lines at a time, so that it keeps nothing
+per line but the gate it appends.  QASM
 has a single flat register, so a parsed circuit comes back with every
 line as a data line; `split_ancillas` reinterprets the top lines as
 ancillas when the caller knows the data width.
@@ -12,6 +14,7 @@ ancillas when the caller knows the data width.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .circuit import Circuit, Gate
 from .errors import QasmSyntaxError
@@ -31,7 +34,7 @@ def export_qasm(c: Circuit) -> str:
     # `synthesize` draws its gates from a process-wide pool (lines below
     # 29, 32 MB with every key filled; see `circuit`), so its repeated
     # gates render once per process.  Gates that `parse_qasm` (one object
-    # per distinct statement of a call), the passes or a caller build are
+    # per distinct line of a call), the passes or a caller build are
     # not pooled and render once per object, since a process-wide pool
     # keyed by their caller-supplied lines could grow without bound
     lines = [
@@ -50,21 +53,25 @@ _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]$")
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the exported subset back into a circuit (all lines data)."""
-    statements: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    numbered = enumerate(_lines(text), start=1)
+    # the first three statements with their line numbers
+    header: list[tuple[int, str]] = []
+    for lineno, raw in numbered:
         line = raw.split("//", 1)[0].strip()
         if line:
-            statements.append((lineno, line))
+            header.append((lineno, line))
+            if len(header) == 3:
+                break
 
-    if not statements or statements[0][1] != "OPENQASM 2.0;":
-        lineno = statements[0][0] if statements else 1
+    if not header or header[0][1] != "OPENQASM 2.0;":
+        lineno = header[0][0] if header else 1
         raise QasmSyntaxError('expected "OPENQASM 2.0;"', lineno)
-    if len(statements) < 2 or statements[1][1] != 'include "qelib1.inc";':
-        lineno = statements[1][0] if len(statements) > 1 else statements[0][0]
+    if len(header) < 2 or header[1][1] != 'include "qelib1.inc";':
+        lineno = header[1][0] if len(header) > 1 else header[0][0]
         raise QasmSyntaxError('expected "include \"qelib1.inc\";"', lineno)
-    if len(statements) < 3:
-        raise QasmSyntaxError("missing qreg declaration", statements[-1][0])
-    lineno, decl = statements[2]
+    if len(header) < 3:
+        raise QasmSyntaxError("missing qreg declaration", header[-1][0])
+    lineno, decl = header[2]
     m = _QREG_RE.match(decl)
     if m is None:
         raise QasmSyntaxError(f"expected qreg declaration, got {decl!r}", lineno)
@@ -74,16 +81,36 @@ def parse_qasm(text: str) -> Circuit:
             f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
     gates: list[Gate] = []
-    # statement -> gate, so that each distinct statement is parsed once
-    # and a repeated gate is one object that `export_qasm` renders once
-    parsed: dict[str, Gate] = {}
-    for lineno, stmt in statements[3:]:
-        g = parsed.get(stmt)
+    # raw line -> its gate, or None for a blank or comment line, so that
+    # each distinct line is parsed once and a repeated gate is one object
+    # that `export_qasm` renders once
+    parsed: dict[str, Gate | None] = {}
+    for lineno, raw in numbered:
+        g = parsed.get(raw)
         if g is None:
-            g = parsed[stmt] = _parse_gate(stmt, reg, width, lineno)
+            if raw in parsed:
+                continue
+            stmt = raw.split("//", 1)[0].strip()
+            g = parsed[raw] = (_parse_gate(stmt, reg, width, lineno)
+                               if stmt else None)
+            if g is None:
+                continue
         gates.append(g)
 
     return Circuit(width, 0, tuple(gates))
+
+
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    """The lines of `text.splitlines()`, one chunk of about `chunk`
+    characters at a time, so that no list of every line is built.  Each
+    chunk ends just after a newline or at the end of the text, and
+    splitlines always breaks a line there, so the chunks' lines are the
+    text's."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _parse_gate(stmt: str, reg: str, width: int, lineno: int) -> Gate:

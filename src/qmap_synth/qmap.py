@@ -43,10 +43,11 @@ and `_esop_terms`, which take the truth vector and return sorted
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
 from typing import Iterator, Sequence
 
+from ._value import Value
 from .boolfn import _clear, _remove_var
 from .cascade import ToggleTable
 
@@ -69,21 +70,25 @@ class CoverMode(Enum):
     ESOP = "esop"
 
 
-@dataclass(frozen=True, order=True)
-class Cube:
+@total_ordering
+class Cube(Value):
     """A product term: bit i of `mask` marks variable i as present, and
-    the matching bit of `value` gives its required polarity."""
+    the matching bit of `value` gives its required polarity.  Cubes
+    order by (width, mask, value)."""
 
-    width: int
-    mask: int
-    value: int
+    __slots__ = _fields = ("width", "mask", "value")
 
-    def __post_init__(self) -> None:
-        full = (1 << self.width) - 1
-        if self.mask & ~full:
+    def __init__(self, width: int, mask: int, value: int) -> None:
+        if mask & ~((1 << width) - 1):
             raise ValueError("mask wider than cube width")
-        if self.value & ~self.mask:
+        if value & ~mask:
             raise ValueError("value bits outside mask")
+        self._init(width, mask, value)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()  # type: ignore[attr-defined]
+        return NotImplemented
 
     @property
     def literal_count(self) -> int:
@@ -110,10 +115,11 @@ class Cube:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Cover:
-    mode: CoverMode
-    cubes: tuple[Cube, ...]
+class Cover(Value):
+    __slots__ = _fields = ("mode", "cubes")
+
+    def __init__(self, mode: CoverMode, cubes: tuple[Cube, ...]) -> None:
+        self._init(mode, cubes)
 
     def __len__(self) -> int:
         return len(self.cubes)

@@ -11,9 +11,9 @@ is walked input by input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value
 from .boolfn import ReversibleFunction, _clear
 from .circuit import Circuit, GateKind
 from .errors import AncillaNotRestored
@@ -67,14 +67,14 @@ def _simulate(c: Circuit, expected: Sequence[int]
     return lines[:n], i if bad else None
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Value):
     """A mismatching input; its words print as `width` bits, MSB first."""
 
-    width: int
-    input: int
-    got: int
-    expected: int
+    __slots__ = _fields = ("width", "input", "got", "expected")
+
+    def __init__(self, width: int, input: int, got: int,
+                 expected: int) -> None:
+        self._init(width, input, got, expected)
 
     def __str__(self) -> str:
         fmt = f"0{self.width}b"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -111,7 +110,8 @@ class TestGateAgainstReference:
                                for c in g.controls)},
             {"controls": g.controls[:2]},
         ]))
-        r = dataclasses.replace(g, **changes)
+        fields = {"target": g.target, "controls": g.controls}
+        r = Gate(**{**fields, **changes})
         assert r.kind is reference.gate_kind(r)
         assert r.lines == reference.gate_lines(r)
 
@@ -288,8 +288,18 @@ class TestEmitAgainstReference:
     @given(stage_streams())
     def test_stage_streams(self, case):
         n, stages = case
+        c = _emit(n, stages)
         # same gates, same ancilla count
-        assert _emit(n, stages) == step_by_step(n, as_covers(n, stages))
+        assert c == step_by_step(n, as_covers(n, stages))
+        # `_emit` skips the public constructor's bounds check
+        assert Circuit(c.data_width, c.ancilla_count, c.gates) == c
+
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_emitted_circuit_passes_the_bounds_check(self, n, mode):
+        c = synthesize(random_feasible_function(n, random.Random(n)),
+                       mode=mode)
+        assert Circuit(c.data_width, c.ancilla_count, c.gates) == c
 
     def test_constant_cube_cancels_previous_trailing_x(self):
         # stage 1 leaves !q1's closing X pending (variable 0 of target 0

@@ -3,10 +3,15 @@ resolves, so an export left behind by a deleted name fails here rather
 than in a user's `from qmap_synth import *`; the package's own list is
 pinned, so adding or removing a public name is a reviewed diff; and
 every name the benchmark under `bench/` imports from the package
-resolves, so a deletion that would break it fails here too."""
+resolves, so a deletion that would break it fails here too.  Importing
+the package and its command line loads neither `dataclasses`, `inspect`
+nor numpy, each of which would add to every CLI call's start-up."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +92,14 @@ def test_bench_imports_resolve():
     missing = [(file, module, name) for file, module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_import_loads_no_heavy_modules():
+    # -S: no site hooks, so only what the package imports is loaded
+    code = ("import sys, qmap_synth, qmap_synth.cli; print(*sorted("
+            "{'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qmap_synth.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from conftest import (
     edited_text,
     gates_on,
     optimized_reference_circuit,
+    random_feasible_function,
     unoptimized_reference_circuit,
 )
 from qmap_synth import (
@@ -20,9 +22,10 @@ from qmap_synth import (
     lower_polarity,
     parse_qasm,
     split_ancillas,
+    synthesize,
 )
 from qmap_synth.errors import QasmSyntaxError, UnloweredMct
-from qmap_synth.qasm import MAX_QREG_WIDTH
+from qmap_synth.qasm import MAX_QREG_WIDTH, _lines
 
 
 @st.composite
@@ -224,6 +227,41 @@ class TestParseErrors:
                 f"qreg q[{MAX_QREG_WIDTH}];\nx q[{MAX_QREG_WIDTH - 1}];\n")
         assert parse_qasm(text) == Circuit(
             MAX_QREG_WIDTH, 0, (Gate.x(MAX_QREG_WIDTH - 1),))
+
+
+class TestParseStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("ab \n\r\x0b\x0c\x1c\x85\u2028"),
+                   max_size=40),
+           st.integers(1, 8))
+    def test_chunked_lines_are_splitlines(self, text, chunk):
+        # every line break of str.splitlines, with \r\n pairs and chunk
+        # ends that fall on, before and after them
+        assert list(_lines(text, chunk)) == text.splitlines()
+
+    def test_error_line_past_the_first_chunks(self):
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                + "x q[0];\r\n" * 20_000 + "x q[1];\x0cx q[2];\n")
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(text)
+        assert str(exc.value) == "line 20005: index 2 out of range for q[2]"
+
+    def test_peak_memory_is_a_small_multiple_of_the_text(self):
+        # about 60k lines and 1 MB of text; a list with an entry per line
+        # would take several times the text
+        c = synthesize(random_feasible_function(8, random.Random(8)),
+                       mode="disjoint")
+        decl = f"qreg q[{c.total_width}];\n"
+        head, _, body = export_qasm(c).partition(decl)
+        text = head + decl + body * 20
+        tracemalloc.start()
+        try:
+            parsed = parse_qasm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.gates == c.gates * 20
+        assert peak < 2 * len(text)
 
 
 class TestSplitAncillas:

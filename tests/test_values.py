@@ -1,0 +1,100 @@
+"""The value types: equal fields give equal, equally hashed objects whose
+repr names the fields in order; fields can be neither assigned nor
+deleted; derived and cached slots take no part in any of it; pickling
+and `copy` rebuild an equal object; and cubes order by
+(width, mask, value)."""
+import copy
+import itertools
+import pickle
+
+import pytest
+
+from qmap_synth import (
+    Circuit,
+    Control,
+    CostModel,
+    Counterexample,
+    Cover,
+    CoverMode,
+    Cube,
+    Gate,
+    ReversibleFunction,
+    StageOrder,
+    ToggleTable,
+)
+
+# (type, fields, other fields, repr): one instance per type, built
+# twice from its fields, and one with other fields
+VALUES = [
+    (ReversibleFunction, (2, (0, 1, 3, 2)), (2, (0, 1, 2, 3)),
+     "ReversibleFunction(width=2, table=(0, 1, 3, 2))"),
+    (StageOrder, ((1, 0),), ((0, 1),), "StageOrder(order=(1, 0))"),
+    (ToggleTable, (0, 1, 2, 0b0110, (False, False)),
+     (1, 1, 2, 0b0110, (True, False)),
+     "ToggleTable(stage=0, target=1, width=2, on=6, "
+     "primed=(False, False))"),
+    (Gate, (2, (Control(0), Control(1, False))), (2, (Control(0),)),
+     "Gate(target=2, controls=(Control(line=0, positive=True), "
+     "Control(line=1, positive=False)))"),
+    (Circuit, (3, 1, (Gate.x(0),)), (3, 0, (Gate.x(0),)),
+     "Circuit(data_width=3, ancilla_count=1, "
+     "gates=(Gate(target=0, controls=()),))"),
+    (CostModel, ("weighted",), ("count",), "CostModel(mode='weighted')"),
+    (Cube, (3, 0b101, 0b001), (3, 0b101, 0b100),
+     "Cube(width=3, mask=5, value=1)"),
+    (Cover, (CoverMode.ESOP, (Cube(2, 1, 1),)), (CoverMode.DISJOINT, ()),
+     "Cover(mode=<CoverMode.ESOP: 'esop'>, "
+     "cubes=(Cube(width=2, mask=1, value=1),))"),
+    (Counterexample, (2, 1, 3, 2), (2, 1, 3, 1),
+     "Counterexample(width=2, input=1, got=3, expected=2)"),
+]
+ids = [case[0].__name__ for case in VALUES]
+
+
+@pytest.mark.parametrize("kind, fields, other, text", VALUES, ids=ids)
+def test_value_semantics(kind, fields, other, text):
+    a, b = kind(*fields), kind(*fields)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)
+    assert a != kind(*other)
+    assert a != fields  # a tuple of the same fields is another value
+    assert repr(a) == text
+    names = kind._fields
+    assert tuple(getattr(a, name) for name in names) == fields
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")
+    assert a == b and repr(a) == text
+    for twin in (copy.copy(a), copy.deepcopy(a),
+                 pickle.loads(pickle.dumps(a))):
+        assert twin == a and type(twin) is kind
+
+
+def test_derived_slots_stay_out_of_the_value():
+    f, g = ReversibleFunction(2, (0, 1, 3, 2)), ReversibleFunction(2, (0, 1, 3, 2))
+    assert f.slices is f.slices  # built once, then kept
+    assert f == g and hash(f) == hash(g)
+    x, y = Gate.ccx(0, 1, 2), Gate.ccx(0, 1, 2)
+    assert x._render_qasm() == "ccx q[0],q[1],q[2];"
+    assert x._qasm is not None and y._qasm is None
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    assert pickle.loads(pickle.dumps(x)).lines == x.lines
+
+
+CUBES = [Cube(w, mask, value) for w in (1, 2) for mask in range(1 << w)
+         for value in range(1 << w) if value & ~mask == 0]
+
+
+def test_cubes_order_by_width_mask_value():
+    assert sorted(CUBES[::-1]) == sorted(
+        CUBES, key=lambda c: (c.width, c.mask, c.value))
+    for a, b in itertools.product(CUBES, repeat=2):
+        ka, kb = (a.width, a.mask, a.value), (b.width, b.mask, b.value)
+        assert ((a < b), (a <= b), (a > b), (a >= b)) == (
+            (ka < kb), (ka <= kb), (ka > kb), (ka >= kb))
+    with pytest.raises(TypeError):
+        CUBES[0] < (1, 0, 0)  # noqa: B015 - the comparison is the test
