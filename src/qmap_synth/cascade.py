@@ -27,16 +27,9 @@ from typing import Iterator, NoReturn
 
 from ._value import Value
 from .boolfn import ReversibleFunction, _clear, _remove_var
-from .errors import (
-    CascadeInfeasible,
-    NoFeasibleOrder,
-    WidthOutOfRange,
-)
-
-MAX_SEARCH_WIDTH = 15
+from .errors import CascadeInfeasible, NoFeasibleOrder
 
 __all__ = [
-    "MAX_SEARCH_WIDTH",
     "StageOrder",
     "ToggleTable",
     "decompose",
@@ -210,15 +203,11 @@ def find_feasible_order(f: ReversibleFunction) -> StageOrder:
     2^n - 2 proper non-empty sets is tested at most once, by a shift and
     a mask of one slice of the walk at its parent set (`_advance`).
     Some functions need every test, such as a swap of the top two bits;
-    that worst case takes 0.14 s at MAX_SEARCH_WIDTH = 15 on one Xeon
-    core, and would take 0.36 s at width 16.  Raises NoFeasibleOrder
-    when no order works.
+    that worst case takes 0.10-0.14 s at width 15 and 0.22-0.36 s at
+    width 16, the widest the parser accepts, on one Xeon core.  Raises
+    NoFeasibleOrder when no order works.
     """
     n = f.width
-    if n > MAX_SEARCH_WIDTH:
-        raise WidthOutOfRange(
-            f"order search tests up to 2^n prefix sets; width {n} exceeds "
-            f"{MAX_SEARCH_WIDTH}")
     dead: set[int] = set()
     path: list[int] = []  # targets rewritten so far, in order
     walks = [_start(f)]  # the walk at each set along the path

@@ -155,7 +155,9 @@ class Circuit(Value):
     def _unchecked(cls, data_width: int, ancilla_count: int,
                    gates: tuple[Gate, ...]) -> "Circuit":
         """The circuit without the bounds walk over its gates, for
-        `_emit`, whose lines are below n + depth by construction."""
+        callers whose lines are known to fit: `_emit`'s are below
+        n + depth by construction, `parse_qasm` refuses an operand past
+        its qreg, and `split_ancillas` keeps a circuit's total width."""
         c = object.__new__(cls)
         c._init(data_width, ancilla_count, gates)
         return c

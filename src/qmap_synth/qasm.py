@@ -97,7 +97,7 @@ def parse_qasm(text: str) -> Circuit:
                 continue
         gates.append(g)
 
-    return Circuit(width, 0, tuple(gates))
+    return Circuit._unchecked(width, 0, tuple(gates))  # see `_parse_gate`
 
 
 def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
@@ -150,4 +150,4 @@ def split_ancillas(c: Circuit, data_width: int) -> Circuit:
     if not 0 < data_width <= c.total_width:
         raise ValueError(
             f"data width {data_width} not in [1, {c.total_width}]")
-    return Circuit(data_width, c.total_width - data_width, c.gates)
+    return Circuit._unchecked(data_width, c.total_width - data_width, c.gates)

@@ -35,10 +35,12 @@ Agrawal & Srikant, VLDB 1994), so each test reads one bit.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  Its
-heap queues a merged term only if it has a merge partner.  The
-public minimizers and `synthesize` share the int cores `_disjoint_terms`
-and `_esop_terms`, which take the truth vector and return sorted
-(mask, value) pairs; only the public ones build `Cube`s.
+heap queues a merged term only if it has a merge partner, and its
+cover provably holds at most one complemented single literal, so only
+exact ESOP covers flip theirs positive in pairs.  The public minimizers
+and `synthesize` share the int cores `_disjoint_terms` and `_esop_terms`,
+which take the truth vector and return sorted (mask, value) pairs; only
+the public ones build `Cube`s.
 """
 from __future__ import annotations
 
@@ -191,20 +193,20 @@ def _split(disjoint: bool, f: int, m: int) -> tuple[int, int]:
     return split
 
 
-def _exact_cubes(kind: str, on: int, m: int) -> list[tuple[int, int]]:
+def _exact_cubes(disjoint: bool, on: int, m: int) -> list[tuple[int, int]]:
     """One exact minimum cover of a function on m <= 4 variables, as
     (mask, value) pairs: the cubes of P, then of Q and R with the top
     variable added negative and positive."""
     if m == 0:
         return [(0, 0)] if on else []
-    p = _split(kind == "disjoint", on, m)[1]
+    p = _split(disjoint, on, m)[1]
     bit = 1 << (m - 1)  # the top variable; also each cofactor's cell count
     f0, f1 = on & ((1 << bit) - 1), on >> bit
-    cubes = _exact_cubes(kind, p, m - 1)
+    cubes = _exact_cubes(disjoint, p, m - 1)
     cubes += [(mask | bit, value) for mask, value in
-              _exact_cubes(kind, p ^ f0, m - 1)]
+              _exact_cubes(disjoint, p ^ f0, m - 1)]
     cubes += [(mask | bit, value | bit) for mask, value in
-              _exact_cubes(kind, p ^ f1, m - 1)]
+              _exact_cubes(disjoint, p ^ f1, m - 1)]
     return cubes
 
 
@@ -221,9 +223,9 @@ def _pprm_terms(f: int, m: int) -> list[int]:
 
 
 def _merge_terms(terms: list[int], m: int) -> list[int]:
-    """Greedy pairwise reduction of term keys to a fixpoint: the smallest
-    term that has a partner merges with its first partner, and equal
-    terms cancel outright (XOR semantics).
+    """Greedy pairwise reduction of distinct term keys to a fixpoint: the
+    smallest term that has a partner merges with its first partner, and
+    a merged term cancels an equal one in the pool (XOR semantics).
 
     A key is mask << m | value with value < 2^m, so keys compare as the
     (mask, value) pairs do: the mask decides, then the value.  Two
@@ -239,17 +241,21 @@ def _merge_terms(terms: list[int], m: int) -> list[int]:
     entries that are skipped when popped.  A term gains a partner only
     when a term enters the pool, and the relation is symmetric, so the
     scan of an entering term's 2m neighbours pushes those in the pool
-    and pushes the entering term itself only if it found one.  Equal
-    input terms cancel in pairs before the merge starts."""
+    and pushes the entering term itself only if it found one.
+
+    A merged Reed-Muller seed never holds two complemented single
+    literals.  Call a term all-negative when its value is 0 (the
+    constant counts).  On one slot any two of C, Cx and Cx' XOR to the
+    third; Cx is never all-negative, and Cx' is exactly when C is.  So
+    C xor Cx -> Cx' and Cx xor Cx' -> C keep the pool's count of such
+    terms, C xor Cx' -> Cx lowers it by 0 or 2, and a cancellation lowers
+    it further.  The seed's positive monomials hold at most one, the
+    constant, and two single negatives would be two."""
     slots = []  # per variable: value bit, mask bit, both, all but both
     for i in range(m):
         b, mb = 1 << i, 1 << i + m
         slots.append((b, mb, mb | b, ~(mb | b)))
     pool = set(terms)
-    if len(pool) != len(terms):  # equal terms cancel in pairs
-        pool = set()
-        for t in terms:
-            pool.symmetric_difference_update((t,))
     heap = list(pool)
     heapq.heapify(heap)
     while heap:
@@ -369,22 +375,6 @@ def _insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
             ((value & ~low) << 1) | (value & low))
 
 
-def _normalize_single_negatives(terms: list[int], m: int) -> list[int]:
-    """Flip pairs of complemented single-literal term keys positive; the
-    two constant-1 corrections cancel under XOR.  Such a key is a lone
-    mask bit (value bits lie inside the mask), and t | t >> m is its
-    positive flip."""
-    while True:
-        singles = sorted(t for t in terms if t.bit_count() == 1)
-        if len(singles) < 2:
-            break
-        for t in singles[:2]:
-            terms.remove(t)
-            terms.append(t | t >> m)
-    # a flip may duplicate an existing term; equal pairs cancel
-    return _merge_terms(terms, m) if len(set(terms)) != len(terms) else terms
-
-
 # --- public minimizers ------------------------------------------------------
 
 def _prepare(t: ToggleTable, forbidden: frozenset[int]):
@@ -399,29 +389,32 @@ def _prepare(t: ToggleTable, forbidden: frozenset[int]):
     return on, m, sorted(forbidden)
 
 
-def _decode(terms: list[int], m: int) -> list[tuple[int, int]]:
-    """(mask, value) pairs of term keys over m variables."""
-    low = (1 << m) - 1
-    return [(t >> m, t & low) for t in terms]
-
-
 def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """A disjoint SOP cover of `on` over m variables as sorted
     (mask, value) pairs: exact, or largest-block-first greedy."""
     if exact:
-        return sorted(_exact_cubes("disjoint", on, m))
+        return sorted(_exact_cubes(True, on, m))
     return sorted(_greedy_disjoint(on, m))
 
 
 def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """An ESOP cover of `on` over m variables as sorted (mask, value)
-    pairs: exact, or a Reed-Muller seed reduced by term merging."""
-    if exact:
-        terms = [mk << m | v for mk, v in _exact_cubes("esop", on, m)]
-    else:
-        terms = _merge_terms(_pprm_terms(on, m), m)
-    # keys sort as their pairs do
-    return _decode(sorted(_normalize_single_negatives(terms, m)), m)
+    pairs: exact, or a Reed-Muller seed reduced by term merging.
+
+    An exact cover's complemented single literals are flipped positive
+    in pairs, lowest first, since the two constant-1 corrections cancel
+    under XOR; a merged cover never holds two (see `_merge_terms`).  A
+    flip never meets an equal cube: an exact cover has the fewest cubes,
+    and if it held both x and x', the constant 1 could replace them (or
+    cancel a 1 already there) with fewer."""
+    if not exact:
+        low = (1 << m) - 1
+        return [(t >> m, t & low)
+                for t in _merge_terms(_pprm_terms(on, m), m)]
+    cubes = _exact_cubes(False, on, m)
+    singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
+    flip = set(singles[:len(singles) & ~1])
+    return sorted((mk, mk if mk in flip else v) for mk, v in cubes)
 
 
 def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,

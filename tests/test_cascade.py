@@ -24,8 +24,7 @@ from qmap_synth import (
 )
 from qmap_synth import cascade
 from qmap_synth.cascade import resolve_order
-from qmap_synth.cascade import MAX_SEARCH_WIDTH
-from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, WidthOutOfRange
+from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder
 from qmap_synth.qmap import _truth_vector
 
 
@@ -154,9 +153,13 @@ class TestFeasibleOrder:
         with pytest.raises(NoFeasibleOrder):
             find_feasible_order(swap2_function())
 
-    def test_width_cap(self):
-        with pytest.raises(WidthOutOfRange):
-            find_feasible_order(identity_function(MAX_SEARCH_WIDTH + 1))
+    def test_widest_tables(self):
+        # the search runs at every width the parser accepts; the swap of
+        # the top two bits tests every prefix set before it gives up
+        assert find_feasible_order(identity_function(16)).order == \
+            tuple(range(16))
+        with pytest.raises(NoFeasibleOrder):
+            find_feasible_order(bit_swap_function(16, 14, 15))
 
     def test_returns_first_lexicographic(self):
         # q0' = q1 and q1' = q0^q1: stage order (0,1) collapses inputs 00

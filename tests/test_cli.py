@@ -107,6 +107,15 @@ class TestSynth:
         assert code == 3
         assert "order" in capsys.readouterr().err
 
+    def test_widest_swap_search_exit3(self, tmp_path, capsys):
+        # width 16, the parser's widest: the search runs and finds no
+        # order, rather than refusing the width (exit 2)
+        path = tmp_path / "swap16.tt"
+        path.write_text(render_truth_table(bit_swap_function(16, 15, 14)))
+        code = main(["synth", "--input", str(path), "--order", "search"])
+        assert code == 3
+        assert "order" in capsys.readouterr().err
+
     def test_diagram(self, gray4_file, capsys):
         code = main(["synth", "--input", str(gray4_file), "--diagram"])
         assert code == 0

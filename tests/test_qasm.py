@@ -123,6 +123,17 @@ class TestParse:
         c = Circuit(width, 0, tuple(gates))
         assert parse_qasm(export_qasm(c)) == c
 
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    def test_roundtrip_synthesized_circuits(self, mode):
+        # parsing skips the constructor's bounds walk, so its circuit
+        # must equal the checked one on the same gates
+        rng = random.Random(23)
+        for n in range(1, 10):
+            c = synthesize(random_feasible_function(n, rng), mode=mode)
+            parsed = parse_qasm(export_qasm(c))
+            assert parsed == Circuit(c.total_width, 0, c.gates)
+            assert split_ancillas(parsed, c.data_width) == c
+
     @settings(max_examples=200, deadline=None)
     @given(lowered_circuits)
     def test_roundtrip_property(self, c):

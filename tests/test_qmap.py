@@ -651,7 +651,13 @@ class TestMergeTermsReference:
     @settings(max_examples=300, deadline=None)
     @given(term_lists())
     def test_same_terms_on_term_lists(self, case):
+        # `_merge_terms` takes distinct terms, so equal pairs in the draw
+        # cancel first, as they do in the reference's pool
         terms, m = case
+        pool = set()
+        for t in terms:
+            pool ^= {t}
+        terms = list(pool)
         assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
             reference.merge_terms(terms, m)
 
@@ -710,8 +716,9 @@ class TestMinimizeEsopReference:
         assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_heuristic(values, m, forbidden)
 
-    # the heuristic merge has never been seen to leave two single
-    # negatives, so only exact covers exercise their normalization
+    # a merged Reed-Muller seed provably holds at most one single
+    # negative (see `_merge_terms` and TestSingleNegatives), so only
+    # exact covers exercise the reference's normalization
     @settings(max_examples=200, deadline=None)
     @given(grids_with_forbidden(1, 4))
     def test_same_cover_on_exact_grids(self, case):
@@ -719,6 +726,41 @@ class TestMinimizeEsopReference:
         table = make_table(values, m)
         assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_exact(values, m, forbidden)
+
+
+def all_negative(keys, m):
+    """How many term keys have value 0: the constant and the terms whose
+    every literal is complemented."""
+    return sum(1 for k in keys if not k & ((1 << m) - 1))
+
+
+class TestSingleNegatives:
+    """Why only exact ESOP covers flip complemented single literals: a
+    merged seed holds at most one, and an exact cover's flips never meet
+    an equal cube (the proofs are in `_merge_terms` and `_esop_terms`)."""
+
+    def test_merged_seed_of_every_function_up_to_four_variables(self):
+        for m in range(5):
+            for on in range(1 << (1 << m)):
+                merged = _merge_terms(_pprm_terms(on, m), m)
+                assert all_negative(merged, m) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(total_functions(5, 10))
+    def test_merged_seed_up_to_ten_variables(self, case):
+        values, m = case
+        merged = _merge_terms(_pprm_terms(_truth_vector(values), m), m)
+        assert all_negative(merged, m) <= 1
+
+    def test_exact_covers_up_to_four_variables(self):
+        # distinct cubes, and no variable both as x and as x': each
+        # single-literal mask appears once
+        for m in range(5):
+            for on in range(1 << (1 << m)):
+                cubes = _exact_cubes(False, on, m)
+                singles = [mk for mk, _ in cubes if mk.bit_count() == 1]
+                assert len(set(cubes)) == len(cubes)
+                assert len(set(singles)) == len(singles)
 
 
 class TestRemoveVarReference:
@@ -745,7 +787,7 @@ class TestExactCubesReference:
         for m in range(4):
             tabs = reference.exact_tables(kind, m)
             for on in range(1 << (1 << m)):
-                assert _exact_cubes(kind, on, m) == \
+                assert _exact_cubes(kind == "disjoint", on, m) == \
                     reference.reconstruct(kind, tabs, on, m)
 
     def test_memo_is_bounded_by_width_4_tables(self):
@@ -762,7 +804,7 @@ class TestExactCubesReference:
     @given(total_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
     def test_same_completion_and_cubes(self, case, kind):
         values, m = case
-        cubes = _exact_cubes(kind, _truth_vector(values), m)
+        cubes = _exact_cubes(kind == "disjoint", _truth_vector(values), m)
         assert cubes == reference.exact_cubes(kind, values, m)
         cover = Cover(CoverMode(kind),
                       tuple(Cube(m, mk, v) for mk, v in cubes))
