@@ -90,13 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_files(args: argparse.Namespace) -> None:
-    for name in ("input", "circuit"):
-        path = getattr(args, name, None)
-        if path is not None and not path.is_file():
-            raise FileNotFoundError(f"no such file: {path}")
-
-
 def _read_function(args: argparse.Namespace) -> ReversibleFunction:
     return parse_truth_table(args.input.read_text())
 
@@ -276,7 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_files(args)
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError, StageOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,19 +19,22 @@ On tables of up to 4 variables both minimizers are exact in (cube count,
 then total literal count).  The table width counts every variable,
 forbidden ones included, so a width-5 table with one forbidden variable
 is not exact even though its cover has 4 free variables.  The exact
-engine is one memoized recurrence over the cofactor decomposition
-f = P xor x'Q xor xR  of every subfunction, on truth-vector ints.  A
-forbidden variable must be one of the table's and one the function
-ignores; it is projected out before covering and its slot reopened
-after.  On wider tables a documented greedy heuristic applies:
-largest-block-first for disjoint covers, and a positive-polarity
-Reed-Muller seed with pairwise term merging for ESOP.  The disjoint
-heuristic seeds each block at the lowest uncovered 1-cell, so a block
-frees only variables where its seed has a 0, and its free sets grow
-level by level: a set of k + 1 variables is one of k joined with a
-variable above its top one, kept when its far corner is an uncovered
-1-cell and each of its other k-subsets fits (Apriori's candidate join,
-Agrawal & Srikant, VLDB 1994), so each test reads one bit.
+engine is one recurrence over the cofactor decomposition
+f = P xor x'Q xor xR  of every subfunction, on truth-vector ints.  It
+memoizes the optimal key and cover of every function on up to 3
+variables, so a warm 4-variable call is one pass over its splits
+(4-75 µs) and a smaller one is a lookup.  A forbidden variable must be
+one of the table's and one the function ignores; it is projected out
+before covering and its slot reopened after.  On wider tables a
+documented greedy heuristic applies: largest-block-first for disjoint
+covers, and a positive-polarity Reed-Muller seed with pairwise term
+merging for ESOP.  The disjoint heuristic seeds each block at the
+lowest uncovered 1-cell, so a block frees only variables where its seed
+has a 0, and its free sets grow level by level: a set of k + 1
+variables is one of k joined with a variable above its top one, kept
+when its far corner is an uncovered 1-cell and each of its other
+k-subsets fits (Apriori's candidate join, Agrawal & Srikant, VLDB
+1994), so each test reads one bit.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  Its
@@ -160,54 +163,54 @@ def build_qmap(t: ToggleTable) -> ToggleTable:
 # sides, so they must be 1 in both cofactors), which makes Q and R the
 # exact set differences and keeps all terms disjoint.  Of the P that
 # reach the minimum, the first in ascending order is taken (the min of
-# (key, P) pairs).  The splits of functions on fewer than
+# (key, P) pairs).  The key and cover of every function on fewer than
 # EXACT_WIDTH_CAP variables are memoized, 2 + 4 + 16 + 256 = 278 per
-# mode at most, whatever a caller minimizes.  A 4-variable function's
-# top split is computed on each call: a memo of all 65,536 in both
-# modes would hold about 29 MB (tracemalloc, extrapolated from 4,096), and
-# `synthesize` never asks for one, since its stages forbid the target.
+# mode at most (about 220 kB for both modes by tracemalloc), whatever a
+# caller minimizes, and so are each level's keys and wrapped keys.  A
+# 4-variable function's cover is computed on each call, from at most
+# 256 splits over the level-3 keys (4-15 µs warm disjoint, 45-75 µs
+# ESOP): a memo of all 65,536 in both modes would hold about 29 MB
+# (tracemalloc, extrapolated from 4,096), and `synthesize` never asks
+# for one, since its stages forbid the target.
 
-# (disjoint, f, m) -> split; filled lazily, and a concurrent fill writes
-# the same value, so no lock is needed
-_SPLITS: dict[tuple[bool, int, int], tuple[int, int]] = {}
+# (disjoint, f, m) -> (key, cover) and (disjoint, m) -> (keys, wrapped
+# keys) of all functions on m variables; filled lazily, and a concurrent
+# fill writes equal values, so no lock is needed
+_COVERS: dict[tuple[bool, int, int],
+              tuple[int, tuple[tuple[int, int], ...]]] = {}
+_LEVELS: dict[tuple[bool, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _split(disjoint: bool, f: int, m: int) -> tuple[int, int]:
-    """The optimal key of f over m variables and the P it splits on
-    (0 when m is 0)."""
-    split = _SPLITS.get((disjoint, f, m))
-    if split is not None:
-        return split
+def _exact(disjoint: bool, f: int,
+           m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The optimal key of f over m <= 4 variables and one cover reaching
+    it, as (mask, value) pairs: the cubes of P, then of Q and R with the
+    top variable added negative and positive."""
+    hit = _COVERS.get((disjoint, f, m))
+    if hit is not None:
+        return hit
     if m == 0:
-        split = f << 7, 0  # one cube with no literal, or none
+        hit = f << 7, ((0, 0),) if f else ()  # one cube with no literal
     else:
-        half = 1 << (m - 1)
-        f0, f1 = f & ((1 << half) - 1), f >> half
-        allowed = f0 & f1 if disjoint else (1 << half) - 1
-        keys = [_split(disjoint, g, m - 1)[0] for g in range(1 << half)]
-        wrapped = [k + (k >> 7) for k in keys]  # one literal more per cube
-        split = min((keys[p] + wrapped[p ^ f0] + wrapped[p ^ f1], p)
-                    for p in range(allowed + 1) if p & allowed == p)
+        bit = 1 << (m - 1)  # the top variable; also each cofactor's cells
+        level = _LEVELS.get((disjoint, m - 1))
+        if level is None:
+            keys = tuple(_exact(disjoint, g, m - 1)[0]
+                         for g in range(1 << bit))
+            level = _LEVELS[disjoint, m - 1] = \
+                keys, tuple(k + (k >> 7) for k in keys)  # a literal per cube
+        keys, wrapped = level
+        f0, f1 = f & ((1 << bit) - 1), f >> bit
+        allowed = f0 & f1 if disjoint else (1 << bit) - 1
+        key, p = min((keys[p] + wrapped[p ^ f0] + wrapped[p ^ f1], p)
+                     for p in range(allowed + 1) if p & allowed == p)
+        cubes, q, r = (_exact(disjoint, g, m - 1)[1]
+                       for g in (p, p ^ f0, p ^ f1))
+        hit = key, (cubes + tuple((mk | bit, v) for mk, v in q)
+                    + tuple((mk | bit, v | bit) for mk, v in r))
     if m < EXACT_WIDTH_CAP:
-        _SPLITS[disjoint, f, m] = split
-    return split
-
-
-def _exact_cubes(disjoint: bool, on: int, m: int) -> list[tuple[int, int]]:
-    """One exact minimum cover of a function on m <= 4 variables, as
-    (mask, value) pairs: the cubes of P, then of Q and R with the top
-    variable added negative and positive."""
-    if m == 0:
-        return [(0, 0)] if on else []
-    p = _split(disjoint, on, m)[1]
-    bit = 1 << (m - 1)  # the top variable; also each cofactor's cell count
-    f0, f1 = on & ((1 << bit) - 1), on >> bit
-    cubes = _exact_cubes(disjoint, p, m - 1)
-    cubes += [(mask | bit, value) for mask, value in
-              _exact_cubes(disjoint, p ^ f0, m - 1)]
-    cubes += [(mask | bit, value | bit) for mask, value in
-              _exact_cubes(disjoint, p ^ f1, m - 1)]
-    return cubes
+        _COVERS[disjoint, f, m] = hit
+    return hit
 
 
 # --- heuristic minimization ------------------------------------------------
@@ -393,7 +396,7 @@ def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """A disjoint SOP cover of `on` over m variables as sorted
     (mask, value) pairs: exact, or largest-block-first greedy."""
     if exact:
-        return sorted(_exact_cubes(True, on, m))
+        return sorted(_exact(True, on, m)[1])
     return sorted(_greedy_disjoint(on, m))
 
 
@@ -411,7 +414,7 @@ def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
         low = (1 << m) - 1
         return [(t >> m, t & low)
                 for t in _merge_terms(_pprm_terms(on, m), m)]
-    cubes = _exact_cubes(False, on, m)
+    cubes = _exact(False, on, m)[1]
     singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
     flip = set(singles[:len(singles) & ~1])
     return sorted((mk, mk if mk in flip else v) for mk, v in cubes)

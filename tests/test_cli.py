@@ -1,3 +1,6 @@
+import errno
+import os
+
 import pytest
 
 from conftest import bit_swap_function, swap2_function
@@ -81,6 +84,30 @@ class TestSynth:
         code = main(["synth", "--input", str(tmp_path / "nope.tt")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_pipe_input(self, gray4_file, tmp_path):
+        # a pipe is no regular file, as with `--input <(cat gray4.tt)`
+        expected, piped = tmp_path / "file.qasm", tmp_path / "pipe.qasm"
+        assert main(["synth", "--input", str(gray4_file),
+                     "--out", str(expected)]) == 0
+        r, w = os.pipe()
+        try:
+            os.write(w, gray4_file.read_bytes())
+            os.close(w)
+            code = main(["synth", "--input", f"/dev/fd/{r}",
+                         "--out", str(piped)])
+        finally:
+            os.close(r)
+        assert code == 0
+        assert piped.read_bytes() == expected.read_bytes()
+
+    def test_directory_input(self, tmp_path, capsys):
+        code = main(["synth", "--input", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert os.strerror(errno.EISDIR) in err
+        assert str(tmp_path) in err
 
     def test_malformed_table(self, tmp_path, capsys):
         path = tmp_path / "bad.tt"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -21,8 +22,11 @@ from qmap_synth import (
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import _grid_text, _gray_sequence
 from qmap_synth.qmap import (
-    _SPLITS,
-    _exact_cubes,
+    _COVERS,
+    _LEVELS,
+    _disjoint_terms,
+    _esop_terms,
+    _exact,
     _greedy_disjoint,
     _merge_terms,
     _pprm_terms,
@@ -753,14 +757,20 @@ class TestSingleNegatives:
         assert all_negative(merged, m) <= 1
 
     def test_exact_covers_up_to_four_variables(self):
-        # distinct cubes, and no variable both as x and as x': each
-        # single-literal mask appears once
+        # in both modes, distinct cubes (after the ESOP flips), and no
+        # variable both as x and as x': each single-literal mask appears
+        # once.  The digest pins the exact engine's whole output.
+        digest = hashlib.sha256()
         for m in range(5):
             for on in range(1 << (1 << m)):
-                cubes = _exact_cubes(False, on, m)
-                singles = [mk for mk, _ in cubes if mk.bit_count() == 1]
-                assert len(set(cubes)) == len(cubes)
-                assert len(set(singles)) == len(singles)
+                covers = _disjoint_terms(on, m, True), _esop_terms(on, m, True)
+                for cubes in covers:
+                    singles = [mk for mk, _ in cubes if mk.bit_count() == 1]
+                    assert len(set(cubes)) == len(cubes)
+                    assert len(set(singles)) == len(singles)
+                digest.update(repr(covers).encode())
+        assert digest.hexdigest() == (
+            "3b57a913042735e8c08e9e328fcec07b5d7973aefca00a6ef0a2993442842cfe")
 
 
 class TestRemoveVarReference:
@@ -787,25 +797,40 @@ class TestExactCubesReference:
         for m in range(4):
             tabs = reference.exact_tables(kind, m)
             for on in range(1 << (1 << m)):
-                assert _exact_cubes(kind == "disjoint", on, m) == \
-                    reference.reconstruct(kind, tabs, on, m)
+                key, cubes = _exact(kind == "disjoint", on, m)
+                assert key == tabs[m][on]
+                assert list(cubes) == reference.reconstruct(kind, tabs, on, m)
 
     def test_memo_is_bounded_by_width_4_tables(self):
-        # only the splits of functions on at most 3 variables are kept:
-        # 2 + 4 + 16 + 256 per mode
+        # one width-4 minimize per mode fills the memo with the key and
+        # cover of every function on at most 3 variables, 2 + 4 + 16 + 256
+        # per mode, and later width-4 calls add nothing
+        _COVERS.clear()
+        _LEVELS.clear()
+        table = make_table(values_of(0x6996, 4), 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for minimize in (minimize_esop, minimize_disjoint):
+                minimize(table)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(_COVERS) == 2 * (2 + 4 + 16 + 256)
+        assert held < 300_000
         rng = random.Random(4)
         for on in rng.sample(range(1 << 16), 300):
             table = make_table(values_of(on, 4), 4)
             for minimize in (minimize_esop, minimize_disjoint):
                 assert valid_cover(minimize(table), table)
-        assert len(_SPLITS) <= 2 * (2 + 4 + 16 + 256)
+        assert len(_COVERS) == 2 * (2 + 4 + 16 + 256)
 
     @settings(max_examples=300, deadline=None)
     @given(total_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
     def test_same_completion_and_cubes(self, case, kind):
         values, m = case
-        cubes = _exact_cubes(kind == "disjoint", _truth_vector(values), m)
-        assert cubes == reference.exact_cubes(kind, values, m)
+        cubes = _exact(kind == "disjoint", _truth_vector(values), m)[1]
+        assert list(cubes) == reference.exact_cubes(kind, values, m)
         cover = Cover(CoverMode(kind),
                       tuple(Cube(m, mk, v) for mk, v in cubes))
         assert reference.verify_cover(cover, values, m)
