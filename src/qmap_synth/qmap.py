@@ -37,13 +37,15 @@ k-subsets fits (Apriori's candidate join, Agrawal & Srikant, VLDB
 1994), so each test reads one bit.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
-(mask, value) pairs do and the merge order is that of the pairs.  Its
-heap queues a merged term only if it has a merge partner, and its
-cover provably holds at most one complemented single literal, so only
-exact ESOP covers flip theirs positive in pairs.  The public minimizers
-and `synthesize` share the int cores `_disjoint_terms` and `_esop_terms`,
-which take the truth vector and return sorted (mask, value) pairs; only
-the public ones build `Cube`s.
+(mask, value) pairs do and the merge order is that of the pairs.  On
+a seed every merge provably joins a cube C with Cx into Cx', so a
+term's only partners are its positive extensions, one set lookup per
+variable it does not read.  No two terms of the pool share their
+positive variables, so a merged cover holds at most one complemented
+single literal, and only exact ESOP covers flip theirs positive in
+pairs.  The public minimizers and `synthesize` share the int cores
+`_disjoint_terms` and `_esop_terms`, which take the truth vector and
+return sorted (mask, value) pairs; only the public ones build `Cube`s.
 """
 from __future__ import annotations
 
@@ -225,76 +227,60 @@ def _pprm_terms(f: int, m: int) -> list[int]:
     return [s << m | s for s, d in enumerate(digits) if d == "1"]
 
 
-def _merge_terms(terms: list[int], m: int) -> list[int]:
-    """Greedy pairwise reduction of distinct term keys to a fixpoint: the
-    smallest term that has a partner merges with its first partner, and
-    a merged term cancels an equal one in the pool (XOR semantics).
+def _merge_terms(on: int, m: int) -> list[int]:
+    """The positive-polarity Reed-Muller seed of `on` reduced by greedy
+    pairwise merging to a fixpoint, as sorted term keys: the smallest
+    term that has a partner merges with its first partner.
 
     A key is mask << m | value with value < 2^m, so keys compare as the
-    (mask, value) pairs do: the mask decides, then the value.  Two
-    terms differing in one variable slot XOR-combine into one (x xor x'
-    drops the variable, C xor Cx gives Cx', Cx xor Cx' gives C): for
-    variable i, with b its value bit and mb its mask bit, the two other
-    terms on t's remaining literals are t ^ b and t & ~(mb | b) when t
-    reads the variable, t | mb | b and t | mb when it does not, and merging
-    t with either one gives the other.  Partners are tried in that
-    order, variable by variable from the lowest.
+    (mask, value) pairs do: the mask decides, then the value.  Write a
+    term as (P, N), P its positive variables and N its complemented ones,
+    with mask M = P | N.  On a seed, every merge is C xor Cx -> Cx': t =
+    (P, N) merges with (P+i, N), i not in M, into (P, N+i).  Proof: seed
+    terms have N empty and distinct P, and two invariants hold
+    throughout: no two pool terms share a P (I1), nor an M (I2).  Let t
+    be the smallest term with a partner.  At a slot i outside M, the
+    other partner (P, N+i) shares t's P.  At i in P, (P-i, N+i) shares
+    t's M, and (P-i, N) is smaller than t and has t as a partner.  At i
+    in N, (P+i, N-i) shares t's M and (P, N-i) shares t's P.  So t
+    merges with (P+i, N) at its lowest such i.  Only t had P, so the
+    merged term cancels nothing, and the pool trades P+i and M for M+i,
+    which keeps I1 and I2.
 
     A min-heap holds every pool term that has a partner, among stale
     entries that are skipped when popped.  A term gains a partner only
-    when a term enters the pool, and the relation is symmetric, so the
-    scan of an entering term's 2m neighbours pushes those in the pool
-    and pushes the entering term itself only if it found one.
+    when its positive extension enters the pool: the merged term (P,
+    N+i) is that of each (P-k, N+i) with k in P, and those in the pool
+    are pushed.  The merged term is pushed only if one of its own
+    positive extensions is in the pool.
 
-    A merged Reed-Muller seed never holds two complemented single
-    literals.  Call a term all-negative when its value is 0 (the
-    constant counts).  On one slot any two of C, Cx and Cx' XOR to the
-    third; Cx is never all-negative, and Cx' is exactly when C is.  So
-    C xor Cx -> Cx' and Cx xor Cx' -> C keep the pool's count of such
-    terms, C xor Cx' -> Cx lowers it by 0 or 2, and a cancellation lowers
-    it further.  The seed's positive monomials hold at most one, the
-    constant, and two single negatives would be two."""
-    slots = []  # per variable: value bit, mask bit, both, all but both
+    By I1 at most one term of a merged seed has P empty, so it never
+    holds two complemented single literals."""
+    slots = []  # per variable: mask bit, and mask bit with value bit
     for i in range(m):
-        b, mb = 1 << i, 1 << i + m
-        slots.append((b, mb, mb | b, ~(mb | b)))
-    pool = set(terms)
-    heap = list(pool)
-    heapq.heapify(heap)
+        mb = 1 << i + m
+        slots.append((mb, mb | 1 << i))
+    heap = _pprm_terms(on, m)  # sorted, so already a heap
+    pool = set(heap)
     while heap:
         t = heapq.heappop(heap)
         if t not in pool:
             continue
-        for b, mb, both, rest in slots:
-            if t & mb:
-                partner, merged = t ^ b, t & rest
-            else:
-                partner, merged = t | both, t | mb
-            if partner in pool:
-                break
-            if merged in pool:
-                partner, merged = merged, partner
+        for mb, both in slots:
+            if not t & mb and t | both in pool:
                 break
         else:
             continue
         pool.remove(t)
-        pool.remove(partner)
-        if merged in pool:
-            pool.remove(merged)
-            continue
+        pool.remove(t | both)
+        merged = t | mb
         pool.add(merged)
         alone = True
-        for b, mb, both, rest in slots:
-            if merged & mb:
-                p, q = merged ^ b, merged & rest
-            else:
-                p, q = merged | both, merged | mb
-            if p in pool:
-                heapq.heappush(heap, p)
-                alone = False
-            if q in pool:
-                heapq.heappush(heap, q)
-                alone = False
+        for mb, both in slots:
+            if not merged & mb:
+                alone = alone and merged | both not in pool
+            elif merged & both == both and merged ^ both in pool:
+                heapq.heappush(heap, merged ^ both)
         if not alone:
             heapq.heappush(heap, merged)
     return sorted(pool)
@@ -402,18 +388,19 @@ def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
 
 def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """An ESOP cover of `on` over m variables as sorted (mask, value)
-    pairs: exact, or a Reed-Muller seed reduced by term merging.
+    pairs: exact, or the Reed-Muller seed reduced by merging each C with
+    a Cx into Cx' (`_merge_terms`).
 
     An exact cover's complemented single literals are flipped positive
     in pairs, lowest first, since the two constant-1 corrections cancel
-    under XOR; a merged cover never holds two (see `_merge_terms`).  A
-    flip never meets an equal cube: an exact cover has the fewest cubes,
-    and if it held both x and x', the constant 1 could replace them (or
-    cancel a 1 already there) with fewer."""
+    under XOR; a merged cover never holds two, since no two of its terms
+    share their positive variables (see `_merge_terms`).  A flip never
+    meets an equal cube: an exact cover has the fewest cubes, and if it
+    held both x and x', the constant 1 could replace them (or cancel a 1
+    already there) with fewer."""
     if not exact:
         low = (1 << m) - 1
-        return [(t >> m, t & low)
-                for t in _merge_terms(_pprm_terms(on, m), m)]
+        return [(t >> m, t & low) for t in _merge_terms(on, m)]
     cubes = _exact(False, on, m)[1]
     singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
     flip = set(singles[:len(singles) & ~1])

@@ -171,6 +171,9 @@ QASM_SHA256 = {
     ("esop", 7): "67c32423174c35156eb70d5cfa6d83fbff101e526581e28d986eb474772d659c",
     ("esop", 8): "0f98dbe435ae07a6e82b778079de842f7c6af3db676e881c140bb492e735784f",
     ("esop", 9): "8af27832f54821014a4dd89f7a45625f411e47af31b18270ad8b50bde5ca4eda",
+    ("esop", 10): "ffe0de1dd68e6df165331006abbae80059f4206a5a6ad24e0bf068888ebf87ea",
+    ("esop", 11): "8d20beb89ff92cf98c573049382ebcf9ce2c3d1cb0083463c42f356cd6e8e66f",
+    ("esop", 12): "589396086feb32e0a72fbe273ad5f902d5a458419ce0c5a15f2991d9b299b99f",
     ("disjoint", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
     ("disjoint", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
     ("disjoint", 4): "45f1adc356e4324657f451986ce2ec0d5f992e908e8c08c8326009c36064bb84",

@@ -82,11 +82,6 @@ def values_of(on, m):
     return [on >> s & 1 for s in range(1 << m)]
 
 
-def keys_of(terms, m):
-    """The library's term keys, mask << m | value, of (mask, value) pairs."""
-    return [mask << m | value for mask, value in terms]
-
-
 def pairs_of(keys, m):
     """The (mask, value) pairs of term keys over m variables."""
     return [(k >> m, k & ((1 << m) - 1)) for k in keys]
@@ -623,70 +618,39 @@ class TestGreedyDisjointReference:
 
 
 @st.composite
-def term_lists(draw):
-    """(terms, m) for 1 <= m <= 7: short walks through the term space,
-    each step setting one variable slot to absent, negative or positive
-    (possibly its current state), so that merge partners, chains of
-    merges and duplicates are common; shuffled."""
-    m = draw(st.integers(1, 7))
-    terms = []
-    for _ in range(draw(st.integers(0, 10))):
-        mask = draw(st.integers(0, (1 << m) - 1))
-        t = (mask, draw(st.integers(0, (1 << m) - 1)) & mask)
-        for _ in range(draw(st.integers(1, 8))):
-            terms.append(t)
-            bit = 1 << draw(st.integers(0, m - 1))
-            slot_mask, slot_value = draw(
-                st.sampled_from([(0, 0), (bit, 0), (bit, bit)]))
-            t = ((t[0] & ~bit) | slot_mask, (t[1] & ~bit) | slot_value)
-    return draw(st.permutations(terms)), m
-
-
-@st.composite
-def pprm_seeds(draw):
-    """(terms, m): the Reed-Muller monomials of a random 0/1 vector, for
-    m up to 8, the widest stage of the benchmark's rand-esop tables."""
+def seed_vectors(draw):
+    """(on, m): a random truth vector over m variables, whose Reed-Muller
+    monomials seed the merge, for m up to 8, the widest stage of the
+    benchmark's rand-esop tables."""
     m = draw(st.integers(1, 8))
-    return pairs_of(_pprm_terms(draw(st.integers(0, (1 << (1 << m)) - 1)), m),
-                    m), m
+    return draw(st.integers(0, (1 << (1 << m)) - 1)), m
 
 
 class TestMergeTermsReference:
-    @settings(max_examples=300, deadline=None)
-    @given(term_lists())
-    def test_same_terms_on_term_lists(self, case):
-        # `_merge_terms` takes distinct terms, so equal pairs in the draw
-        # cancel first, as they do in the reference's pool
-        terms, m = case
-        pool = set()
-        for t in terms:
-            pool ^= {t}
-        terms = list(pool)
-        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
-            reference.merge_terms(terms, m)
-
     @settings(max_examples=200, deadline=None)
-    @given(pprm_seeds())
+    @given(seed_vectors())
     def test_same_terms_on_reed_muller_seeds(self, case):
-        terms, m = case
-        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
-            reference.merge_terms(terms, m)
+        on, m = case
+        assert pairs_of(_merge_terms(on, m), m) == \
+            reference.merge_terms(pairs_of(_pprm_terms(on, m), m), m)
 
     def test_merged_term_that_gains_a_partner_later(self):
-        # 1 xor x0' gives x0, which enters with no partner; x1' xor x0'x1'
-        # then gives x0 x1', whose entry makes x0 its partner: the two
-        # merge into x0 x1
-        terms, m = [(0, 0), (1, 0), (2, 0), (3, 0)], 2
-        assert pairs_of(_merge_terms(keys_of(terms, m), m), m) == \
-            reference.merge_terms(terms, m) == [(3, 3)]
+        # x0'x1' has the seed 1, x0, x1, x0x1: 1 xor x0 gives x0', which
+        # enters with no partner; x1 xor x0x1 then gives x0'x1, the
+        # positive extension of x0', and the two merge into x0'x1'
+        on, m = 0b0001, 2
+        seed = pairs_of(_pprm_terms(on, m), m)
+        assert seed == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert pairs_of(_merge_terms(on, m), m) == \
+            reference.merge_terms(seed, m) == [(3, 0)]
 
     def test_holds_no_memory_after_return(self):
         # no pool or heap of the merge outlives the call
-        terms = _pprm_terms(random.Random(12).getrandbits(1 << 12), 12)
+        on = random.Random(12).getrandbits(1 << 12)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _merge_terms(terms, 12)
+            _merge_terms(on, 12)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -738,6 +702,15 @@ def all_negative(keys, m):
     return sum(1 for k in keys if not k & ((1 << m) - 1))
 
 
+def distinct_parts(keys, m):
+    """True iff no two term keys share their positive variables (value
+    bits), and no two share their mask: the invariants of `_merge_terms`'s
+    proof."""
+    pairs = pairs_of(keys, m)
+    return len({v for _, v in pairs}) == len({mk for mk, _ in pairs}) == \
+        len(pairs)
+
+
 class TestSingleNegatives:
     """Why only exact ESOP covers flip complemented single literals: a
     merged seed holds at most one, and an exact cover's flips never meet
@@ -746,15 +719,17 @@ class TestSingleNegatives:
     def test_merged_seed_of_every_function_up_to_four_variables(self):
         for m in range(5):
             for on in range(1 << (1 << m)):
-                merged = _merge_terms(_pprm_terms(on, m), m)
+                merged = _merge_terms(on, m)
                 assert all_negative(merged, m) <= 1
+                assert distinct_parts(merged, m)
 
     @settings(max_examples=100, deadline=None)
     @given(total_functions(5, 10))
     def test_merged_seed_up_to_ten_variables(self, case):
         values, m = case
-        merged = _merge_terms(_pprm_terms(_truth_vector(values), m), m)
+        merged = _merge_terms(_truth_vector(values), m)
         assert all_negative(merged, m) <= 1
+        assert distinct_parts(merged, m)
 
     def test_exact_covers_up_to_four_variables(self):
         # in both modes, distinct cubes (after the ESOP flips), and no
