@@ -124,8 +124,9 @@ _ROW_RE = re.compile(r"^([01]+)\s*->\s*([01]+)$")
 def parse_truth_table(text: str) -> ReversibleFunction:
     """Parse the line-oriented truth-table format.
 
-    Comments start with '#', a `.width N` header precedes exactly 2^N
-    data lines of the form `<bits> -> <bits>` (MSB first, any order).
+    A line whose first non-blank character is '#' is a comment, and a
+    `.width N` header precedes exactly 2^N data lines of the form
+    `<bits> -> <bits>` (MSB first, any order).
     """
     lines = text.splitlines()
     width: int | None = None

@@ -13,17 +13,20 @@ with a concrete witness pair instead of producing a wrong circuit.  A
 successful decomposition keeps every stage's state map a permutation, so
 its toggles are total (defined on every state) and never read their
 own target: two states that differ only in the target would otherwise
-meet, and a later stage would fail.  The stages are computed on
+meet, and a later stage would fail.  One depth-first walk over the
+sets of rewritten bits (`_cascade`) computes the stages for a fixed
+order, one candidate target per stage, and for the order search, every
+target, so a searched decomposition walks once.  It works on
 truth-vector ints: slice j of the walk holds bit j of x ^ f(x) for the
 input x at each state, starting from the function's output slices.  A
 stage's toggle is the target's slice, checked for not reading the
 target with one shift and mask, and the stage moves the inputs by one
-delta swap per remaining slice.  When the check fails, a scalar loop
-over the inputs finds the witness.
+delta swap per remaining slice.  When the check fails under a fixed
+order, a scalar loop over the inputs finds the witness.
 """
 from __future__ import annotations
 
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, Sequence
 
 from ._value import Value
 from .boolfn import ReversibleFunction, _clear, _remove_var
@@ -34,7 +37,6 @@ __all__ = [
     "ToggleTable",
     "decompose",
     "find_feasible_order",
-    "resolve_order",
 ]
 
 
@@ -88,51 +90,97 @@ class ToggleTable(Value):
 
 
 def decompose(f: ReversibleFunction,
-              order: StageOrder | None = None) -> list[ToggleTable]:
-    """Split f into one toggle table per stage of the given order.
+              order: StageOrder | str | None = None) -> list[ToggleTable]:
+    """Split f into one toggle table per stage of the given order: a
+    StageOrder, None or "natural" (0..n-1), or "search" (the order
+    `find_feasible_order` returns, from the same walk).
 
     Raises CascadeInfeasible with a witness input pair when some stage's
-    toggle value is not well defined on an intermediate state.
+    toggle value is not well defined on an intermediate state under a
+    given order, and NoFeasibleOrder when the search finds none.
     """
     n = f.width
-    if order is None:
-        order = StageOrder.natural(n)
-    targets = order.order
+    stages = _cascade(f, order)
+    targets = [target for target, _ in stages]
     return [ToggleTable(stage, target, n, toggle,
                         tuple(j in targets[:stage] for j in range(n)))
-            for stage, (target, toggle) in enumerate(
-                zip(targets, _toggles(f, order)))]
-
-
-def _toggles(f: ReversibleFunction, order: StageOrder) -> list[int]:
-    """Each stage's toggle over the intermediate states as a truth
-    vector, from the walk of `_advance`; when a stage's toggle reads its
-    target, `_witness` finds two inputs that meet and raises
-    CascadeInfeasible."""
-    n = f.width
-    if len(order) != n:
-        raise ValueError(f"order length {len(order)} != width {n}")
-    walk = _start(f)
-    done = 0
-    out: list[int] = []
-    for target in order:
-        done |= 1 << target
-        out.append(walk[target])
-        walk = _advance(walk, n, done, target)
-        if walk is None:
-            _witness(f, order)
-    return out
+            for stage, (target, toggle) in enumerate(stages)]
 
 
 def _stage_vectors(f: ReversibleFunction,
-                  order: StageOrder) -> list[tuple[int, int]]:
+                   order: StageOrder | str | None) -> list[tuple[int, int]]:
     """(target, on) per stage of `decompose(f, order)`: bit s of the
     truth vector `on` is the stage's toggle at the state whose bits other
     than the target read s, variable j of s being bit j + (j >= target).
     Raises what `decompose` raises."""
     n = f.width
     return [(target, _remove_var(toggle, n, target))
-            for target, toggle in zip(order, _toggles(f, order))]
+            for target, toggle in _cascade(f, order)]
+
+
+def _cascade(f: ReversibleFunction,
+             order: StageOrder | str | None) -> list[tuple[int, int]]:
+    """(target, toggle) per stage, each toggle a truth vector over the
+    intermediate states, from one depth-first walk over the sets of
+    bits rewritten so far.  At each stage the candidate targets are
+    every bit for "search", smallest first, and the order's own target
+    for a StageOrder, None or "natural" (0..n-1).
+
+    An order is feasible iff every proper prefix set P of rewritten bits
+    keeps the intermediate-state map x -> (x & ~P) | (f(x) & P)
+    injective: two inputs that meet on a state cannot be told apart
+    again, and while all states are distinct every toggle is defined.
+    A set from which no stage can be completed is marked dead and never
+    entered again, and the full set is never tested: its map is f
+    itself.  Hence each of the 2^n - 2 proper non-empty sets is tested
+    at most once, by a shift and a mask of one slice of the walk at its
+    parent set (`_advance`), and the search returns the first feasible
+    order in lexicographic order.  Some functions need every test, such
+    as a swap of the top two bits; that worst case takes 0.10-0.14 s at
+    width 15 and 0.22-0.36 s at width 16, the widest the parser accepts,
+    on one Xeon core.
+
+    When the walk fails, a given order raises CascadeInfeasible through
+    `_witness`, and the search raises NoFeasibleOrder.
+    """
+    n = f.width
+    if order is None or order == "natural":
+        order = StageOrder.natural(n)
+    if order == "search":
+        choices: list[Sequence[int]] = [range(n)] * n
+    elif not isinstance(order, StageOrder):
+        raise ValueError(f"unknown order: {order!r}")
+    elif len(order) != n:
+        raise ValueError(f"order length {len(order)} != width {n}")
+    else:
+        choices = [(target,) for target in order]
+    full = (1 << n) - 1
+    dead: set[int] = set()
+
+    def finish(walk: list[int], done: int) -> list[tuple[int, int]] | None:
+        # the stages after the set `done`, whose walk is `walk`, or
+        # None when none completes from it
+        for target in choices[done.bit_count()]:
+            child = done | 1 << target
+            if child == done or child in dead:
+                continue
+            if child == full:
+                return [(target, walk[target])]
+            after = _advance(walk, n, child, target)
+            rest = None if after is None else finish(after, child)
+            if rest is not None:
+                return [(target, walk[target]), *rest]
+            dead.add(child)
+        return None
+
+    stages = finish(_start(f), 0)
+    if stages is None:
+        if order == "search":
+            raise NoFeasibleOrder(
+                "no stage order works for this function: every order "
+                "rewrites a set of bits on which two inputs meet")
+        _witness(f, order)
+    return stages
 
 
 def _witness(f: ReversibleFunction, order: StageOrder) -> NoReturn:
@@ -191,64 +239,8 @@ def _advance(walk: list[int], n: int, done: int,
 
 
 def find_feasible_order(f: ReversibleFunction) -> StageOrder:
-    """First stage order (lexicographic) for which decompose succeeds.
-
-    An order is feasible iff every proper prefix set P of rewritten bits
-    keeps the intermediate-state map x -> (x & ~P) | (f(x) & P)
-    injective: two inputs that meet on a state cannot be told apart
-    again, and while all states are distinct every toggle is defined.
-    So the search is a depth-first walk over prefix sets from P = 0,
-    smallest target first, and a set from which no order can be
-    completed is marked dead and never entered again.  Hence each of the
-    2^n - 2 proper non-empty sets is tested at most once, by a shift and
-    a mask of one slice of the walk at its parent set (`_advance`).
-    Some functions need every test, such as a swap of the top two bits;
-    that worst case takes 0.10-0.14 s at width 15 and 0.22-0.36 s at
-    width 16, the widest the parser accepts, on one Xeon core.  Raises
+    """First stage order (lexicographic) for which decompose succeeds:
+    the targets of the searched walk (`_cascade`).  Raises
     NoFeasibleOrder when no order works.
     """
-    n = f.width
-    dead: set[int] = set()
-    path: list[int] = []  # targets rewritten so far, in order
-    walks = [_start(f)]  # the walk at each set along the path
-    prefix = 0
-    t = 0  # next target to try on top of prefix
-    # the full set is never tested: its map is f itself
-    while len(path) < n - 1:
-        while t < n:
-            child = prefix | 1 << t
-            if child != prefix and child not in dead:
-                walk = _advance(walks[-1], n, child, t)
-                if walk is not None:
-                    break
-                dead.add(child)
-            t += 1
-        if t < n:
-            path.append(t)
-            walks.append(walk)
-            prefix, t = child, 0
-        elif path:
-            dead.add(prefix)
-            walks.pop()
-            t = path.pop()
-            prefix ^= 1 << t
-            t += 1
-        else:
-            raise NoFeasibleOrder(
-                "no stage order works for this function: every order "
-                "rewrites a set of bits on which two inputs meet")
-    last = ((1 << n) - 1) ^ prefix
-    return StageOrder(tuple(path) + (last.bit_length() - 1,))
-
-
-def resolve_order(f: ReversibleFunction,
-                  order: StageOrder | str | None) -> StageOrder:
-    """The stage order to decompose f with: None or "natural" is
-    0..n-1, "search" is find_feasible_order(f), a StageOrder is kept."""
-    if order is None or order == "natural":
-        return StageOrder.natural(f.width)
-    if order == "search":
-        return find_feasible_order(f)
-    if isinstance(order, StageOrder):
-        return order
-    raise ValueError(f"unknown order: {order!r}")
+    return StageOrder(tuple(target for target, _ in _cascade(f, "search")))

@@ -42,7 +42,7 @@ from typing import (Callable, ClassVar, Iterable, Literal, Mapping,
 
 from ._value import Value
 from .boolfn import ReversibleFunction
-from .cascade import StageOrder, _stage_vectors, resolve_order
+from .cascade import StageOrder, _stage_vectors
 from .errors import UnloweredMct
 from .qmap import EXACT_WIDTH_CAP, Cover, CoverMode, _disjoint_terms, _esop_terms
 
@@ -276,14 +276,16 @@ def synthesize(f: ReversibleFunction, *,
     `realize_stage` over the nonzero stages, then `lower_polarity`,
     then `lower_mct`, byte for byte (the test suite
     holds the two forms to each other), and the returned circuit's
-    permutation equals f (checked exhaustively).  Raises
+    permutation equals f (checked exhaustively).  `order` takes
+    `decompose`'s values, and its stages come from one walk, so a
+    searched synthesis walks once.  Raises
     CascadeInfeasible/NoFeasibleOrder when no stage cascade exists.
     """
     mode = CoverMode(mode)
     n = f.width
     minimize = _disjoint_terms if mode is CoverMode.DISJOINT else _esop_terms
     exact = n <= EXACT_WIDTH_CAP
-    stages = _stage_vectors(f, resolve_order(f, order))
+    stages = _stage_vectors(f, order)
     return _emit(n, ((target, minimize(on, n - 1, exact))
                      for target, on in stages if on))
 
@@ -404,6 +406,8 @@ class CostModel(Value):
         {GateKind.NOT: 1.0, GateKind.CNOT: 1.0, GateKind.TOFFOLI: 5.0})
 
     def __init__(self, mode: Literal["count", "weighted"] = "count") -> None:
+        if mode not in ("count", "weighted"):
+            raise ValueError(f"unknown cost mode: {mode!r}")
         self._init(mode)
 
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .boolfn import ReversibleFunction, parse_truth_table
-from .cascade import ToggleTable, decompose, resolve_order
+from .cascade import ToggleTable, decompose
 from .circuit import Circuit, CostModel, GateKind, cost, synthesize
 from .errors import (
     AncillaNotRestored,
@@ -221,8 +221,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     if not 0 <= args.stage < f.width:
         raise StageOutOfRange(
             f"stage {args.stage} not in [0, {f.width})")
-    order = resolve_order(f, args.order)
-    tables = decompose(f, order)
+    tables = decompose(f, args.order)
     table = tables[args.stage]
     print(f"stage {table.stage}, target q{table.target}, toggle map:")
     print(_grid_text(table))

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from qmap_synth import Circuit, Control, Gate, ReversibleFunction
+from qmap_synth import (
+    Circuit,
+    Control,
+    Gate,
+    ReversibleFunction,
+    StageOrder,
+    find_feasible_order,
+)
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and machine,
 # so a CI failure reproduces anywhere; unset, hypothesis draws afresh.
@@ -164,6 +171,15 @@ def cascade_inputs(draw):
     rng = draw(st.randoms(use_true_random=False))
     make = draw(st.sampled_from([random_bijection, random_feasible_function]))
     return make(n, rng), draw(st.sampled_from(["natural", "search"]))
+
+
+def stage_order(f: ReversibleFunction, order: str) -> StageOrder:
+    """The StageOrder an order name drawn by `cascade_inputs` stands for
+    on f: find_feasible_order(f) for "search" (which raises
+    NoFeasibleOrder when f has none), 0..n-1 for "natural"."""
+    if order == "search":
+        return find_feasible_order(f)
+    return StageOrder.natural(f.width)
 
 
 @st.composite

@@ -60,6 +60,15 @@ class TestParse:
         f = parse_truth_table(text)
         assert f.table == (1, 0)
 
+    def test_comment_after_a_row_is_refused(self):
+        # a comment is a whole line whose first non-blank character is
+        # '#'; '#' after a row's bits is not one
+        with pytest.raises(TruthTableSyntaxError) as exc:
+            parse_truth_table(".width 1\n0 -> 1 # c\n1 -> 0\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == (
+            "line 2: expected '<bits> -> <bits>': '0 -> 1 # c'")
+
     def test_duplicate_row(self):
         with pytest.raises(DuplicateInputRow) as exc:
             parse_truth_table(".width 1\n0 -> 0\n0 -> 1\n")

@@ -12,6 +12,7 @@ from conftest import (
     cascade_inputs,
     random_bijection,
     random_feasible_function,
+    stage_order,
     swap2_function,
 )
 from qmap_synth import (
@@ -21,9 +22,9 @@ from qmap_synth import (
     decompose,
     find_feasible_order,
     identity_function,
+    synthesize,
 )
 from qmap_synth import cascade
-from qmap_synth.cascade import resolve_order
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder
 from qmap_synth.qmap import _truth_vector
 
@@ -199,9 +200,24 @@ def search_inputs(draw) -> ReversibleFunction:
 
 def outcome(search, f):
     try:
-        return search(f).order
+        return search(f)
     except NoFeasibleOrder:
         return NoFeasibleOrder
+
+
+def searched(search, f):
+    """search(f)'s outcome and the prefix sets it tested with
+    `_advance`, in call order."""
+    with mock.patch.object(cascade, "_advance",
+                           wraps=cascade._advance) as spy:
+        got = outcome(search, f)
+    return got, [call.args[2] for call in spy.call_args_list]
+
+
+def assert_each_set_tested_once(f, tested):
+    # each proper non-empty prefix set at most once, the full set never
+    assert len(tested) == len(set(tested))
+    assert all(0 < p < (1 << f.width) - 1 for p in tested)
 
 
 class TestAgainstExhaustiveReference:
@@ -210,16 +226,23 @@ class TestAgainstExhaustiveReference:
     # set 011 fails and is a child of both 001 and 010, which pass
     @example(ReversibleFunction(3, (6, 5, 1, 2, 4, 3, 7, 0)))
     def test_same_order_or_same_refusal(self, f):
-        with mock.patch.object(cascade, "_advance",
-                               wraps=cascade._advance) as spy:
-            got = outcome(find_feasible_order, f)
+        got, tested = searched(find_feasible_order, f)
         assert got == outcome(reference.find_feasible_order, f)
         if got is not NoFeasibleOrder:
-            assert len(decompose(f, StageOrder(got))) == f.width
-        # each proper non-empty prefix set is tested at most once
-        tested = [call.args[2] for call in spy.call_args_list]
-        assert len(tested) == len(set(tested))
-        assert all(0 < p < (1 << f.width) - 1 for p in tested)
+            assert len(decompose(f, got)) == f.width
+        assert_each_set_tested_once(f, tested)
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_inputs(), st.sampled_from(["decompose", "synthesize"]))
+    @example(ReversibleFunction(3, (6, 5, 1, 2, 4, 3, 7, 0)), "synthesize")
+    def test_searched_stages_walk_once(self, f, call):
+        # a searched decomposition or synthesis takes its stages from the
+        # search's own walk, not from a second walk of the order found
+        search = {"decompose": lambda f: decompose(f, "search"),
+                  "synthesize": lambda f: synthesize(f, order="search")}
+        _, tested = searched(search[call], f)
+        assert_each_set_tested_once(f, tested)
+        assert tested == searched(find_feasible_order, f)[1]
 
 
 def result(fn, *args):
@@ -241,31 +264,46 @@ class TestKernelAgainstScalarLoop:
     @given(cascade_inputs())
     @example((swap2_function(), "natural"))
     def test_same_tables_or_same_error(self, case):
-        f, order = case
-        try:
-            order = resolve_order(f, order)
-        except NoFeasibleOrder:
-            return
-        assert (result(decompose, f, order)
-                == result(reference.decompose, f, order))
+        self.check_against_scalar_loop(decompose, reference.decompose, *case)
 
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
     @example((swap2_function(), "natural"))
     def test_stage_vectors_are_the_squeezed_tables(self, case):
-        f, order = case
-        try:
-            order = resolve_order(f, order)
-        except NoFeasibleOrder:
-            return
-
         def squeezed(f, order):
             return [(t.target, _truth_vector(
                         reference.remove_var(t.entries, f.width, t.target)))
                     for t in reference.decompose(f, order)]
 
-        assert (result(cascade._stage_vectors, f, order)
-                == result(squeezed, f, order))
+        self.check_against_scalar_loop(cascade._stage_vectors, squeezed,
+                                       *case)
+
+    @staticmethod
+    def check_against_scalar_loop(fn, scalar, f, order):
+        """fn(f, order) for an order name equals fn at the order it
+        stands for ("search" at find_feasible_order(f), "natural" at
+        None), and the scalar loop's result at that order."""
+        got = result(fn, f, order)
+        if order == "natural":
+            assert got == result(fn, f, None)
+        try:
+            fixed = stage_order(f, order)
+        except NoFeasibleOrder as err:
+            assert got == (NoFeasibleOrder, str(err))
+            return
+        assert got == result(fn, f, fixed)
+        assert got == result(scalar, f, fixed)
+
+    @pytest.mark.parametrize("fn", [
+        decompose, cascade._stage_vectors,
+        lambda f, order: synthesize(f, order=order),
+    ], ids=["decompose", "stage_vectors", "synthesize"])
+    def test_order_values_refused(self, fn, gray4):
+        with pytest.raises(ValueError, match="^unknown order: 'bogus'$"):
+            fn(gray4, "bogus")
+        with pytest.raises(ValueError,
+                           match=r"^order length 3 != width 4$"):
+            fn(gray4, StageOrder((0, 1, 2)))
 
     def test_swap_witness_comes_from_the_later_stage(self):
         # the walk stops at stage 0, whose toggle reads q0; the witness
@@ -283,7 +321,7 @@ class TestKernelAgainstScalarLoop:
         # function in the order the search accepts
         f, order = case
         try:
-            tables = decompose(f, resolve_order(f, order))
+            tables = decompose(f, order)
         except (CascadeInfeasible, NoFeasibleOrder):
             return
         for t in tables:

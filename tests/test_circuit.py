@@ -11,6 +11,7 @@ from conftest import (
     gates_on,
     optimized_reference_circuit,
     random_feasible_function,
+    stage_order,
     swap2_function,
     unoptimized_reference_circuit,
 )
@@ -36,7 +37,6 @@ from qmap_synth import (
     synthesize,
     verify,
 )
-from qmap_synth.cascade import resolve_order
 from qmap_synth import circuit
 from qmap_synth.circuit import _emit
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder, UnloweredMct
@@ -267,7 +267,7 @@ def stage_covers_of(f, mode, order):
     avoid)."""
     minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
     return [(minimize(t, forbidden=frozenset((t.target,))), t.target)
-            for t in reference.decompose(f, resolve_order(f, order))
+            for t in reference.decompose(f, stage_order(f, order))
             if not t.is_zero()]
 
 
@@ -693,6 +693,12 @@ class TestCost:
 
     def test_empty_circuit(self):
         assert cost(Circuit(3, 0, ())) == 0
+
+    @pytest.mark.parametrize("mode", ["Count", "bogus", ""])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(ValueError,
+                           match=f"^unknown cost mode: {mode!r}$"):
+            CostModel(mode)
 
     def test_weighted_rejects_mct(self):
         c = Circuit(4, 0, (Gate.mct([1, 2, 3], 0),))
