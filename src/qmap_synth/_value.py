@@ -15,8 +15,10 @@ class Value:
     field tuple), and assignment or deletion raises AttributeError.  A
     subclass's `__init__` sets its fields through `_init`, and a derived
     slot through `object.__setattr__`; derived slots take no part in ==,
-    hash or repr.  Pickling and `copy` rebuild an instance through its
-    constructor, which checks the fields and derives the rest again."""
+    hash or repr.  No slot is written once `__init__` returns, so a
+    value can be shared across threads.  Pickling and `copy` rebuild an
+    instance through its constructor, which checks the fields and
+    derives the rest again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -73,12 +73,17 @@ _BIT = [bytes.maketrans(bytes(range(256)),
 
 
 class ReversibleFunction(Value):
-    """A bijective mapping on n-bit words, stored as a permutation table;
-    `slices` is its bit-sliced form, built on first use."""
+    """A bijective mapping on n-bit words, stored as a permutation table
+    and, in `slices`, in bit-sliced form.
+
+    slices[j] is the truth vector of output bit j: bit x of it is bit j
+    of f(x).  Each output word is split into its low and high byte (a
+    table has at most 16 bits), highest input first, and each byte maps
+    to the digit of its bit j, so one slice is one `int(digits, 2)`."""
 
     _fields = ("width", "table")
-    __slots__ = _fields + ("_slices",)
-    _slices: tuple[int, ...] | None
+    __slots__ = _fields + ("slices",)
+    slices: tuple[int, ...]
 
     def __init__(self, width: int, table: tuple[int, ...]) -> None:
         _check_width(width)
@@ -88,29 +93,17 @@ class ReversibleFunction(Value):
         if not is_bijective(table):
             raise ValueError("table is not a permutation")
         self._init(width, table)
-        object.__setattr__(self, "_slices", None)
+        words = array("H", table).tobytes()
+        # from the last word back; a little-endian word's low byte is first
+        halves = (words[-2::-2], words[-1::-2])
+        if sys.byteorder == "big":
+            halves = halves[::-1]
+        object.__setattr__(self, "slices", tuple(
+            int(halves[j >> 3].translate(_BIT[j & 7]), 2)
+            for j in range(width)))
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    @property
-    def slices(self) -> tuple[int, ...]:
-        """slices[j] is the truth vector of output bit j: bit x of it is
-        bit j of f(x).  Each output word is split into its low and high
-        byte (a table has at most 16 bits), highest input first, and
-        each byte maps to the digit of its bit j, so one slice is one
-        `int(digits, 2)`.  Built on first use and kept in a slot."""
-        if self._slices is None:
-            words = array("H", self.table).tobytes()
-            # from the last word back; a little-endian word's low byte
-            # is first
-            halves = (words[-2::-2], words[-1::-2])
-            if sys.byteorder == "big":
-                halves = halves[::-1]
-            object.__setattr__(self, "_slices", tuple(
-                int(halves[j >> 3].translate(_BIT[j & 7]), 2)
-                for j in range(self.width)))
-        return self._slices
 
 
 def is_bijective(table: Sequence[int]) -> bool:

@@ -11,8 +11,10 @@ The public passes build the same circuit step by step, through an
 internal gate form that allows negative controls and any control count:
 `realize_stage` maps each cube to one such gate, `lower_polarity`
 rewrites negative controls as X conjugation and drops the X pairs, and
-`lower_mct` expands the wide gates into sandwiches.  Every gate is its
-own inverse, so a circuit's gates in reverse order are its inverse.
+`lower_mct` expands the wide gates into sandwiches.  Outside the passes,
+`verify`, `export_qasm` and weighted `cost` refuse that form
+(UnloweredMct).  Every gate is its own inverse, so a circuit's gates in
+reverse order are its inverse.
 
 `synthesize` draws its gates from one pool that lasts for the process,
 so each distinct X, CX and CCX gate, each run of X gates on a cube's
@@ -75,10 +77,11 @@ class Control(NamedTuple):
 class Gate(Value):
     """Controlled bit flip.  The kind is derived: 0/1/2 all-positive
     controls are X/CX/CCX; anything with a negative control or three or
-    more controls is the internal MCT form awaiting lowering.  `kind`
-    and `lines` (controls, then target) are computed once, at
-    construction, and `_qasm` on first export; none of them takes part
-    in ==, hash or repr."""
+    more controls is the internal MCT form awaiting lowering, which only
+    the step-by-step passes build.  `kind`, `lines` (controls, then
+    target) and `_qasm` (the OpenQASM line, None for an MCT gate) are
+    computed at construction; none of them takes part in ==, hash or
+    repr."""
 
     _fields = ("target", "controls")
     __slots__ = _fields + ("kind", "lines", "_qasm")
@@ -99,23 +102,14 @@ class Gate(Value):
             raise ValueError("negative line index")
         if len(ctl) < 3 and all(pos):
             kind = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)[len(ctl)]
+            qasm = (f"{kind.value} "
+                    + ",".join(f"q[{a}]" for a in lines) + ";")
         else:
-            kind = GateKind.MCT
+            kind, qasm = GateKind.MCT, None
         self._init(target, controls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "_qasm", None)
-
-    def _render_qasm(self) -> str:
-        """Derive the gate's OpenQASM line and keep it in `_qasm`; an
-        MCT gate has none and raises UnloweredMct."""
-        if self.kind is GateKind.MCT:
-            raise UnloweredMct(
-                f"gate {self} must be lowered before QASM export")
-        text = (f"{self.kind.value} "
-                + ",".join(f"q[{a}]" for a in self.lines) + ";")
-        object.__setattr__(self, "_qasm", text)
-        return text
+        object.__setattr__(self, "_qasm", qasm)
 
     @classmethod
     def x(cls, target: int) -> "Gate":
@@ -135,12 +129,17 @@ class Gate(Value):
 
 
 class Circuit(Value):
-    """Ordered gates over data_width lines plus trailing ancilla lines."""
+    """Ordered gates over data_width >= 1 lines plus ancilla_count >= 0
+    trailing ancilla lines."""
 
     __slots__ = _fields = ("data_width", "ancilla_count", "gates")
 
     def __init__(self, data_width: int, ancilla_count: int,
                  gates: tuple[Gate, ...]) -> None:
+        if data_width < 1:
+            raise ValueError(f"data width {data_width} < 1")
+        if ancilla_count < 0:
+            raise ValueError(f"ancilla count {ancilla_count} < 0")
         self._init(data_width, ancilla_count, gates)
         width = self.total_width
         # distinct line tuples in order of first use, so the first one
@@ -154,10 +153,12 @@ class Circuit(Value):
     @classmethod
     def _unchecked(cls, data_width: int, ancilla_count: int,
                    gates: tuple[Gate, ...]) -> "Circuit":
-        """The circuit without the bounds walk over its gates, for
-        callers whose lines are known to fit: `_emit`'s are below
-        n + depth by construction, `parse_qasm` refuses an operand past
-        its qreg, and `split_ancillas` keeps a circuit's total width."""
+        """The circuit without the public constructor's checks, for
+        callers whose counts are possible and whose lines are known to
+        fit: `_emit`'s are below n + depth by construction, `parse_qasm`
+        refuses a qreg below 1 line and an operand past it, and
+        `split_ancillas` keeps a circuit's total width and refuses a
+        data width outside [1, total width]."""
         c = object.__new__(cls)
         c._init(data_width, ancilla_count, gates)
         return c

@@ -12,7 +12,7 @@ import string
 import sys
 from pathlib import Path
 
-from .boolfn import ReversibleFunction, parse_truth_table
+from .boolfn import parse_truth_table
 from .cascade import ToggleTable, decompose
 from .circuit import Circuit, CostModel, GateKind, cost, synthesize
 from .errors import (
@@ -58,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "sets of bits rewritten so far")
 
     p_synth = sub.add_parser("synth", help="compile a truth table to QASM")
+    p_synth.set_defaults(run=cmd_synth)
     add_common(p_synth, needs_input=True, pipeline=True)
     p_synth.add_argument("--cost", choices=["count", "weighted"],
                          default="count", dest="cost_mode")
@@ -68,9 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="check a QASM circuit against a truth table")
+    p_verify.set_defaults(run=cmd_verify)
     add_common(p_verify, needs_input=True, needs_circuit=True)
 
     p_show = sub.add_parser("show", help="print one stage's toggle map")
+    p_show.set_defaults(run=cmd_show)
     add_common(p_show, needs_input=True, pipeline=True)
     p_show.add_argument("--stage", type=int, default=0,
                         help="stage index in the cascade order")
@@ -79,23 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export",
                               help="re-emit a QASM file in canonical form")
+    p_export.set_defaults(run=cmd_export)
     add_common(p_export, needs_circuit=True)
     p_export.add_argument("--out", type=Path)
 
     p_cost = sub.add_parser("cost", help="gate census and cost of a QASM file")
+    p_cost.set_defaults(run=cmd_cost)
     add_common(p_cost, needs_circuit=True)
     p_cost.add_argument("--cost", choices=["count", "weighted"],
                         default="count", dest="cost_mode")
 
     return parser
-
-
-def _read_function(args: argparse.Namespace) -> ReversibleFunction:
-    return parse_truth_table(args.input.read_text())
-
-
-def _read_circuit(args: argparse.Namespace) -> Circuit:
-    return parse_qasm(args.circuit.read_text())
 
 
 def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
@@ -132,7 +129,7 @@ def _diagram(c: Circuit) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    f = _read_function(args)
+    f = parse_truth_table(args.input.read_text())
     circuit = synthesize(f, mode=args.mode, order=args.order)
     mismatch = verify(circuit, f)
     if mismatch is not None:  # internal invariant, never expected
@@ -152,8 +149,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    f = _read_function(args)
-    raw = _read_circuit(args)
+    f = parse_truth_table(args.input.read_text())
+    raw = parse_qasm(args.circuit.read_text())
     if raw.total_width < f.width:
         print(f"error: circuit has {raw.total_width} lines but the table "
               f"needs {f.width}", file=sys.stderr)
@@ -217,7 +214,7 @@ def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    f = _read_function(args)
+    f = parse_truth_table(args.input.read_text())
     if not 0 <= args.stage < f.width:
         raise StageOutOfRange(
             f"stage {args.stage} not in [0, {f.width})")
@@ -240,7 +237,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    circuit = _read_circuit(args)
+    circuit = parse_qasm(args.circuit.read_text())
     qasm = export_qasm(circuit)
     if args.out is not None:
         args.out.write_text(qasm)
@@ -250,25 +247,16 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    circuit = _read_circuit(args)
+    circuit = parse_qasm(args.circuit.read_text())
     print("\n".join(_census_lines(circuit, args.cost_mode)))
     return EXIT_OK
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "verify": cmd_verify,
-    "show": cmd_show,
-    "export": cmd_export,
-    "cost": cmd_cost,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except (ValueError, OSError, StageOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -17,7 +17,7 @@ import re
 from typing import Iterator
 
 from .circuit import Circuit, Gate
-from .errors import QasmSyntaxError
+from .errors import QasmSyntaxError, UnloweredMct
 
 __all__ = ["export_qasm", "parse_qasm", "split_ancillas"]
 
@@ -29,21 +29,22 @@ def export_qasm(c: Circuit) -> str:
     """Render a lowered circuit; gates with three or more controls (or
     negative polarities) have no encoding in the subset and are refused,
     the first one met by name (UnloweredMct)."""
-    # each gate derives its line once, on first export (`Gate._qasm`);
-    # an MCT gate never holds one, so the render refuses it.
-    # `synthesize` draws its gates from a process-wide pool (lines below
-    # 29, 32 MB with every key filled; see `circuit`), so its repeated
-    # gates render once per process.  Gates that `parse_qasm` (one object
-    # per distinct line of a call), the passes or a caller build are
-    # not pooled and render once per object, since a process-wide pool
-    # keyed by their caller-supplied lines could grow without bound
+    # each gate holds its line from construction (`Gate._qasm`), and an
+    # MCT gate holds None, which makes the join raise TypeError; only
+    # then is the first such gate looked for, so a lowered circuit pays
+    # for no scan
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{c.total_width}];",
-        *[g._qasm or g._render_qasm() for g in c.gates],
+        *[g._qasm for g in c.gates],
     ]
-    return "\n".join(lines) + "\n"
+    try:
+        return "\n".join(lines) + "\n"  # type: ignore[arg-type]
+    except TypeError:
+        g = next(g for g in c.gates if g._qasm is None)
+        raise UnloweredMct(
+            f"gate {g} must be lowered before QASM export") from None
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]\s*;$")

@@ -1,10 +1,12 @@
-"""Basis-state simulation and equivalence checking.
+"""Basis-state simulation and equivalence checking of lowered circuits.
 
 States are plain bit words (no amplitudes); a gate flips its target iff
-every control matches its polarity.  Simulation is bit-sliced: line i is
-one int whose bit x is its value for input x, and a gate is one AND over
-its control lines (negatives complemented) XORed into its target line.
-`verify` runs every input at once: the data lines start as the
+every control is 1.  Simulation is bit-sliced: line i is one int whose
+bit x is its value for input x, and an X, CX or CCX gate XORs all ones,
+its control line or the AND of its two control lines into its target
+line.  A gate of the internal MCT form (a negative control, or three or
+more controls) is refused with UnloweredMct, as `export_qasm` and
+weighted `cost` refuse it.  `verify` runs every input at once: the data lines start as the
 identity's slices, masks that need no transpose, and end compared with
 the function's output slices (`ReversibleFunction.slices`), so no table
 is walked input by input.
@@ -16,7 +18,7 @@ from typing import Sequence
 from ._value import Value
 from .boolfn import ReversibleFunction, _clear
 from .circuit import Circuit, GateKind
-from .errors import AncillaNotRestored
+from .errors import AncillaNotRestored, UnloweredMct
 
 __all__ = [
     "Counterexample",
@@ -34,12 +36,13 @@ def _simulate(c: Circuit, expected: Sequence[int]
     """Run c with ancillas at 0 on every input at once, bit y of data
     line j starting as bit j of y.  Returns the data lines and the first
     input whose output differs from the slices `expected` (or None); a
-    dirty ancilla at or before it raises AncillaNotRestored."""
+    dirty ancilla at or before it raises AncillaNotRestored, and an MCT
+    gate raises UnloweredMct."""
     n = c.data_width
     full = (1 << (1 << n)) - 1
     lines = [full ^ _clear(n, 1 << j) for j in range(n)]
     lines += [0] * c.ancilla_count
-    # every line stays within `full`, so positive controls need no mask;
+    # every line stays within `full`, so a control needs no mask;
     # enum members as locals: a member lookup costs ten times as much
     not_, cnot, toffoli = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
     for g in c.gates:
@@ -53,10 +56,8 @@ def _simulate(c: Circuit, expected: Sequence[int]
             a, t = g.lines
             lines[t] ^= lines[a]
         else:
-            hit = full
-            for ctl in g.controls:
-                hit &= lines[ctl.line] if ctl.positive else full ^ lines[ctl.line]
-            lines[g.target] ^= hit
+            raise UnloweredMct(
+                f"gate {g} must be lowered before simulation")
     faults = lines[n:] + [a ^ b for a, b in zip(lines, expected)]
     bad = 0
     for line in faults:
@@ -83,8 +84,9 @@ class Counterexample(Value):
 
 
 def verify(c: Circuit, f: ReversibleFunction) -> Counterexample | None:
-    """None when the circuit's permutation equals f; otherwise the first
-    mismatching input in ascending order."""
+    """None when the lowered circuit's permutation equals f; otherwise
+    the first mismatching input in ascending order.  Raises UnloweredMct,
+    naming the first MCT gate, on a circuit that holds one."""
     if c.data_width != f.width:
         raise ValueError(
             f"circuit width {c.data_width} != function width {f.width}")

@@ -183,15 +183,19 @@ def stage_order(f: ReversibleFunction, order: str) -> StageOrder:
 
 
 @st.composite
-def gates_on(draw, lines, targets=None, max_controls=4):
+def gates_on(draw, lines, targets=None, max_controls=4, lowered=False):
     """A gate with a target from `targets` (default: any of `lines`) and
-    up to max_controls distinct controls from the rest, either polarity."""
+    up to max_controls distinct controls from the rest, either polarity;
+    or, when `lowered`, an X, CX or CCX gate."""
     target = draw(st.sampled_from(targets or lines))
     others = [l for l in lines if l != target]
+    if lowered:
+        max_controls = min(max_controls, 2)
     ctl = draw(st.lists(st.sampled_from(others), unique=True,
                         max_size=min(max_controls, len(others)))
                if others else st.just([]))
-    return Gate(target, tuple(Control(l, draw(st.booleans())) for l in ctl))
+    return Gate(target, tuple(Control(l, lowered or draw(st.booleans()))
+                              for l in ctl))
 
 
 @st.composite

@@ -398,8 +398,13 @@ def gate_error(target: int, controls: tuple[Control, ...]) -> str | None:
 
 def circuit_error(data_width: int, ancilla_count: int,
                   gates: Sequence[Gate]) -> str | None:
-    """The ValueError message `Circuit` must raise for these gates, which
-    names the first gate past the total width, or None when all fit."""
+    """The ValueError message `Circuit` must raise: for a data width
+    below 1 or a negative ancilla count, else for the first gate past
+    the total width; None when the counts are possible and all fit."""
+    if data_width < 1:
+        return f"data width {data_width} < 1"
+    if ancilla_count < 0:
+        return f"ancilla count {ancilla_count} < 0"
     width = data_width + ancilla_count
     for g in gates:
         if any(l >= width for l in gate_lines(g)):

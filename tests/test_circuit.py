@@ -118,7 +118,8 @@ class TestGateAgainstReference:
 
 @st.composite
 def circuit_specs(draw):
-    """(data width, ancillas, gates): total width 1-8 and gates on lines
+    """(data width, ancillas, gates): data width -1 to 6, -1 to 2
+    ancillas (so now and then an impossible count), and gates on lines
     0-7 drawn from a small pool that also holds each gate with its
     polarities flipped, so that equal lines recur with other controls
     and often lie past the total width."""
@@ -127,7 +128,7 @@ def circuit_specs(draw):
     pool += [Gate(g.target, tuple(Control(c.line, not c.positive)
                                   for c in g.controls)) for g in pool]
     gates = draw(st.lists(st.sampled_from(pool), max_size=12))
-    return draw(st.integers(1, 6)), draw(st.integers(0, 2)), tuple(gates)
+    return draw(st.integers(-1, 6)), draw(st.integers(-1, 2)), tuple(gates)
 
 
 class TestCircuitAgainstReference:
@@ -141,6 +142,19 @@ class TestCircuitAgainstReference:
         with pytest.raises(ValueError) as exc:
             Circuit(*spec)
         assert str(exc.value) == error
+
+    @pytest.mark.parametrize("data_width, ancilla_count, message", [
+        (0, 0, "data width 0 < 1"),
+        (-1, 3, "data width -1 < 1"),
+        (2, -1, "ancilla count -1 < 0"),
+        (2, -2, "ancilla count -2 < 0"),
+    ])
+    def test_impossible_line_counts_refused(self, data_width,
+                                            ancilla_count, message):
+        # with a negative count, export would declare a register
+        # narrower than the data lines
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(data_width, ancilla_count, ())
 
 
 class TestRealizeStage:
@@ -577,7 +591,9 @@ class TestSynthesize:
             gates += realize_stage(cover, target, 4)
         c = Circuit(4, 0, tuple(lower_polarity(gates)))
         assert c.census()["mct"]
-        assert verify(c, gray4) is None
+        assert reference.permutation_of(c) == list(gray4.table)
+        with pytest.raises(UnloweredMct):
+            verify(c, gray4)
         assert lower_mct(c) == synthesize(gray4, mode="disjoint")
 
     def test_identity_is_empty(self):

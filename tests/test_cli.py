@@ -1,3 +1,4 @@
+import argparse
 import errno
 import os
 
@@ -10,7 +11,7 @@ from qmap_synth import (
     parse_qasm,
     render_truth_table,
 )
-from qmap_synth.cli import main
+from qmap_synth.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -314,3 +315,59 @@ class TestExportAndCost:
         bad.write_text("hello\n")
         assert main(["cost", "--circuit", str(bad)]) == 2
         capsys.readouterr()
+
+
+_ORDER_HELP = ("stage order: fixed 0..n-1, or the first feasible one, found "
+               "by a walk over the sets of bits rewritten so far")
+_INPUT = (("--input",), "input", None, None, True, "truth table file", "Path")
+_CIRCUIT = (("--circuit",), "circuit", None, None, True,
+            "OpenQASM 2.0 file (x/cx/ccx subset)", "Path")
+_MODE = (("--mode",), "mode", "esop", ["disjoint", "esop"], False,
+         "cover style per stage", None)
+_ORDER = (("--order",), "order", "natural", ["natural", "search"], False,
+          _ORDER_HELP, None)
+_COST = (("--cost",), "cost_mode", "count", ["count", "weighted"], False,
+         None, None)
+
+# each subcommand's help and its arguments (option strings, dest,
+# default, choices, required, help, type), help flags aside
+SUBCOMMANDS = {
+    "synth": ("compile a truth table to QASM", [
+        _INPUT, _MODE, _ORDER, _COST,
+        (("--out",), "out", None, None, False, "QASM output path "
+         "(default: stdout, with the summary on stderr)", "Path"),
+        (("--diagram",), "diagram", False, None, False,
+         "also print an ASCII circuit diagram", None),
+    ]),
+    "verify": ("check a QASM circuit against a truth table",
+               [_INPUT, _CIRCUIT]),
+    "show": ("print one stage's toggle map", [
+        _INPUT, _MODE, _ORDER,
+        (("--stage",), "stage", 0, None, False,
+         "stage index in the cascade order", "int"),
+        (("--overlay",), "overlay", False, None, False,
+         "overlay the minimized cover as group letters", None),
+    ]),
+    "export": ("re-emit a QASM file in canonical form", [
+        _CIRCUIT, (("--out",), "out", None, None, False, None, "Path"),
+    ]),
+    "cost": ("gate census and cost of a QASM file", [_CIRCUIT, _COST]),
+}
+
+
+def test_subcommand_arguments_are_pinned():
+    """The arguments themselves, not the --help text, whose headings
+    differ across Python versions."""
+    parser = _build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("subcommand", True)
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: text for name, (text, _) in SUBCOMMANDS.items()}
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, p in sub.choices.items():
+        got = [(tuple(a.option_strings), a.dest, a.default, a.choices,
+                a.required, a.help, getattr(a.type, "__name__", None))
+               for a in p._actions
+               if not isinstance(a, argparse._HelpAction)]
+        assert got == SUBCOMMANDS[name][1], name

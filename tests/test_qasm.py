@@ -83,6 +83,14 @@ class TestExport:
         c = unoptimized_reference_circuit()
         assert export_qasm(c) == export_qasm(c)
 
+    def test_names_the_first_unlowered_gate(self):
+        lowered = (Gate.x(0), Gate.cx(0, 1), Gate.ccx(0, 1, 2)) * 1000
+        first = Gate(1, (Control(0, False),))
+        c = Circuit(4, 0, lowered + (first, Gate.mct([0, 1, 2], 3)))
+        with pytest.raises(UnloweredMct) as exc:
+            export_qasm(c)
+        assert str(exc.value) == f"gate {first} must be lowered before QASM export"
+
     def test_rejects_mct_on_lines_already_rendered(self):
         c = Circuit(3, 0, (Gate.ccx(1, 2, 0),
                            Gate(0, (Control(1), Control(2, False)))))

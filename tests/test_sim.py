@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -15,12 +16,13 @@ from qmap_synth import (
     Circuit,
     Control,
     Gate,
+    GateKind,
     ReversibleFunction,
     gray_to_binary_function,
     identity_function,
     verify,
 )
-from qmap_synth.errors import AncillaNotRestored
+from qmap_synth.errors import AncillaNotRestored, UnloweredMct
 
 
 def random_gate(width: int, rng: random.Random) -> Gate:
@@ -70,7 +72,7 @@ class TestApplyGate:
         gates = [random_gate(width, rng) for _ in range(20)]
         for g in gates:
             twice = Circuit(width, 0, (g, g))
-            assert verify(twice, identity_function(width)) is None
+            assert reference.permutation_of(twice) == list(range(1 << width))
 
 
 class TestRun:
@@ -150,6 +152,19 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(Circuit(3, 0, ()), identity_function(2))
 
+    @pytest.mark.parametrize("first", [
+        Gate(2, (Control(0, False),)),  # a negative-control CX
+        Gate.mct([0, 1, 3], 2),         # three controls
+    ])
+    def test_refuses_the_first_unlowered_gate(self, first):
+        lowered = (Gate.x(0), Gate.cx(0, 1), Gate.ccx(1, 3, 2))
+        later = (Gate(3, (Control(1), Control(2, False))),
+                 Gate.mct([0, 1, 2], 3))
+        c = Circuit(4, 0, lowered + (first,) + later)
+        with pytest.raises(UnloweredMct) as exc:
+            verify(c, identity_function(4))
+        assert str(exc.value) == f"gate {first} must be lowered before simulation"
+
 
 class TestThroughput:
     def test_width8_sweep_is_fast(self):
@@ -167,32 +182,35 @@ class TestThroughput:
 # --- differential properties against the scalar reference -------------------
 
 @st.composite
-def circuits(draw):
+def circuits(draw, lowered=True):
     """Data width 1-6 plus 0-3 ancillas.  Either gates on any lines (an
     ancilla is then usually left dirty), or a clean circuit: data gates,
     then ancilla compute, gates on one data target, ancilla uncompute,
     where the compute part never reads that target.  Either kind may
-    then get one gate replaced by a random one."""
+    then get one gate replaced by a random one.  The gates are X, CX
+    and CCX, or with `lowered` false of any polarity and up to four
+    controls."""
+    on = partial(gates_on, lowered=lowered)
     n = draw(st.integers(1, 6))
     k = draw(st.integers(0, 3))
     everything = list(range(n + k))
     if draw(st.booleans()):
-        gates = draw(st.lists(gates_on(everything), max_size=16))
+        gates = draw(st.lists(on(everything), max_size=16))
     else:
         data = list(range(n))
         t = draw(st.sampled_from(data))
-        gates = draw(st.lists(gates_on(data), max_size=6))
+        gates = draw(st.lists(on(data), max_size=6))
         compute = []
         for a in range(n, n + k):
             readable = [l for l in range(a) if l != t]
-            compute.append(draw(gates_on(readable + [a], targets=[a])))
+            compute.append(draw(on(readable + [a], targets=[a])))
         gates += compute
-        gates += draw(st.lists(gates_on(everything, targets=[t]),
+        gates += draw(st.lists(on(everything, targets=[t]),
                                max_size=6))
         gates += reversed(compute)
     if gates and draw(st.booleans()):
         i = draw(st.integers(0, len(gates) - 1))
-        gates[i] = draw(gates_on(everything))
+        gates[i] = draw(on(everything))
     return Circuit(n, k, tuple(gates))
 
 
@@ -224,3 +242,17 @@ class TestAgainstScalarReference:
     def test_verify(self, c, rng):
         f = near_function(c, rng)
         assert outcome(verify, c, f) == outcome(reference.verify, c, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(lowered=False), st.randoms(use_true_random=False))
+    def test_verify_or_refuse(self, c, rng):
+        """The reference's outcome on a lowered circuit; otherwise the
+        refusal of its first MCT gate."""
+        f = near_function(c, rng)
+        mct = [g for g in c.gates if reference.gate_kind(g) is GateKind.MCT]
+        if not mct:
+            assert outcome(verify, c, f) == outcome(reference.verify, c, f)
+            return
+        with pytest.raises(UnloweredMct) as exc:
+            verify(c, f)
+        assert str(exc.value) == f"gate {mct[0]} must be lowered before simulation"

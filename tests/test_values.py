@@ -75,14 +75,21 @@ def test_value_semantics(kind, fields, other, text):
 
 
 def test_derived_slots_stay_out_of_the_value():
-    f, g = ReversibleFunction(2, (0, 1, 3, 2)), ReversibleFunction(2, (0, 1, 3, 2))
-    assert f.slices is f.slices  # built once, then kept
-    assert f == g and hash(f) == hash(g)
-    x, y = Gate.ccx(0, 1, 2), Gate.ccx(0, 1, 2)
-    assert x._render_qasm() == "ccx q[0],q[1],q[2];"
-    assert x._qasm is not None and y._qasm is None
-    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
-    assert pickle.loads(pickle.dumps(x)).lines == x.lines
+    """Derived slots are set by the constructor, never later, take no
+    part in ==, hash or repr, and a pickled copy derives them again."""
+    f = ReversibleFunction(2, (0, 1, 3, 2))
+    x, mct = Gate.ccx(0, 1, 2), Gate.mct([0, 1, 2], 3)
+    derived = [(f, "slices", (0b0110, 0b1100)),
+               (x, "lines", (0, 1, 2)), (x, "_qasm", "ccx q[0],q[1],q[2];"),
+               (mct, "_qasm", None)]
+    for value, slot, expected in derived:
+        assert getattr(value, slot) == expected
+        assert slot not in repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, slot, expected)
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and hash(twin) == hash(value)
+        assert getattr(twin, slot) == expected
 
 
 CUBES = [Cube(w, mask, value) for w in (1, 2) for mask in range(1 << w)
