@@ -4,6 +4,8 @@ Exit codes: 0 success, 2 parse/usage failure, 3 infeasible cascade,
 5 verification mismatch.  Diagnostics go to stderr; generated QASM goes
 to --out or stdout.  `show` prints a toggle map's cells as 0/1, or with
 --overlay the letters of the cubes covering each cell ("." for none).
+`synth --diagram` builds each line's row as one string, and an argument
+that several subcommands take is declared once, on a parent parser.
 """
 from __future__ import annotations
 
@@ -40,57 +42,50 @@ def _build_parser() -> argparse.ArgumentParser:
                     "basis via Gray-labelled toggle maps.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, needs_input=False,
-                   needs_circuit=False, pipeline=False) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, type=Path,
-                           help="truth table file")
-        if needs_circuit:
-            p.add_argument("--circuit", required=True, type=Path,
-                           help="OpenQASM 2.0 file (x/cx/ccx subset)")
-        if pipeline:
-            p.add_argument("--mode", choices=["disjoint", "esop"],
-                           default="esop", help="cover style per stage")
-            p.add_argument("--order", choices=["natural", "search"],
-                           default="natural",
-                           help="stage order: fixed 0..n-1, or the first "
-                                "feasible one, found by a walk over the "
-                                "sets of bits rewritten so far")
+    # the arguments that several subcommands share, each declared once
+    table, circuit, pipeline, cost_mode = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    table.add_argument("--input", required=True, type=Path,
+                       help="truth table file")
+    circuit.add_argument("--circuit", required=True, type=Path,
+                         help="OpenQASM 2.0 file (x/cx/ccx subset)")
+    pipeline.add_argument("--mode", choices=["disjoint", "esop"],
+                          default="esop", help="cover style per stage")
+    pipeline.add_argument("--order", choices=["natural", "search"],
+                          default="natural",
+                          help="stage order: fixed 0..n-1, or the first "
+                               "feasible one, found by a walk over the "
+                               "sets of bits rewritten so far")
+    cost_mode.add_argument("--cost", choices=["count", "weighted"],
+                           default="count", dest="cost_mode")
 
-    p_synth = sub.add_parser("synth", help="compile a truth table to QASM")
+    p_synth = sub.add_parser("synth", help="compile a truth table to QASM",
+                             parents=[table, pipeline, cost_mode])
     p_synth.set_defaults(run=cmd_synth)
-    add_common(p_synth, needs_input=True, pipeline=True)
-    p_synth.add_argument("--cost", choices=["count", "weighted"],
-                         default="count", dest="cost_mode")
     p_synth.add_argument("--out", type=Path, help="QASM output path "
                          "(default: stdout, with the summary on stderr)")
     p_synth.add_argument("--diagram", action="store_true",
                          help="also print an ASCII circuit diagram")
 
-    p_verify = sub.add_parser("verify",
-                              help="check a QASM circuit against a truth table")
-    p_verify.set_defaults(run=cmd_verify)
-    add_common(p_verify, needs_input=True, needs_circuit=True)
+    sub.add_parser(
+        "verify", help="check a QASM circuit against a truth table",
+        parents=[table, circuit]).set_defaults(run=cmd_verify)
 
-    p_show = sub.add_parser("show", help="print one stage's toggle map")
+    p_show = sub.add_parser("show", help="print one stage's toggle map",
+                            parents=[table, pipeline])
     p_show.set_defaults(run=cmd_show)
-    add_common(p_show, needs_input=True, pipeline=True)
     p_show.add_argument("--stage", type=int, default=0,
                         help="stage index in the cascade order")
     p_show.add_argument("--overlay", action="store_true",
                         help="overlay the minimized cover as group letters")
 
-    p_export = sub.add_parser("export",
+    p_export = sub.add_parser("export", parents=[circuit],
                               help="re-emit a QASM file in canonical form")
     p_export.set_defaults(run=cmd_export)
-    add_common(p_export, needs_circuit=True)
     p_export.add_argument("--out", type=Path)
 
-    p_cost = sub.add_parser("cost", help="gate census and cost of a QASM file")
-    p_cost.set_defaults(run=cmd_cost)
-    add_common(p_cost, needs_circuit=True)
-    p_cost.add_argument("--cost", choices=["count", "weighted"],
-                        default="count", dest="cost_mode")
+    sub.add_parser("cost", help="gate census and cost of a QASM file",
+                   parents=[circuit, cost_mode]).set_defaults(run=cmd_cost)
 
     return parser
 
@@ -108,24 +103,18 @@ def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
 
 def _diagram(c: Circuit) -> str:
     """One row per line: a gate draws X on its target, * on its controls
-    (`synthesize` emits no negative control) and | between them."""
+    (`synthesize` emits no negative control) and | between them; a row is
+    joined straight from the gates, with no string kept per cell."""
     names = [f"q{i}" for i in range(c.data_width)]
     names += [f"a{i}" for i in range(c.ancilla_count)]
     pad = max(len(s) for s in names)
-    rows = [[f"{name:>{pad}}:"] for name in names]
-    for g in c.gates:
-        lo, hi = min(g.lines), max(g.lines)
-        for line in range(c.total_width):
-            if line == g.target:
-                ch = "X"
-            elif line in g.lines:
-                ch = "*"
-            elif lo < line < hi:
-                ch = "|"
-            else:
-                ch = "-"
-            rows[line].append(f"-{ch}-")
-    return "\n".join("".join(r) for r in rows)
+    return "\n".join(
+        f"{name:>{pad}}:" + "".join(
+            "-X-" if line == g.target
+            else "-*-" if line in g.lines
+            else "-|-" if min(g.lines) < line < max(g.lines)
+            else "---" for g in c.gates)
+        for line, name in enumerate(names))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

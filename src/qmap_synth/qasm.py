@@ -4,9 +4,9 @@ Export is deterministic byte-for-byte; the parser accepts exactly what
 export produces plus blank lines and // comments, and reports the line
 number of anything else.  A synthesized circuit of width 16 repeats a
 few hundred distinct statements over millions of lines, so the parser
-parses each distinct line once per call, at its first occurrence, and
-reads the text one chunk of lines at a time, so that it keeps nothing
-per line but the gate it appends.  QASM
+strips each distinct line and parses each distinct statement once per
+call, and reads the text as a lazy stream, one chunk of lines at a
+time, so that it keeps nothing per line but the gate it appends.  QASM
 has a single flat register, so a parsed circuit comes back with every
 line as a data line; `split_ancillas` reinterprets the top lines as
 ancillas when the caller knows the data width.
@@ -54,25 +54,15 @@ _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]$")
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the exported subset back into a circuit (all lines data)."""
-    numbered = enumerate(_lines(text), start=1)
-    # the first three statements with their line numbers
-    header: list[tuple[int, str]] = []
-    for lineno, raw in numbered:
-        line = raw.split("//", 1)[0].strip()
-        if line:
-            header.append((lineno, line))
-            if len(header) == 3:
-                break
-
-    if not header or header[0][1] != "OPENQASM 2.0;":
-        lineno = header[0][0] if header else 1
-        raise QasmSyntaxError('expected "OPENQASM 2.0;"', lineno)
-    if len(header) < 2 or header[1][1] != 'include "qelib1.inc";':
-        lineno = header[1][0] if len(header) > 1 else header[0][0]
-        raise QasmSyntaxError('expected "include \"qelib1.inc\";"', lineno)
-    if len(header) < 3:
-        raise QasmSyntaxError("missing qreg declaration", header[-1][0])
-    lineno, decl = header[2]
+    statements = _statements(text)
+    lineno = 1  # where a missing statement is reported: the last one read
+    for want in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
+        lineno, stmt = next(statements, (lineno, None))
+        if stmt != want:
+            raise QasmSyntaxError(f'expected "{want}"', lineno)
+    lineno, decl = next(statements, (lineno, None))
+    if decl is None:
+        raise QasmSyntaxError("missing qreg declaration", lineno)
     m = _QREG_RE.match(decl)
     if m is None:
         raise QasmSyntaxError(f"expected qreg declaration, got {decl!r}", lineno)
@@ -82,23 +72,29 @@ def parse_qasm(text: str) -> Circuit:
             f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
     gates: list[Gate] = []
-    # raw line -> its gate, or None for a blank or comment line, so that
-    # each distinct line is parsed once and a repeated gate is one object
-    # that `export_qasm` renders once
-    parsed: dict[str, Gate | None] = {}
-    for lineno, raw in numbered:
-        g = parsed.get(raw)
+    # statement -> its gate: each distinct statement is parsed once, and
+    # a repeated gate is one object, which `export_qasm` renders once
+    parsed: dict[str, Gate] = {}
+    for lineno, stmt in statements:
+        g = parsed.get(stmt)
         if g is None:
-            if raw in parsed:
-                continue
-            stmt = raw.split("//", 1)[0].strip()
-            g = parsed[raw] = (_parse_gate(stmt, reg, width, lineno)
-                               if stmt else None)
-            if g is None:
-                continue
+            g = parsed[stmt] = _parse_gate(stmt, reg, width, lineno)
         gates.append(g)
 
     return Circuit._unchecked(width, 0, tuple(gates))  # see `_parse_gate`
+
+
+def _statements(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, statement) for each line of `text` that holds one:
+    its text before any // comment, stripped.  Each distinct line is
+    stripped once."""
+    stripped: dict[str, str] = {}
+    for lineno, raw in enumerate(_lines(text), start=1):
+        stmt = stripped.get(raw)
+        if stmt is None:
+            stmt = stripped[raw] = raw.split("//", 1)[0].strip()
+        if stmt:
+            yield lineno, stmt
 
 
 def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:

@@ -251,8 +251,27 @@ def _merge_terms(on: int, m: int) -> list[int]:
     entries that are skipped when popped.  A term gains a partner only
     when its positive extension enters the pool: the merged term (P,
     N+i) is that of each (P-k, N+i) with k in P, and those in the pool
-    are pushed.  The merged term is pushed only if one of its own
-    positive extensions is in the pool.
+    are pushed.  The merged term has no partner when it enters, so it
+    is not pushed.  Proof: number the merges as steps; a term lives
+    from the step that makes it (a seed, from the start) to the step
+    that merges it, and never again, as cubes only join.  (R) If the
+    term merging at step a has mask K, a cube R with a mask below K (as
+    ints) that is a term later was one at a: each term inside R has a
+    smaller key, so no partner at a, and the first merge after a to
+    make a term inside R would join two that were partners at a.  (S)
+    So if A+j merges at step s, j not in A's mask, A is no term at s or
+    later: by (R) it would be one at s, a smaller partner of A+j.  (H)
+    Every merge of (P, N) is at a slot above all of N.  Else take the
+    first step that puts terms (P, N) and (P+i, N), i < max N, in the
+    pool; so far merges added N's slots in increasing order.  Let L be
+    N's slots below i, d the least above, Z = (P, L): Z and Z+i merged
+    at slot d, at steps z < z' by (S).  Z+i was no term at z (it would
+    be a partner below d), so it was made later, L is not empty, and
+    Z+d was made at a step e < z from (P+d, L-l), l = max L, whose mask
+    is above P+L+i (d is above i and l): by (R) Z+i was a term at e, so
+    also at z, a contradiction.  (C) If t = (P, N) merges at slot i and
+    (P+j, N+i) is in the pool, by (H) it was made from t+j and t+j+i
+    before, against (S).
 
     By I1 at most one term of a merged seed has P empty, so it never
     holds two complemented single literals."""
@@ -275,14 +294,9 @@ def _merge_terms(on: int, m: int) -> list[int]:
         pool.remove(t | both)
         merged = t | mb
         pool.add(merged)
-        alone = True
-        for mb, both in slots:
-            if not merged & mb:
-                alone = alone and merged | both not in pool
-            elif merged & both == both and merged ^ both in pool:
+        for _, both in slots:
+            if merged & both == both and merged ^ both in pool:
                 heapq.heappush(heap, merged ^ both)
-        if not alone:
-            heapq.heappush(heap, merged)
     return sorted(pool)
 
 

@@ -1,17 +1,20 @@
 import argparse
 import errno
 import os
+import random
+import tracemalloc
 
 import pytest
 
-from conftest import bit_swap_function, swap2_function
+from conftest import bit_swap_function, random_feasible_function, swap2_function
 from qmap_synth import (
     gray_to_binary_function,
     identity_function,
     parse_qasm,
     render_truth_table,
+    synthesize,
 )
-from qmap_synth.cli import _build_parser, main
+from qmap_synth.cli import _build_parser, _diagram, main
 
 
 @pytest.fixture
@@ -149,6 +152,51 @@ class TestSynth:
         assert code == 0
         err = capsys.readouterr().err
         assert "q0:" in err and "q3:" in err
+
+    @pytest.mark.parametrize("mode, diagram", [
+        ("esop", "q0:-X--X--X----------\n"
+                 "q1:-*--|--|--X--X----\n"
+                 "q2:----*--|--*--|--X-\n"
+                 "q3:-------*-----*--*-\n"),
+        # the ancilla row, and the Toffolis whose span crosses q1 and q2
+        ("disjoint",
+         "q0:----------X--------------X--------------X--------------X"
+         "-------------------------\n"
+         "q1:----------*--------X-----*--------------*--------X-----*"
+         "--------X--------X-------\n"
+         "q2:-X-----*--|--*--X-----*--|--*-----X--*--|--*--X-----*--|"
+         "--*-----*-----X--*--X--X-\n"
+         "q3:----X--*--|--*--------*--|--*--X-----*--|--*--------*--|"
+         "--*--X--*--X-----*-----*-\n"
+         "a0:-------X--*--X--------X--*--X--------X--*--X--------X--*"
+         "--X----------------------\n"),
+    ])
+    def test_diagram_bytes(self, gray4_file, tmp_path, capsys, mode, diagram):
+        out = tmp_path / "gray.qasm"
+        code = main(["synth", "--input", str(gray4_file), "--mode", mode,
+                     "--out", str(out), "--diagram"])
+        assert code == 0
+        assert capsys.readouterr().err == diagram
+
+    def test_diagram_of_no_gates(self, identity_file, tmp_path, capsys):
+        code = main(["synth", "--input", str(identity_file),
+                     "--out", str(tmp_path / "id.qasm"), "--diagram"])
+        assert code == 0
+        assert capsys.readouterr().err == "q0:\nq1:\nq2:\nq3:\n"
+
+    def test_diagram_peak_memory_is_a_small_multiple_of_the_text(self):
+        # 18,092 gates on 19 lines, 0.9 MB of text; a string per
+        # (gate, line) cell took 22 times the text
+        c = synthesize(random_feasible_function(10, random.Random(10)),
+                       mode="disjoint")
+        tracemalloc.start()
+        try:
+            text = _diagram(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == c.total_width * (4 + 3 * len(c)) - 1
+        assert peak <= 4 * len(text)
 
 
 class TestVerify:

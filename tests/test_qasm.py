@@ -157,6 +157,18 @@ class TestParse:
         )
         assert parse_qasm(text) == Circuit(2, 0, (Gate.x(0),))
 
+    def test_blanks_and_comments_between_header_statements(self):
+        text = ("\n// version\nOPENQASM 2.0;\n\n// gates\n\n"
+                'include "qelib1.inc";\n   \n// one register\n'
+                "qreg q[2];\n\ncx q[0],q[1];\n")
+        assert parse_qasm(text) == Circuit(2, 0, (Gate.cx(0, 1),))
+
+    def test_header_statements_with_trailing_comments(self):
+        text = ("OPENQASM 2.0; // version\n"
+                'include "qelib1.inc";// gates\n'
+                "qreg q[2]; // q[1] is spare\nx q[0];\n")
+        assert parse_qasm(text) == Circuit(2, 0, (Gate.x(0),))
+
     def test_other_register_names(self):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg r[2];\ncx r[0],r[1];\n'
         assert parse_qasm(text) == Circuit(2, 0, (Gate.cx(0, 1),))
@@ -230,6 +242,23 @@ class TestParseErrors:
     def test_missing_qreg(self):
         with pytest.raises(QasmSyntaxError):
             parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "// nothing\n\n"])
+    def test_no_statement_reported_at_line_1(self, text):
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(text)
+        assert str(exc.value) == 'line 1: expected "OPENQASM 2.0;"'
+
+    def test_missing_include_after_blanks_reported_at_version(self):
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm("\nOPENQASM 2.0;\n\n\n  \n")
+        assert str(exc.value) == 'line 2: expected "include "qelib1.inc";"'
+
+    def test_missing_qreg_after_comments_reported_at_include(self):
+        text = 'OPENQASM 2.0;\n\ninclude "qelib1.inc";\n// no\n\n// qreg\n'
+        with pytest.raises(QasmSyntaxError) as exc:
+            parse_qasm(text)
+        assert str(exc.value) == "line 3: missing qreg declaration"
 
     @pytest.mark.parametrize("width", [0, MAX_QREG_WIDTH + 1, 999999999])
     def test_register_width_out_of_range(self, width):

@@ -634,6 +634,15 @@ class TestMergeTermsReference:
         assert pairs_of(_merge_terms(on, m), m) == \
             reference.merge_terms(pairs_of(_pprm_terms(on, m), m), m)
 
+    def test_same_terms_on_every_function_up_to_four_variables(self):
+        # the merged term is not pushed when it enters, since it has no
+        # partner then (the proof is in `_merge_terms`); the reference
+        # rescans the whole pool after each merge
+        for m in range(5):
+            for on in range(1 << (1 << m)):
+                assert pairs_of(_merge_terms(on, m), m) == \
+                    reference.merge_terms(pairs_of(_pprm_terms(on, m), m), m)
+
     def test_merged_term_that_gains_a_partner_later(self):
         # x0'x1' has the seed 1, x0, x1, x0x1: 1 xor x0 gives x0', which
         # enters with no partner; x1 xor x0x1 then gives x0'x1, the
