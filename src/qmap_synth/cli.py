@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 parse/usage failure, 3 infeasible cascade,
 5 verification mismatch.  Diagnostics go to stderr; generated QASM goes
 to --out or stdout.  `show` prints a toggle map's cells as 0/1, or with
 --overlay the letters of the cubes covering each cell ("." for none).
-`synth --diagram` builds each line's row as one string, and an argument
-that several subcommands take is declared once, on a parent parser.
+`synth --diagram` writes its rows one at a time, each built as one
+string, and an argument that several subcommands take is declared
+once, on a parent parser.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import argparse
 import string
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .boolfn import parse_truth_table
 from .cascade import ToggleTable, decompose
@@ -97,24 +99,24 @@ def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
     return [
         f"lines: {c.data_width} data + {c.ancilla_count} ancilla",
         f"gates: {len(c)} ({census})",
-        f"cost({cost_mode}): {value:g}",
+        f"cost({cost_mode}): {value:.15g}",
     ]
 
 
-def _diagram(c: Circuit) -> str:
-    """One row per line: a gate draws X on its target, * on its controls
-    (`synthesize` emits no negative control) and | between them; a row is
-    joined straight from the gates, with no string kept per cell."""
+def _diagram(c: Circuit) -> Iterator[str]:
+    """One row per line, yielded as soon as it is built: a gate draws X
+    on its target, * on its controls (`synthesize` emits no negative
+    control) and | between them; a row is joined straight from the
+    gates, with no string kept per cell."""
     names = [f"q{i}" for i in range(c.data_width)]
     names += [f"a{i}" for i in range(c.ancilla_count)]
     pad = max(len(s) for s in names)
-    return "\n".join(
-        f"{name:>{pad}}:" + "".join(
+    for line, name in enumerate(names):
+        yield f"{name:>{pad}}:" + "".join(
             "-X-" if line == g.target
             else "-*-" if line in g.lines
             else "-|-" if min(g.lines) < line < max(g.lines)
             else "---" for g in c.gates)
-        for line, name in enumerate(names))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -133,7 +135,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sys.stdout.write(qasm)
         print("\n".join(summary), file=sys.stderr)
     if args.diagram:
-        print(_diagram(circuit), file=sys.stderr)
+        for row in _diagram(circuit):  # one row in memory at a time
+            print(row, file=sys.stderr)
     return EXIT_OK
 
 

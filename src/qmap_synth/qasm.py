@@ -3,13 +3,13 @@
 Export is deterministic byte-for-byte; the parser accepts exactly what
 export produces plus blank lines and // comments, and reports the line
 number of anything else.  A synthesized circuit of width 16 repeats a
-few hundred distinct statements over millions of lines, so the parser
-strips each distinct line and parses each distinct statement once per
-call, and reads the text as a lazy stream, one chunk of lines at a
-time, so that it keeps nothing per line but the gate it appends.  QASM
-has a single flat register, so a parsed circuit comes back with every
-line as a data line; `split_ancillas` reinterprets the top lines as
-ancillas when the caller knows the data width.
+few hundred distinct lines over millions, so the parser parses each
+distinct line once per call, to its gate or to None, and reads the text
+as a lazy stream, one chunk of lines at a time, so that it keeps
+nothing per line but that gate or None.  QASM has a single flat
+register, so a parsed circuit comes back with every line as a data
+line; `split_ancillas` reinterprets the top lines as ancillas when the
+caller knows the data width.
 """
 from __future__ import annotations
 
@@ -54,13 +54,14 @@ _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]$")
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the exported subset back into a circuit (all lines data)."""
-    statements = _statements(text)
+    lines = enumerate(_lines(text), start=1)
+    header = ((n, stmt) for n, raw in lines if (stmt := _statement(raw)))
     lineno = 1  # where a missing statement is reported: the last one read
     for want in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
-        lineno, stmt = next(statements, (lineno, None))
+        lineno, stmt = next(header, (lineno, None))
         if stmt != want:
             raise QasmSyntaxError(f'expected "{want}"', lineno)
-    lineno, decl = next(statements, (lineno, None))
+    lineno, decl = next(header, (lineno, None))
     if decl is None:
         raise QasmSyntaxError("missing qreg declaration", lineno)
     m = _QREG_RE.match(decl)
@@ -71,30 +72,27 @@ def parse_qasm(text: str) -> Circuit:
         raise QasmSyntaxError(
             f"qreg width {width} not in [1, {MAX_QREG_WIDTH}]", lineno)
 
-    gates: list[Gate] = []
-    # statement -> its gate: each distinct statement is parsed once, and
-    # a repeated gate is one object, which `export_qasm` renders once
-    parsed: dict[str, Gate] = {}
-    for lineno, stmt in statements:
-        g = parsed.get(stmt)
-        if g is None:
-            g = parsed[stmt] = _parse_gate(stmt, reg, width, lineno)
+    gates: list[Gate | None] = []
+    # raw line -> its gate, or None for a line with no statement: each
+    # distinct line is stripped and parsed once, and a repeated line is
+    # one dict lookup
+    parsed: dict[str, Gate | None] = {}
+    for lineno, raw in lines:  # the header's stream, after the qreg line
+        try:
+            g = parsed[raw]
+        except KeyError:
+            stmt = _statement(raw)
+            g = parsed[raw] = (_parse_gate(stmt, reg, width, lineno)
+                               if stmt else None)
         gates.append(g)
 
-    return Circuit._unchecked(width, 0, tuple(gates))  # see `_parse_gate`
+    # see `_parse_gate`; gates are truthy, so only the Nones go
+    return Circuit._unchecked(width, 0, tuple(filter(None, gates)))
 
 
-def _statements(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, statement) for each line of `text` that holds one:
-    its text before any // comment, stripped.  Each distinct line is
-    stripped once."""
-    stripped: dict[str, str] = {}
-    for lineno, raw in enumerate(_lines(text), start=1):
-        stmt = stripped.get(raw)
-        if stmt is None:
-            stmt = stripped[raw] = raw.split("//", 1)[0].strip()
-        if stmt:
-            yield lineno, stmt
+def _statement(raw: str) -> str:
+    """A line's text before any // comment, stripped."""
+    return raw.split("//", 1)[0].strip()
 
 
 def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:

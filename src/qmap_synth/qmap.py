@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from functools import total_ordering
 from typing import Iterator, Sequence
 
 from ._value import Value
@@ -77,11 +76,9 @@ class CoverMode(Enum):
     ESOP = "esop"
 
 
-@total_ordering
 class Cube(Value):
     """A product term: bit i of `mask` marks variable i as present, and
-    the matching bit of `value` gives its required polarity.  Cubes
-    order by (width, mask, value)."""
+    the matching bit of `value` gives its required polarity."""
 
     __slots__ = _fields = ("width", "mask", "value")
 
@@ -91,11 +88,6 @@ class Cube(Value):
         if value & ~mask:
             raise ValueError("value bits outside mask")
         self._init(width, mask, value)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() < other._values()  # type: ignore[attr-defined]
-        return NotImplemented
 
     @property
     def literal_count(self) -> int:

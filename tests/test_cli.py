@@ -8,13 +8,15 @@ import pytest
 
 from conftest import bit_swap_function, random_feasible_function, swap2_function
 from qmap_synth import (
+    Circuit,
+    Gate,
     gray_to_binary_function,
     identity_function,
     parse_qasm,
     render_truth_table,
     synthesize,
 )
-from qmap_synth.cli import _build_parser, _diagram, main
+from qmap_synth.cli import _build_parser, _census_lines, _diagram, main
 
 
 @pytest.fixture
@@ -185,18 +187,19 @@ class TestSynth:
         assert capsys.readouterr().err == "q0:\nq1:\nq2:\nq3:\n"
 
     def test_diagram_peak_memory_is_a_small_multiple_of_the_text(self):
-        # 18,092 gates on 19 lines, 0.9 MB of text; a string per
-        # (gate, line) cell took 22 times the text
+        # 18,092 gates on 17 lines, 0.9 MB of text, consumed one row at a
+        # time: the peak is a few rows, where building the whole text
+        # at once took 22 times the text
         c = synthesize(random_feasible_function(10, random.Random(10)),
                        mode="disjoint")
         tracemalloc.start()
         try:
-            text = _diagram(c)
+            total = sum(len(row) + 1 for row in _diagram(c)) - 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(text) == c.total_width * (4 + 3 * len(c)) - 1
-        assert peak <= 4 * len(text)
+        assert total == c.total_width * (4 + 3 * len(c)) - 1
+        assert peak <= 8 * (4 + 3 * len(c))
 
 
 class TestVerify:
@@ -357,6 +360,15 @@ class TestExportAndCost:
         stdout = capsys.readouterr().out
         assert "gates: 27" in stdout
         assert "cost(weighted): 83" in stdout  # 12*1 + 1*1 + 14*5
+
+    @pytest.mark.parametrize("cost_mode", ["count", "weighted"])
+    def test_large_cost_is_printed_in_full(self, cost_mode):
+        c = Circuit(1, 0, (Gate.x(0),) * 1_000_001)
+        assert _census_lines(c, cost_mode) == [
+            "lines: 1 data + 0 ancilla",
+            "gates: 1000001 (x=1000001 cx=0 ccx=0 mct=0)",
+            f"cost({cost_mode}): 1000001",
+        ]
 
     def test_cost_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"

@@ -294,6 +294,21 @@ class TestParseStreams:
             parse_qasm(text)
         assert str(exc.value) == "line 20005: index 2 out of range for q[2]"
 
+    def test_repeated_lines_without_a_gate_between_gates(self):
+        # each distinct raw line is parsed once, a blank or comment-only
+        # line to no gate, and a statement with and without a trailing
+        # comment to two equal gates; the text spans several chunks, so
+        # every repeated line falls on both sides of a chunk boundary
+        block = ("cx q[0],q[1];\n\n// a comment\n"
+                 "cx q[0],q[1]; // the same gate\n   \n// a comment\n"
+                 "x q[2];\n\n")
+        repeats = 3 * (1 << 16) // len(block)
+        text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+                + block * repeats)
+        assert len(text) > 2 * (1 << 16)
+        gates = parse_qasm(text).gates
+        assert gates == (Gate.cx(0, 1), Gate.cx(0, 1), Gate.x(2)) * repeats
+
     def test_peak_memory_is_a_small_multiple_of_the_text(self):
         # about 60k lines and 1 MB of text; a list with an entry per line
         # would take several times the text

@@ -1,10 +1,8 @@
 """The value types: equal fields give equal, equally hashed objects whose
 repr names the fields in order; fields can be neither assigned nor
-deleted; derived and cached slots take no part in any of it; pickling
-and `copy` rebuild an equal object; and cubes order by
-(width, mask, value)."""
+deleted; derived and cached slots take no part in any of it; and
+pickling and `copy` rebuild an equal object."""
 import copy
-import itertools
 import pickle
 
 import pytest
@@ -91,17 +89,3 @@ def test_derived_slots_stay_out_of_the_value():
         assert twin == value and hash(twin) == hash(value)
         assert getattr(twin, slot) == expected
 
-
-CUBES = [Cube(w, mask, value) for w in (1, 2) for mask in range(1 << w)
-         for value in range(1 << w) if value & ~mask == 0]
-
-
-def test_cubes_order_by_width_mask_value():
-    assert sorted(CUBES[::-1]) == sorted(
-        CUBES, key=lambda c: (c.width, c.mask, c.value))
-    for a, b in itertools.product(CUBES, repeat=2):
-        ka, kb = (a.width, a.mask, a.value), (b.width, b.mask, b.value)
-        assert ((a < b), (a <= b), (a > b), (a >= b)) == (
-            (ka < kb), (ka <= kb), (ka > kb), (ka >= kb))
-    with pytest.raises(TypeError):
-        CUBES[0] < (1, 0, 0)  # noqa: B015 - the comparison is the test
