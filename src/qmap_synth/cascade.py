@@ -154,26 +154,7 @@ def _cascade(f: ReversibleFunction,
         raise ValueError(f"order length {len(order)} != width {n}")
     else:
         choices = [(target,) for target in order]
-    full = (1 << n) - 1
-    dead: set[int] = set()
-
-    def finish(walk: list[int], done: int) -> list[tuple[int, int]] | None:
-        # the stages after the set `done`, whose walk is `walk`, or
-        # None when none completes from it
-        for target in choices[done.bit_count()]:
-            child = done | 1 << target
-            if child == done or child in dead:
-                continue
-            if child == full:
-                return [(target, walk[target])]
-            after = _advance(walk, n, child, target)
-            rest = None if after is None else finish(after, child)
-            if rest is not None:
-                return [(target, walk[target]), *rest]
-            dead.add(child)
-        return None
-
-    stages = finish(_start(f), 0)
+    stages = _finish(_start(f), 0, n, choices, set())
     if stages is None:
         if order == "search":
             raise NoFeasibleOrder(
@@ -181,6 +162,29 @@ def _cascade(f: ReversibleFunction,
                 "rewrites a set of bits on which two inputs meet")
         _witness(f, order)
     return stages
+
+
+def _finish(walk: list[int], done: int, n: int,
+            choices: list[Sequence[int]],
+            dead: set[int]) -> list[tuple[int, int]] | None:
+    """The stages of `_cascade`'s walk after the set `done` of rewritten
+    bits, whose walk is `walk`, or None when none completes from it; a
+    set from which none completes joins `dead`.  A module function, not
+    a closure over `_cascade`'s locals: a recursive closure refers to
+    itself, and that cycle waits for the cyclic collector."""
+    for target in choices[done.bit_count()]:
+        child = done | 1 << target
+        if child == done or child in dead:
+            continue
+        if child == (1 << n) - 1:
+            return [(target, walk[target])]
+        after = _advance(walk, n, child, target)
+        rest = None if after is None else _finish(after, child, n,
+                                                  choices, dead)
+        if rest is not None:
+            return [(target, walk[target]), *rest]
+        dead.add(child)
+    return None
 
 
 def _witness(f: ReversibleFunction, order: StageOrder) -> NoReturn:

@@ -106,17 +106,20 @@ def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
 def _diagram(c: Circuit) -> Iterator[str]:
     """One row per line, yielded as soon as it is built: a gate draws X
     on its target, * on its controls (`synthesize` emits no negative
-    control) and | between them; a row is joined straight from the
-    gates, with no string kept per cell."""
+    control) and | between them.  A row maps each gate, by its id, to
+    the cell of that gate on that line, decided once per distinct gate
+    (`synthesize` draws its gates from a pool), and joins the cells."""
     names = [f"q{i}" for i in range(c.data_width)]
     names += [f"a{i}" for i in range(c.ancilla_count)]
     pad = max(len(s) for s in names)
+    gates = {id(g): g for g in c.gates}
     for line, name in enumerate(names):
+        cells = {key: "-X-" if line == g.target
+                 else "-*-" if line in g.lines
+                 else "-|-" if min(g.lines) < line < max(g.lines)
+                 else "---" for key, g in gates.items()}
         yield f"{name:>{pad}}:" + "".join(
-            "-X-" if line == g.target
-            else "-*-" if line in g.lines
-            else "-|-" if min(g.lines) < line < max(g.lines)
-            else "---" for g in c.gates)
+            map(cells.__getitem__, map(id, c.gates)))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import GRAY4_ROWS, edited_text, gray4_text, random_bijection
 from qmap_synth import (
     ReversibleFunction,
+    boolfn,
     gray_to_binary_function,
     identity_function,
     is_bijective,
@@ -194,8 +195,10 @@ def truth_table_texts(draw):
     word = st.integers(0, (1 << width) - 1).map(
         lambda v: format(v, f"0{width}b"))
     table = draw(st.permutations(range(1 << width)))
-    lines = [f".width {width}"] + draw(st.permutations(
-        [f"{x:0{width}b} -> {y:0{width}b}" for x, y in enumerate(table)]))
+    rows = [f"{x:0{width}b} -> {y:0{width}b}" for x, y in enumerate(table)]
+    # rows in ascending order, ending in a newline, are the layout that
+    # `render_truth_table` writes and the column reader reads
+    lines = [f".width {width}"] + draw(st.permutations(rows) | st.just(rows))
     line = st.one_of(
         st.sampled_from(TT_WIDTHS).map(lambda w: f".width {w}"),
         st.tuples(word | st.sampled_from(["", "0", "0101"]), word).map(
@@ -204,7 +207,52 @@ def truth_table_texts(draw):
                          ".widthfoo 1"]),
         st.lists(st.sampled_from(TT_TOKENS), max_size=8).map("".join),
     )
-    return draw(edited_text(lines, line, st.sampled_from(TT_WIDTHS)))
+    text = draw(edited_text(lines, line, st.sampled_from(TT_WIDTHS)))
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+def outcome(parse, text):
+    """The function `parse` returns for `text`, or the type, message and
+    line of the error it raises."""
+    try:
+        return parse(text)
+    except TruthTableError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# a rendered 3-bit table, and texts that each differ from it in one
+# way; `_`, `+` and a non-ASCII digit are digits to int(), not to the
+# format
+RENDERED = render_truth_table(random_bijection(3, random.Random(3)))
+HEAD, *ROWS = RENDERED.splitlines(keepends=True)
+
+
+def with_row(i, row):
+    return HEAD + "".join(ROWS[:i] + [row] + ROWS[i + 1:])
+
+
+MUTATIONS = {
+    "two rows swapped": HEAD + "".join([ROWS[1], ROWS[0], *ROWS[2:]]),
+    "comment line": HEAD + "# c\n" + "".join(ROWS),
+    "blank line": HEAD + "".join(ROWS[:4]) + "\n" + "".join(ROWS[4:]),
+    "CRLF": RENDERED.replace("\n", "\r\n"),
+    "no final newline": RENDERED[:-1],
+    "trailing blank line": RENDERED + "\n",
+    ".width 03": RENDERED.replace(".width 3", ".width 03"),
+    ".width 07": RENDERED.replace(".width 3", ".width 07"),
+    "header space": RENDERED.replace(".width 3", ".width 3 "),
+    "extra space": with_row(2, ROWS[2].replace(" -> ", " ->  ")),
+    "tab": with_row(2, ROWS[2].replace(" -> ", "\t-> ")),
+    "_ in output": with_row(5, ROWS[5][:8] + "_" + ROWS[5][9:]),
+    "+ in output": with_row(5, ROWS[5][:7] + "+" + ROWS[5][8:]),
+    "٠ in output": with_row(5, ROWS[5][:9] + "٠" + ROWS[5][10:]),
+    "_ in input": with_row(5, "1_1" + ROWS[5][3:]),
+    "٠ in input": with_row(4, "1٠٠" + ROWS[4][3:]),
+    "duplicated output": with_row(1, ROWS[1][:7] + ROWS[0][7:]),
+    "missing row": HEAD + "".join(ROWS[:-1]),
+    "duplicated row": RENDERED + ROWS[-1],
+    "width 4 header": RENDERED.replace(".width 3", ".width 4"),
+}
 
 
 class TestParseFuzz:
@@ -215,8 +263,74 @@ class TestParseFuzz:
             f = parse_truth_table(text)
         except TruthTableError:
             return
+        # what the column reader accepts, the loop reads the same
+        columns = boolfn._read_columns(text)
+        assert columns is None or columns == boolfn._read_lines(text)
         assert parse_truth_table(render_truth_table(f)) == f
         # an accepted file has one directive, and it is the header
         directives = [line.split()[0] for line in text.splitlines()
                       if line.strip().startswith(".")]
         assert directives == [".width"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.permutations(
+               range(1 << n))), st.data())
+    def test_one_character_edits_of_rendered_text(self, table, data):
+        f = ReversibleFunction(len(table).bit_length() - 1, tuple(table))
+        text = render_truth_table(f)
+        at = data.draw(st.integers(0, len(text)))
+        new = data.draw(st.sampled_from(
+            ["", "0", "1", " ", "-", ">", "\n", "\r", "\t", "_", "+", "٠",
+             "#", "2"]))
+        cut = data.draw(st.integers(0, 1))
+        text = text[:at] + new + text[at + cut:]
+        columns = boolfn._read_columns(text)
+        assert columns is None or columns == boolfn._read_lines(text)
+        assert outcome(parse_truth_table, text) == outcome(
+            boolfn._read_lines, text)
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_mutated_rendered_text_takes_the_loop(self, name):
+        text = MUTATIONS[name]
+        assert boolfn._read_columns(text) is None
+        assert outcome(parse_truth_table, text) == outcome(
+            boolfn._read_lines, text)
+
+    @pytest.mark.parametrize("name, error, line", [
+        ("_ in output", TruthTableSyntaxError, 7),
+        ("+ in output", TruthTableSyntaxError, 7),
+        ("٠ in output", TruthTableSyntaxError, 7),
+        ("duplicated output", NotBijective, 3),
+        ("missing row", MissingInputRow, None),
+        (".width 07", WidthMismatch, 2),
+        (".width 03", None, None),
+    ])
+    def test_mutation_errors(self, name, error, line):
+        # the loop's verdicts on the mutations that look most like a
+        # rendered table
+        if error is None:
+            assert parse_truth_table(MUTATIONS[name]) == parse_truth_table(
+                RENDERED)
+            return
+        with pytest.raises(error) as exc:
+            parse_truth_table(MUTATIONS[name])
+        assert exc.value.line == line
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize("n", [*range(1, 9), 16])
+    def test_rendered_text_takes_the_column_path(self, n, monkeypatch):
+        # a change to the row format that the reader did not follow
+        # would send rendered text to the loop, and fail here
+        def loop(text):
+            raise AssertionError("rendered text went to the line loop")
+
+        f = random_bijection(n, random.Random(n))
+        monkeypatch.setattr(boolfn, "_read_lines", loop)
+        assert parse_truth_table(render_truth_table(f)) == f
+
+    def test_loop_spy_sees_other_layouts(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(boolfn, "_read_lines", seen.append)
+        parse_truth_table(MUTATIONS["CRLF"])
+        assert seen == [MUTATIONS["CRLF"]]

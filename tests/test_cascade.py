@@ -1,3 +1,4 @@
+import gc
 import random
 from unittest import mock
 
@@ -171,6 +172,33 @@ class TestFeasibleOrder:
         order = find_feasible_order(f)
         assert order.order == (1, 0)
         assert len(decompose(f, order)) == 2
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("call", [
+        decompose,
+        lambda f: decompose(f, "search"),
+        find_feasible_order,
+        synthesize,
+        lambda f: synthesize(f, order="search"),
+    ], ids=["decompose", "decompose-search", "find_feasible_order",
+            "synthesize", "synthesize-search"])
+    @pytest.mark.parametrize("f", [
+        random_feasible_function(5, random.Random(5)), swap2_function(),
+    ], ids=["feasible", "swap2"])
+    def test_refcounting_frees_everything(self, call, f):
+        # with the cyclic collector off, whatever a call leaves behind
+        # in a reference cycle is found by the next collection
+        gc.disable()
+        try:
+            gc.collect()
+            try:
+                call(f)
+            except (CascadeInfeasible, NoFeasibleOrder):
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def relabel(f: ReversibleFunction, perm: list[int]) -> ReversibleFunction:
