@@ -3,9 +3,9 @@
 Bit q0 is the least significant bit of a word; printed words run
 q_{n-1}...q_0 (MSB first).  Functions are stored as flat permutation
 tables indexed by input value, and also as n output slices: slice j is
-one truth-vector int whose bit x is bit j of f(x).  The masks and the
-variable squeeze that the cascade, the simulator and the minimizers
-apply to such ints live here too.
+one truth-vector int whose bit x is bit j of f(x).  The masks that the
+cascade, the simulator and the minimizers apply to such ints, and the
+variable squeeze that the minimizers apply, live here too.
 
 Text laid out exactly as `render_truth_table` writes it (the header,
 then every row in ascending input order, each ending in a newline) is

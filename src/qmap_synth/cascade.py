@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, NoReturn, Sequence
 
 from ._value import Value
-from .boolfn import ReversibleFunction, _clear, _remove_var
+from .boolfn import ReversibleFunction, _clear
 from .errors import CascadeInfeasible, NoFeasibleOrder
 
 __all__ = [
@@ -105,17 +105,6 @@ def decompose(f: ReversibleFunction,
     return [ToggleTable(stage, target, n, toggle,
                         tuple(j in targets[:stage] for j in range(n)))
             for stage, (target, toggle) in enumerate(stages)]
-
-
-def _stage_vectors(f: ReversibleFunction,
-                   order: StageOrder | str | None) -> list[tuple[int, int]]:
-    """(target, on) per stage of `decompose(f, order)`: bit s of the
-    truth vector `on` is the stage's toggle at the state whose bits other
-    than the target read s, variable j of s being bit j + (j >= target).
-    Raises what `decompose` raises."""
-    n = f.width
-    return [(target, _remove_var(toggle, n, target))
-            for target, toggle in _cascade(f, order)]
 
 
 def _cascade(f: ReversibleFunction,

@@ -44,9 +44,9 @@ from typing import (Callable, ClassVar, Iterable, Literal, Mapping,
 
 from ._value import Value
 from .boolfn import ReversibleFunction
-from .cascade import StageOrder, _stage_vectors
+from .cascade import StageOrder, _cascade
 from .errors import UnloweredMct
-from .qmap import EXACT_WIDTH_CAP, Cover, CoverMode, _disjoint_terms, _esop_terms
+from .qmap import Cover, CoverMode, _stage_terms
 
 __all__ = [
     "GateKind",
@@ -271,8 +271,8 @@ def synthesize(f: ReversibleFunction, *,
     straight as lowered gates.
 
     Each stage is one truth-vector int from the decomposition to the
-    gate loop, minimized by the cores of `minimize_disjoint` and
-    `minimize_esop` (exact for n <= EXACT_WIDTH_CAP).  The gates are
+    gate loop, covered by `qmap._stage_terms`, which picks the core and
+    the exact path as `minimize_*` do.  The gates are
     those of `decompose`, `minimize_*` with the target forbidden,
     `realize_stage` over the nonzero stages, then `lower_polarity`,
     then `lower_mct`, byte for byte (the test suite
@@ -284,11 +284,8 @@ def synthesize(f: ReversibleFunction, *,
     """
     mode = CoverMode(mode)
     n = f.width
-    minimize = _disjoint_terms if mode is CoverMode.DISJOINT else _esop_terms
-    exact = n <= EXACT_WIDTH_CAP
-    stages = _stage_vectors(f, order)
-    return _emit(n, ((target, minimize(on, n - 1, exact))
-                     for target, on in stages if on))
+    return _emit(n, ((target, _stage_terms(mode, toggle, n, target))
+                     for target, toggle in _cascade(f, order) if toggle))
 
 
 def _emit(n: int,

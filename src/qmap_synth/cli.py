@@ -26,7 +26,7 @@ from .errors import (
     StageOutOfRange,
 )
 from .qasm import export_qasm, parse_qasm, split_ancillas
-from .qmap import minimize_disjoint, minimize_esop
+from .qmap import CoverMode, _cover
 from .sim import verify
 
 EXIT_OK = 0
@@ -218,11 +218,8 @@ def cmd_show(args: argparse.Namespace) -> int:
     print(f"stage {table.stage}, target q{table.target}, toggle map:")
     print(_grid_text(table))
     if args.overlay:
-        forbidden = frozenset((table.target,))
-        if args.mode == "disjoint":
-            cover = minimize_disjoint(table, forbidden=forbidden)
-        else:
-            cover = minimize_esop(table, forbidden=forbidden)
+        cover = _cover(table, frozenset((table.target,)),
+                       CoverMode(args.mode))
         names = _var_names(table)
         print(f"\n{args.mode} cover groups:")
         print(_grid_text(table, overlay_cubes=cover.cubes))

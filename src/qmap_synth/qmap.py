@@ -15,26 +15,29 @@ only drawn, by the `show` command.  Covers come in two flavours:
 - ESOP: terms may overlap as long as each 1-cell is covered an odd
   number of times and each 0-cell an even number of times.
 
-On tables of up to 4 variables both minimizers are exact in (cube count,
-then total literal count).  The table width counts every variable,
-forbidden ones included, so a width-5 table with one forbidden variable
-is not exact even though its cover has 4 free variables.  The exact
-engine is one recurrence over the cofactor decomposition
-f = P xor x'Q xor xR  of every subfunction, on truth-vector ints.  It
-memoizes the optimal key and cover of every function on up to 3
-variables, so a warm 4-variable call is one pass over its splits
-(4-75 µs) and a smaller one is a lookup.  A forbidden variable must be
-one of the table's and one the function ignores; it is projected out
-before covering and its slot reopened after.  On wider tables a
-documented greedy heuristic applies: largest-block-first for disjoint
-covers, and a positive-polarity Reed-Muller seed with pairwise term
-merging for ESOP.  The disjoint heuristic seeds each block at the
-lowest uncovered 1-cell, so a block frees only variables where its seed
-has a 0, and its free sets grow level by level: a set of k + 1
-variables is one of k joined with a variable above its top one, kept
-when its far corner is an uncovered 1-cell and each of its other
-k-subsets fits (Apriori's candidate join, Agrawal & Srikant, VLDB
-1994), so each test reads one bit.
+This module alone decides how a table becomes a cover: `_CORES` maps
+each `CoverMode` to its int core, and `_terms` holds the width rule.
+On tables of up to 4 variables (EXACT_WIDTH_CAP) both minimizers are
+exact in (cube count, then total literal count).  The table width
+counts every variable, forbidden ones included, so a width-5 table with
+one forbidden variable is not exact even though its cover has 4 free
+variables.  The exact engine is one recurrence over the cofactor
+decomposition  f = P xor x'Q xor xR  of every subfunction, on
+truth-vector ints.  It memoizes the optimal key and cover of every
+function on up to 3 variables, so a warm 4-variable call is one pass
+over its splits (4-75 µs) and a smaller one is a lookup.  A forbidden
+variable must be one of the table's and one the function ignores;
+`_cover` projects it out before covering and reopens its slot after,
+and `_stage_terms` projects a stage's target out for `synthesize`.  On
+wider tables a documented greedy heuristic applies: largest-block-first
+for disjoint covers, and a positive-polarity Reed-Muller seed with
+pairwise term merging for ESOP.  The disjoint heuristic seeds each
+block at the lowest uncovered 1-cell, so a block frees only variables
+where its seed has a 0, and its free sets grow level by level: a set
+of k + 1 variables is one of k joined with a variable above its top
+one, kept when its far corner is an uncovered 1-cell and each of its
+other k-subsets fits (Apriori's candidate join, Agrawal & Srikant,
+VLDB 1994), so each test reads one bit.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  On
@@ -43,9 +46,9 @@ term's only partners are its positive extensions, one set lookup per
 variable it does not read.  No two terms of the pool share their
 positive variables, so a merged cover holds at most one complemented
 single literal, and only exact ESOP covers flip theirs positive in
-pairs.  The public minimizers and `synthesize` share the int cores
-`_disjoint_terms` and `_esop_terms`, which take the truth vector and
-return sorted (mask, value) pairs; only the public ones build `Cube`s.
+pairs.  The cores take the truth vector and return sorted (mask, value)
+pairs; `_cover`, behind the public minimizers and `show --overlay`,
+builds `Cube`s from them, and `synthesize` emits them as they are.
 """
 from __future__ import annotations
 
@@ -91,7 +94,7 @@ class Cube(Value):
 
     @property
     def literal_count(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def cells(self) -> Iterator[int]:
         free = ~self.mask & ((1 << self.width) - 1)
@@ -348,7 +351,7 @@ def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
     return out
 
 
-# --- variable elimination and lifting --------------------------------------
+# --- variable elimination ---------------------------------------------------
 
 def _check_var(var: int, m: int) -> None:
     if not 0 <= var < m:
@@ -363,26 +366,7 @@ def can_avoid_variable(entries: Sequence[int], width: int, var: int) -> bool:
     return _remove_var(_truth_vector(entries), width, var) is not None
 
 
-def _insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
-    mask, value = term
-    low = (1 << var) - 1
-    return (((mask & ~low) << 1) | (mask & low),
-            ((value & ~low) << 1) | (value & low))
-
-
 # --- public minimizers ------------------------------------------------------
-
-def _prepare(t: ToggleTable, forbidden: frozenset[int]):
-    on, m = t.on, t.width
-    for var in sorted(forbidden):
-        _check_var(var, m)
-    for var in sorted(forbidden, reverse=True):
-        on = _remove_var(on, m, var)
-        if on is None:
-            raise ValueError(f"no cover of this table can avoid q{var}")
-        m -= 1
-    return on, m, sorted(forbidden)
-
 
 def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """A disjoint SOP cover of `on` over m variables as sorted
@@ -413,13 +397,45 @@ def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     return sorted((mk, mk if mk in flip else v) for mk, v in cubes)
 
 
-def _finish(terms: list[tuple[int, int]], removed: list[int], width: int,
-            mode: CoverMode) -> Cover:
-    """The cover of sorted pairs with the removed variables put back;
-    inserting a variable keeps the pairs' order."""
+_CORES = {CoverMode.DISJOINT: _disjoint_terms, CoverMode.ESOP: _esop_terms}
+
+
+def _terms(mode: CoverMode, on: int, m: int,
+           width: int) -> list[tuple[int, int]]:
+    """The mode's cover of `on` over the m variables left of a table
+    `width` wide, as sorted (mask, value) pairs: exact when the table,
+    its projected variables included, is at most EXACT_WIDTH_CAP wide."""
+    return _CORES[mode](on, m, width <= EXACT_WIDTH_CAP)
+
+
+def _stage_terms(mode: CoverMode, toggle: int, n: int,
+                 target: int) -> list[tuple[int, int]]:
+    """The cover `synthesize` emits for a stage's toggle over n bits,
+    which a decomposed stage never reads at its target: the target is
+    projected out, so variable j of a pair is bit j + (j >= target)."""
+    return _terms(mode, _remove_var(toggle, n, target), n - 1, n)
+
+
+def _cover(t: ToggleTable, forbidden: frozenset[int],
+           mode: CoverMode) -> Cover:
+    """The mode's cover of the table, no cube reading a forbidden
+    variable.  All are range-checked before any is projected out,
+    highest first, and their slots reopen lowest first, which keeps the
+    sorted pairs in order; ValueError names the first that fails."""
+    on, m = t.on, t.width
+    removed = sorted(forbidden)
     for var in removed:
-        terms = [_insert_var(t, var) for t in terms]
-    return Cover(mode, tuple(Cube(width, mk, v) for mk, v in terms))
+        _check_var(var, m)
+    for var in reversed(removed):
+        on = _remove_var(on, m, var)
+        if on is None:
+            raise ValueError(f"no cover of this table can avoid q{var}")
+        m -= 1
+    terms = _terms(mode, on, m, t.width)
+    for var in removed:
+        high = -(1 << var)
+        terms = [(mk + (mk & high), v + (v & high)) for mk, v in terms]
+    return Cover(mode, tuple(Cube(t.width, mk, v) for mk, v in terms))
 
 
 def minimize_disjoint(t: ToggleTable,
@@ -427,9 +443,7 @@ def minimize_disjoint(t: ToggleTable,
     """Disjoint SOP cover of the table's `on`; exact in (cubes, literals)
     for tables of width up to 4, forbidden variables included,
     largest-block-first greedy beyond."""
-    on, m, removed = _prepare(t, forbidden)
-    terms = _disjoint_terms(on, m, t.width <= EXACT_WIDTH_CAP)
-    return _finish(terms, removed, t.width, CoverMode.DISJOINT)
+    return _cover(t, forbidden, CoverMode.DISJOINT)
 
 
 def minimize_esop(t: ToggleTable,
@@ -437,6 +451,4 @@ def minimize_esop(t: ToggleTable,
     """ESOP cover of the table's `on`; exact in (cubes, literals) for
     tables of width up to 4, forbidden variables included, a Reed-Muller
     seed reduced by greedy term merging beyond."""
-    on, m, removed = _prepare(t, forbidden)
-    terms = _esop_terms(on, m, t.width <= EXACT_WIDTH_CAP)
-    return _finish(terms, removed, t.width, CoverMode.ESOP)
+    return _cover(t, forbidden, CoverMode.ESOP)

@@ -9,7 +9,9 @@ n! stage orders.  The library's simulator is `verify` alone, so the
 tests read a circuit's output words and an unlowered circuit's
 permutation from `run` and `permutation_of` here.  Beside them are the
 heuristic ESOP minimizer on (mask, value) tuples, whose merge loop
-rescans the sorted pool after every merge, a gate's kind, lines and
+rescans the sorted pool after every merge, both modes' public
+minimizers as projection, cover and reopening of the forbidden
+variables, one cell and one bit at a time, a gate's kind, lines and
 checks derived on demand, a circuit's bounds check run on every gate, a
 QASM renderer that formats every gate afresh, and the realize and
 lowering passes that build every gate anew, per cube and per literal.
@@ -341,36 +343,55 @@ def insert_var(term: tuple[int, int], var: int) -> tuple[int, int]:
     return spread(term[0]), spread(term[1])
 
 
-def _esop_cover(values: Sequence[int], m: int,
-                forbidden: frozenset[int], cubes_of) -> Cover:
-    """Project out the forbidden variables, cover what remains with
-    `cubes_of(values, m)`, normalize single negatives, and reopen the
-    forbidden slots."""
+def _cover(mode: CoverMode, values: Sequence[int], m: int,
+           forbidden: frozenset[int], cubes_of) -> Cover:
+    """Project out the forbidden variables, highest first, cover what
+    remains with `cubes_of(values, m)`, and reopen the forbidden slots,
+    lowest first."""
     width = m
     for var in sorted(forbidden, reverse=True):
         reduced = remove_var(values, m, var)
         assert reduced is not None, f"no cover can avoid q{var}"
         values, m = reduced, m - 1
-    terms = normalize_single_negatives(cubes_of(values, m), m)
+    terms = cubes_of(values, m)
     for var in sorted(forbidden):
         terms = [insert_var(t, var) for t in terms]
-    return Cover(CoverMode.ESOP,
-                 tuple(Cube(width, mk, v) for mk, v in sorted(terms)))
+    return Cover(mode, tuple(Cube(width, mk, v) for mk, v in sorted(terms)))
 
 
 def minimize_esop_heuristic(values: Sequence[int], m: int,
                             forbidden: frozenset[int] = frozenset()) -> Cover:
     """`minimize_esop` on a grid wider than the exact cap: the Reed-Muller
     terms of the function, merged."""
-    return _esop_cover(values, m, forbidden, lambda vs, k: merge_terms(
-        pprm_terms(vs, k), k))
+    return _cover(CoverMode.ESOP, values, m, forbidden,
+                  lambda vs, k: normalize_single_negatives(
+                      merge_terms(pprm_terms(vs, k), k), k))
 
 
 def minimize_esop_exact(values: Sequence[int], m: int,
                         forbidden: frozenset[int] = frozenset()) -> Cover:
-    """`minimize_esop` on a grid within the exact cap: the exact cover."""
-    return _esop_cover(values, m, forbidden,
-                       lambda vs, k: exact_cubes("esop", vs, k))
+    """`minimize_esop` on a grid within the exact cap: the exact cover,
+    its complemented single literals flipped positive in pairs."""
+    return _cover(CoverMode.ESOP, values, m, forbidden,
+                  lambda vs, k: normalize_single_negatives(
+                      exact_cubes("esop", vs, k), k))
+
+
+def minimize_disjoint_heuristic(values: Sequence[int], m: int,
+                                forbidden: frozenset[int] = frozenset()
+                                ) -> Cover:
+    """`minimize_disjoint` on a grid wider than the exact cap: the
+    largest-block-first cover."""
+    return _cover(CoverMode.DISJOINT, values, m, forbidden, greedy_disjoint)
+
+
+def minimize_disjoint_exact(values: Sequence[int], m: int,
+                            forbidden: frozenset[int] = frozenset()
+                            ) -> Cover:
+    """`minimize_disjoint` on a grid within the exact cap: the exact
+    cover."""
+    return _cover(CoverMode.DISJOINT, values, m, forbidden,
+                  lambda vs, k: exact_cubes("disjoint", vs, k))
 
 
 def gate_kind(g: Gate) -> GateKind:

@@ -282,11 +282,12 @@ def result(fn, *args):
 
 
 class TestKernelAgainstScalarLoop:
-    """`decompose` and `_stage_vectors` compute their tables by a walk
-    over the function's output slices, one delta swap per slice and
-    stage, and, when a stage reads its target, run the inputs one at a
-    time to find the witness of CascadeInfeasible; `reference.decompose`
-    is the scalar loop that builds every table that way."""
+    """`decompose` and `synthesize` take their tables from `_cascade`, a
+    walk over the function's output slices, one delta swap per slice
+    and stage, which, when a stage reads its target, runs the inputs one
+    at a time to find the witness of CascadeInfeasible;
+    `reference.decompose` is the scalar loop that builds every table
+    that way."""
 
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
@@ -297,14 +298,11 @@ class TestKernelAgainstScalarLoop:
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
     @example((swap2_function(), "natural"))
-    def test_stage_vectors_are_the_squeezed_tables(self, case):
-        def squeezed(f, order):
-            return [(t.target, _truth_vector(
-                        reference.remove_var(t.entries, f.width, t.target)))
-                    for t in reference.decompose(f, order)]
+    def test_cascade_toggles_are_the_scalar_tables(self, case):
+        def toggles(f, order):
+            return [(t.target, t.on) for t in reference.decompose(f, order)]
 
-        self.check_against_scalar_loop(cascade._stage_vectors, squeezed,
-                                       *case)
+        self.check_against_scalar_loop(cascade._cascade, toggles, *case)
 
     @staticmethod
     def check_against_scalar_loop(fn, scalar, f, order):
@@ -323,9 +321,9 @@ class TestKernelAgainstScalarLoop:
         assert got == result(scalar, f, fixed)
 
     @pytest.mark.parametrize("fn", [
-        decompose, cascade._stage_vectors,
+        decompose, cascade._cascade,
         lambda f, order: synthesize(f, order=order),
-    ], ids=["decompose", "stage_vectors", "synthesize"])
+    ], ids=["decompose", "cascade", "synthesize"])
     def test_order_values_refused(self, fn, gray4):
         with pytest.raises(ValueError, match="^unknown order: 'bogus'$"):
             fn(gray4, "bogus")

@@ -646,6 +646,21 @@ class TestSynthesize:
                  for g in realize_stage(cover, target, n)]
         assert c == lower_mct(Circuit(n, 0, tuple(lower_polarity(gates))))
 
+    @pytest.mark.parametrize("mode", ["esop", "disjoint"])
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_public_passes_rebuild_wide_functions(self, n, mode):
+        # the rebuild the traced benchmark checks, at widths past the
+        # property above: decompose, minimize with the target forbidden,
+        # realize, then both lowering passes
+        f = random_feasible_function(n, random.Random(n))
+        minimize = minimize_disjoint if mode == "disjoint" else minimize_esop
+        gates = [g for t in decompose(f) if not t.is_zero()
+                 for g in realize_stage(
+                     minimize(t, forbidden=frozenset((t.target,))),
+                     t.target, n)]
+        assert synthesize(f, mode=mode) == \
+            lower_mct(Circuit(n, 0, tuple(lower_polarity(gates))))
+
     @settings(max_examples=100, deadline=None)
     @given(cascade_inputs(), st.sampled_from(["esop", "disjoint"]))
     def test_same_circuit_or_same_error_as_scalar_path(self, case, mode):

@@ -560,6 +560,26 @@ class TestForbiddenVariable:
         with pytest.raises(ValueError, match=rf"\bq{var}\b"):
             can_avoid_variable(values_of(0b01101001, 3), 3, var)
 
+    @pytest.mark.parametrize("minimize", [minimize_esop, minimize_disjoint])
+    def test_highest_read_variable_is_named(self, minimize):
+        # q0 xor q1 reads q0 and q1 but ignores q2: q2 is projected out,
+        # then q1 is the first that fails
+        table = make_table([(s ^ s >> 1) & 1 for s in range(8)], 3)
+        with pytest.raises(ValueError,
+                           match="^no cover of this table can avoid q1$"):
+            minimize(table, forbidden=frozenset((0, 1, 2)))
+
+    @pytest.mark.parametrize("minimize", [minimize_esop, minimize_disjoint])
+    @pytest.mark.parametrize("forbidden, var", [
+        ((0, 5), 5), ((-1, 0, 5), -1)])
+    def test_range_is_checked_before_any_projection(self, minimize,
+                                                    forbidden, var):
+        # the table reads q0, so a projection would fail first
+        table = make_table(values_of(0b01101001, 3), 3)
+        with pytest.raises(ValueError, match=(
+                rf"^variable q{var} is outside the table's 3 variables$")):
+            minimize(table, forbidden=frozenset(forbidden))
+
     def test_every_variable_forbidden(self):
         # a constant function cares about no variable: with all of them
         # projected out, the cover is the constant-1 cube over m = 0
@@ -669,24 +689,30 @@ class TestMergeTermsReference:
 
 @st.composite
 def grids_with_forbidden(draw, min_m, max_m):
-    """(values, m, forbidden) for min_m <= m <= max_m: no forbidden
-    variable, or one that the function ignores; one draw in three copies
-    a cofactor onto the other so that it always does."""
+    """(values, m, forbidden) for min_m <= m <= max_m: up to three
+    forbidden variables, each one the function ignores; one draw in
+    three copies a cofactor onto the other for every drawn variable so
+    that the function ignores them all."""
     values, m = draw(total_functions(min_m, max_m))
-    var = draw(st.integers(0, m - 1))
+    drawn = draw(st.sets(st.integers(0, m - 1), max_size=3))
     how = draw(st.sampled_from(["none", "drawn", "copied"]))
     if how == "copied":
-        bit = 1 << var
-        values = [values[s & ~bit] for s in range(1 << m)]
+        for var in drawn:
+            bit = 1 << var
+            values = [values[s & ~bit] for s in range(1 << m)]
     forbidden = frozenset()
-    if how != "none" and can_avoid_variable(values, m, var):
-        forbidden = frozenset((var,))
+    if how != "none":
+        forbidden = frozenset(var for var in drawn
+                              if can_avoid_variable(values, m, var))
     return values, m, forbidden
 
 
 class TestMinimizeEsopReference:
     @settings(max_examples=200, deadline=None)
     @given(grids_with_forbidden(5, 8))
+    # ignored variables between read ones: the slots reopen lowest first
+    @example(([s >> 1 & s >> 3 & s >> 5 & 1 for s in range(64)], 6,
+              frozenset((0, 2, 4))))
     def test_same_cover_on_heuristic_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
@@ -698,11 +724,34 @@ class TestMinimizeEsopReference:
     # exact covers exercise the reference's normalization
     @settings(max_examples=200, deadline=None)
     @given(grids_with_forbidden(1, 4))
+    @example(([s >> 1 & s >> 3 & 1 for s in range(16)], 4, frozenset((0, 2))))
     def test_same_cover_on_exact_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
         assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_exact(values, m, forbidden)
+
+
+class TestMinimizeDisjointReference:
+    @settings(max_examples=200, deadline=None)
+    @given(grids_with_forbidden(5, 8))
+    # ignored variables between read ones: the slots reopen lowest first
+    @example(([s >> 1 & s >> 3 & s >> 5 & 1 for s in range(64)], 6,
+              frozenset((0, 2, 4))))
+    def test_same_cover_on_heuristic_grids(self, case):
+        values, m, forbidden = case
+        table = make_table(values, m)
+        assert minimize_disjoint(table, forbidden=forbidden) == \
+            reference.minimize_disjoint_heuristic(values, m, forbidden)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids_with_forbidden(1, 4))
+    @example(([s >> 1 & s >> 3 & 1 for s in range(16)], 4, frozenset((0, 2))))
+    def test_same_cover_on_exact_grids(self, case):
+        values, m, forbidden = case
+        table = make_table(values, m)
+        assert minimize_disjoint(table, forbidden=forbidden) == \
+            reference.minimize_disjoint_exact(values, m, forbidden)
 
 
 def all_negative(keys, m):
