@@ -18,8 +18,9 @@ reverse order are its inverse.
 
 `synthesize` draws its gates from one pool that lasts for the process,
 so each distinct X, CX and CCX gate, each run of X gates on a cube's
-negative lines and each compute chain is built once per process, not
-once per call, and equal gates from two calls are one object.  Only
+negative lines (the gates themselves, each read for its line as its
+target) and each compute chain is built once per process, not once per
+call, and equal gates from two calls are one object.  Only
 `_emit` uses the pool, because its lines are below n + depth <= 29
 (n <= 16).  Its keys are finite: a gate by its lines, each below 29; a
 chain by the width n and the mask of control lines above a cube's
@@ -142,11 +143,8 @@ class Circuit(Value):
             raise ValueError(f"ancilla count {ancilla_count} < 0")
         self._init(data_width, ancilla_count, gates)
         width = self.total_width
-        # distinct line tuples in order of first use, so the first one
-        # out of range belongs to the first offending gate
-        for lines in {g.lines: None for g in gates}:
-            if max(lines) >= width:
-                g = next(g for g in gates if g.lines == lines)
+        for g in gates:
+            if max(g.lines) >= width:
                 raise ValueError(
                     f"gate {g} uses a line >= total width {width}")
 
@@ -179,16 +177,15 @@ def realize_stage(cover: Cover, target: int, n: int) -> list[Gate]:
     polarities, lowest variable first, all writing the stage target.
     Raises ValueError at the first cube that is not n wide or reads the
     target."""
-    literal = [(Control(var, False), Control(var, True)) for var in range(n)]
     gates = []
     for cube in cover.cubes:
         if cube.width != n:
             raise ValueError(f"cube width {cube.width} != stage width {n}")
         if cube.mask >> target & 1:
             raise ValueError(f"the cover reads its target line {target}")
-        value = cube.value
-        gates.append(Gate(target, tuple(literal[var][value >> var & 1]
-                                        for var in _bits(cube.mask))))
+        gates.append(Gate(target, tuple(
+            Control(var, cube.value >> var & 1 == 1)
+            for var in _bits(cube.mask))))
     return gates
 
 
@@ -299,8 +296,9 @@ def _emit(n: int,
     in between, as in `lower_polarity`.  A sandwich's compute chain
     depends only on the controls above its lowest one.
 
-    The gates, the X runs (keyed by line mask) and the chains (keyed by
-    n and line mask) come from the process-wide pool, so each is built
+    The gates, the X runs (keyed by line mask, each its X gates lowest
+    line first, so a gate's line is its `target`) and the chains (keyed
+    by n and line mask) come from the process-wide pool, so each is built
     once per process; its lines stay below n + depth <= 29, and every
     key filled holds 32 MB, 20.6 MB of it chains (see the module
     docstring).  The output list, the unmatched X's and the ancilla
@@ -331,12 +329,12 @@ def _emit(n: int,
                 neg += neg & high
                 xs = _FLIPS.get(neg)
                 if xs is None:
-                    xs = _FLIPS[neg] = tuple(map(_x_pair, _bits(neg)))
+                    xs = _FLIPS[neg] = tuple(map(_x, _bits(neg)))
                 # an X before the body cancels an unmatched X on its line;
                 # one that does not is consumed by the body at once
-                for l, x in xs:
-                    if pending >> l & 1:
-                        out[at[l]] = None
+                for x in xs:
+                    if pending >> x.target & 1:
+                        out[at[x.target]] = None
                     else:
                         out.append(x)
             pending &= ~(lines | tbit)
@@ -355,8 +353,8 @@ def _emit(n: int,
             else:
                 out.append(_cx(low.bit_length() - 1, target))
             if neg:
-                for l, x in reversed(xs):
-                    at[l] = len(out)
+                for x in reversed(xs):
+                    at[x.target] = len(out)
                     out.append(x)
                 pending |= neg
     # gates are truthy
@@ -364,13 +362,12 @@ def _emit(n: int,
 
 
 # The process-wide pool of `_emit` (see the module docstring): the X, CX
-# and CCX gates; each negative-line mask's (line, X gate) pairs, lowest
-# line first; and, per width n, each mask of control lines above a
-# cube's lowest -> (compute Toffolis, the line that holds their AND, the
-# uncompute Toffolis).
+# and CCX gates; each negative-line mask's X gates, lowest line first;
+# and, per width n, each mask of control lines above a cube's lowest ->
+# (compute Toffolis, the line that holds their AND, the uncompute
+# Toffolis).
 _x, _cx, _ccx = cache(Gate.x), cache(Gate.cx), cache(Gate.ccx)
-_x_pair = cache(lambda line: (line, _x(line)))
-_FLIPS: dict[int, tuple[tuple[int, Gate], ...]] = {}
+_FLIPS: dict[int, tuple[Gate, ...]] = {}
 _CHAINS: dict[int, dict[int, tuple[tuple[Gate, ...], int,
                                    tuple[Gate, ...]]]] = {}
 

@@ -33,11 +33,9 @@ wider tables a documented greedy heuristic applies: largest-block-first
 for disjoint covers, and a positive-polarity Reed-Muller seed with
 pairwise term merging for ESOP.  The disjoint heuristic seeds each
 block at the lowest uncovered 1-cell, so a block frees only variables
-where its seed has a 0, and its free sets grow level by level: a set
-of k + 1 variables is one of k joined with a variable above its top
-one, kept when its far corner is an uncovered 1-cell and each of its
-other k-subsets fits (Apriori's candidate join, Agrawal & Srikant,
-VLDB 1994), so each test reads one bit.
+where its seed has a 0, and the free sets that fit are one truth
+vector: bit S is set iff seed + s is an uncovered 1-cell for every
+subset s of S, one AND per variable.
 The ESOP heuristic holds each term as one int key, mask << m | value,
 from the seed to the cover; value < 2^m, so keys compare as the
 (mask, value) pairs do and the merge order is that of the pairs.  On
@@ -54,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from functools import cache
 from typing import Iterator, Sequence
 
 from ._value import Value
@@ -295,6 +294,17 @@ def _merge_terms(on: int, m: int) -> list[int]:
     return sorted(pool)
 
 
+@cache
+def _sizes(m: int) -> tuple[int, ...]:
+    """Per k <= m, the truth vector of the states s < 2^m with k bits set;
+    kept per width, like `_clear`: 63 kB at m = 15 by tracemalloc."""
+    sizes = (1,)
+    for j in range(m):
+        sizes = tuple(a | b << (1 << j)
+                      for a, b in zip(sizes + (0,), (0,) + sizes))
+    return sizes
+
+
 def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
     """Largest-block-first cover: repeatedly seed at the lowest uncovered
     1-cell and take the biggest cube that fits in uncovered 1-cells, so
@@ -304,43 +314,34 @@ def _greedy_disjoint(on: int, m: int) -> list[tuple[int, int]]:
     or covered.  No cell below the seed is in `need`, so a cube can
     free only variables where the seed has a 0, and its cells are then
     seed + s for every subset s of its free set: a cube fits iff bit s
-    of near = need >> seed is set for each such s.  A free set fits only
-    if each of its subsets does, so the sets that fit grow level by
-    level as in Apriori: a set of k + 1 variables is a set of level k
-    joined with a variable of level 1 above its top one, kept iff its
-    far corner is in `near` and each of its other k-subsets is in level
-    k (those give every cell but the corner).  The last level's
-    greatest free set leaves the first mask in (literal count, mask)
-    order."""
+    of near = need >> seed is set for each such s.  So `fits`, the
+    subsets of the seed's needed neighbours that are in `near`, ANDed
+    per neighbour w with itself shifted by w, has bit S set iff every
+    subset of S is in `near`.  Its greatest set of the most variables
+    (`_sizes`) leaves the first mask in (literal count, mask) order."""
     full = (1 << m) - 1
+    sizes = _sizes(m)
     need = on
     out: list[tuple[int, int]] = []
     while need:
         seed = (need & -need).bit_length() - 1
         near = need >> seed
-        singles = []  # level 1: the seed's 0-bits whose neighbour is needed
+        singles = []  # the seed's 0-bits whose neighbour is needed
+        fits = 1  # and every subset of them
         zeros = full ^ seed
         while zeros:
             w = zeros & -zeros
             zeros ^= w
             if near >> w & 1:
                 singles.append(w)
-        last, level = {0}, set(singles)
-        while level:
-            last, level = level, set()
-            for free in last:
-                for w in singles:
-                    if w <= free or not near >> (free | w) & 1:
-                        continue
-                    grown, rest = free | w, free
-                    while rest:
-                        low = rest & -rest
-                        if grown ^ low not in last:
-                            break
-                        rest ^= low
-                    else:
-                        level.add(grown)
-        free = max(last)
+                fits |= fits << w
+        fits &= near
+        for w in singles:
+            fits &= fits << w | _clear(m, w)
+        k = len(singles)
+        while not (top := fits & sizes[k]):
+            k -= 1
+        free = top.bit_length() - 1
         cells, rest = 1, free
         while rest:
             low = rest & -rest

@@ -333,7 +333,7 @@ class TestEmitAgainstReference:
 
 def empty_pool():
     """Drop every gate, X run and chain of `_emit`'s process-wide pool."""
-    for memo in (circuit._x, circuit._cx, circuit._ccx, circuit._x_pair):
+    for memo in (circuit._x, circuit._cx, circuit._ccx):
         memo.cache_clear()
     circuit._FLIPS.clear()
     circuit._CHAINS.clear()
@@ -341,7 +341,7 @@ def empty_pool():
 
 def pool_sizes():
     return ([m.cache_info().currsize for m in (
-                circuit._x, circuit._cx, circuit._ccx, circuit._x_pair)],
+                circuit._x, circuit._cx, circuit._ccx)],
             len(circuit._FLIPS),
             {n: len(chains) for n, chains in circuit._CHAINS.items()})
 

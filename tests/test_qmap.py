@@ -31,6 +31,7 @@ from qmap_synth.qmap import (
     _merge_terms,
     _pprm_terms,
     _remove_var,
+    _sizes,
     _truth_vector,
     can_avoid_variable,
 )
@@ -606,9 +607,9 @@ class TestGreedyDisjointReference:
     @given(total_functions())
     # m = 0 is reached when every variable of a table is forbidden
     @example(([1], 0))
-    # dense tables grow cubes of 3 or more free variables, whose level
-    # joins test every subset one smaller: all ones, all ones but one
-    # cell (the first, a middle one, the last), and a fixed 7-in-8 mix
+    # dense tables grow cubes of 3 or more free variables, each kept only
+    # when every subset of it fits: all ones, all ones but one cell (the
+    # first, a middle one, the last), and a fixed 7-in-8 mix
     @example(([1] * 32, 5))
     @example(([1] * 64, 6))
     @example(([1] * 128, 7))
@@ -617,6 +618,14 @@ class TestGreedyDisjointReference:
     @example(([1] * 77 + [0] + [1] * 50, 7))
     @example(([1] * 255 + [0], 8))
     @example(([0 if s % 8 == 5 or s == 70 else 1 for s in range(256)], 8))
+    # seed 2 has one needed neighbour, 3, and the cell of its own 1-bit,
+    # 4, is needed too: a free set outside the neighbours' subsets would
+    # take it
+    @example(([0, 0, 1, 1, 1, 0, 0, 0], 3))
+    # after the cube of cells 1 and 5, seed 2's needed neighbours are 3
+    # and 6: a level step that shifts {q0} by q0 again carries onto the
+    # seed's own bit, q1
+    @example(([0, 1, 1, 1, 1, 1, 1, 0], 3))
     def test_same_cubes_in_same_order(self, case):
         values, m = case
         assert _greedy_disjoint(_truth_vector(values), m) == \
@@ -635,6 +644,14 @@ class TestGreedyDisjointReference:
         finally:
             tracemalloc.stop()
         assert held < 64 * 1024
+
+    def test_sizes_are_the_states_of_each_bit_count(self):
+        for m in range(11):
+            sizes = _sizes(m)
+            assert len(sizes) == m + 1
+            for k, size in enumerate(sizes):
+                assert size == sum(1 << s for s in range(1 << m)
+                                   if s.bit_count() == k)
 
 
 @st.composite
