@@ -30,27 +30,24 @@ variable must be one of the table's and one the function ignores;
 `_cover` projects it out before covering and reopens its slot after,
 and `_stage_terms` projects a stage's target out for `synthesize`.  On
 wider tables a documented greedy heuristic applies: largest-block-first
-for disjoint covers, and a positive-polarity Reed-Muller seed with
-pairwise term merging for ESOP.  The disjoint heuristic seeds each
-block at the lowest uncovered 1-cell, so a block frees only variables
-where its seed has a 0, and the free sets that fit are one truth
-vector: bit S is set iff seed + s is an uncovered 1-cell for every
-subset s of S, one AND per variable.
-The ESOP heuristic holds each term as one int key, mask << m | value,
-from the seed to the cover; value < 2^m, so keys compare as the
-(mask, value) pairs do and the merge order is that of the pairs.  On
-a seed every merge provably joins a cube C with Cx into Cx', so a
-term's only partners are its positive extensions, one set lookup per
-variable it does not read.  No two terms of the pool share their
-positive variables, so a merged cover holds at most one complemented
-single literal, and only exact ESOP covers flip theirs positive in
-pairs.  The cores take the truth vector and return sorted (mask, value)
-pairs; `_cover`, behind the public minimizers and `show --overlay`,
-builds `Cube`s from them, and `synthesize` emits them as they are.
+for disjoint covers, and for ESOP a positive-polarity Reed-Muller seed
+reduced by one sweep over the variables.  The disjoint heuristic seeds
+each block at the lowest uncovered 1-cell, so a block frees only
+variables where its seed has a 0, and the free sets that fit are one
+truth vector: bit S is set iff seed + s is an uncovered 1-cell for
+every subset s of S, one AND per variable.  The ESOP heuristic groups
+its terms by their complemented variables, each group one truth vector
+of the terms' positive variables, and at each variable, lowest first,
+one AND per group merges every pair C, Cx into Cx'.  No two terms of
+its cover share their positive variables, so it holds at most one
+complemented single literal, and only exact ESOP covers flip theirs
+positive in pairs.  The cores take the truth vector and return sorted
+(mask, value) pairs; `_cover`, behind the public minimizers and
+`show --overlay`, builds `Cube`s from them, and `synthesize` emits
+them as they are.
 """
 from __future__ import annotations
 
-import heapq
 from enum import Enum
 from functools import cache
 from typing import Iterator, Sequence
@@ -211,87 +208,66 @@ def _exact(disjoint: bool, f: int,
 
 # --- heuristic minimization ------------------------------------------------
 
-def _pprm_terms(f: int, m: int) -> list[int]:
-    """Positive-polarity Reed-Muller monomials of a truth vector, as term
-    keys, lowest first."""
+def _pprm(on: int, m: int) -> int:
+    """The positive-polarity Reed-Muller vector of a truth vector: bit s
+    is the coefficient of the monomial of the variables in s."""
     for i in range(m):
         bit = 1 << i
-        f ^= (f & _clear(m, bit)) << bit
-    digits = bin(f)[:1:-1]  # digit s is the coefficient of monomial s
-    return [s << m | s for s, d in enumerate(digits) if d == "1"]
+        on ^= (on & _clear(m, bit)) << bit
+    return on
 
 
-def _merge_terms(on: int, m: int) -> list[int]:
-    """The positive-polarity Reed-Muller seed of `on` reduced by greedy
-    pairwise merging to a fixpoint, as sorted term keys: the smallest
-    term that has a partner merges with its first partner.
+def _merge_terms(on: int, m: int) -> list[tuple[int, int]]:
+    """The positive-polarity Reed-Muller seed of `on` reduced by one
+    sweep over the variable slots, lowest first, as sorted (mask, value)
+    pairs.
 
-    A key is mask << m | value with value < 2^m, so keys compare as the
-    (mask, value) pairs do: the mask decides, then the value.  Write a
-    term as (P, N), P its positive variables and N its complemented ones,
-    with mask M = P | N.  On a seed, every merge is C xor Cx -> Cx': t =
-    (P, N) merges with (P+i, N), i not in M, into (P, N+i).  Proof: seed
-    terms have N empty and distinct P, and two invariants hold
-    throughout: no two pool terms share a P (I1), nor an M (I2).  Let t
-    be the smallest term with a partner.  At a slot i outside M, the
-    other partner (P, N+i) shares t's P.  At i in P, (P-i, N+i) shares
-    t's M, and (P-i, N) is smaller than t and has t as a partner.  At i
-    in N, (P+i, N-i) shares t's M and (P, N-i) shares t's P.  So t
-    merges with (P+i, N) at its lowest such i.  Only t had P, so the
-    merged term cancels nothing, and the pool trades P+i and M for M+i,
-    which keeps I1 and I2.
+    Write a term as (P, N), P its positive variables and N its
+    complemented ones: its mask is P | N and its value P.  The terms are
+    grouped by N, each class one truth vector `ps` with bit P set when
+    (P, N) is a term; the seed is the one class (0, `_pprm(on, m)`).  At
+    slot i, for each class made before it, one AND finds every P without
+    x_i for which (P, N) and (P + i, N) are both terms, and each such
+    C xor Cx_i is replaced by Cx_i' = (P, N + i), in the new class
+    N + i.  So the XOR of the terms never changes.  A term pairs at slot
+    i only with the term that differs from it in holding x_i positive,
+    so the pairs of one slot are disjoint and one AND decides them all.
 
-    A min-heap holds every pool term that has a partner, among stale
-    entries that are skipped when popped.  A term gains a partner only
-    when its positive extension enters the pool: the merged term (P,
-    N+i) is that of each (P-k, N+i) with k in P, and those in the pool
-    are pushed.  The merged term has no partner when it enters, so it
-    is not pushed.  Proof: number the merges as steps; a term lives
-    from the step that makes it (a seed, from the start) to the step
-    that merges it, and never again, as cubes only join.  (R) If the
-    term merging at step a has mask K, a cube R with a mask below K (as
-    ints) that is a term later was one at a: each term inside R has a
-    smaller key, so no partner at a, and the first merge after a to
-    make a term inside R would join two that were partners at a.  (S)
-    So if A+j merges at step s, j not in A's mask, A is no term at s or
-    later: by (R) it would be one at s, a smaller partner of A+j.  (H)
-    Every merge of (P, N) is at a slot above all of N.  Else take the
-    first step that puts terms (P, N) and (P+i, N), i < max N, in the
-    pool; so far merges added N's slots in increasing order.  Let L be
-    N's slots below i, d the least above, Z = (P, L): Z and Z+i merged
-    at slot d, at steps z < z' by (S).  Z+i was no term at z (it would
-    be a partner below d), so it was made later, L is not empty, and
-    Z+d was made at a step e < z from (P+d, L-l), l = max L, whose mask
-    is above P+L+i (d is above i and l): by (R) Z+i was a term at e, so
-    also at z, a contradiction.  (C) If t = (P, N) merges at slot i and
-    (P+j, N+i) is in the pool, by (H) it was made from t+j and t+j+i
-    before, against (S).
-
-    By I1 at most one term of a merged seed has P empty, so it never
-    holds two complemented single literals."""
-    slots = []  # per variable: mask bit, and mask bit with value bit
+    Three things hold of the result: (a) no two terms share P, nor (b)
+    a mask, (c) no pairs (P, N) and (P + i, N) are left, and it has no
+    more terms than the seed.  By induction on m: on 0 variables there
+    is at most one term.  The slots below the top variable t never pair
+    a term holding x_t with one that does not, so they reduce the two
+    Davio halves of the seed on their own, the Reed-Muller forms of f0
+    and f0 xor f1, to A and to x_t B.  Slot t then turns each term T of
+    both A and B into T x_t', which leaves A - B, x_t (B - A) and
+    x_t' (A & B), at most |A| + |B| terms.  Distinct P: the first and
+    third parts both lie in A, the second holds x_t.  Distinct masks:
+    the first lacks t, the second and third both come from B.  No pair
+    at a slot below t, as its two terms would lie in one part, so in A
+    or in B; none at t, as a term of A - B with its extension by x_t in
+    x_t (B - A) would be one T of A & B.  (a) and (b) also rule out
+    the other pairs at distance 1, C with Cx' and Cx with Cx', so no two
+    terms of the cover merge into one.  By (a), at most one term has P
+    empty, so the cover never holds two complemented single literals."""
+    classes = [(0, _pprm(on, m))]  # (N, the truth vector of the Ps)
     for i in range(m):
-        mb = 1 << i + m
-        slots.append((mb, mb | 1 << i))
-    heap = _pprm_terms(on, m)  # sorted, so already a heap
-    pool = set(heap)
-    while heap:
-        t = heapq.heappop(heap)
-        if t not in pool:
-            continue
-        for mb, both in slots:
-            if not t & mb and t | both in pool:
-                break
-        else:
-            continue
-        pool.remove(t)
-        pool.remove(t | both)
-        merged = t | mb
-        pool.add(merged)
-        for _, both in slots:
-            if merged & both == both and merged ^ both in pool:
-                heapq.heappush(heap, merged ^ both)
-    return sorted(pool)
+        bit = 1 << i
+        low = _clear(m, bit)
+        for k in range(len(classes)):
+            n, ps = classes[k]
+            pairs = ps & ps >> bit & low
+            if pairs:
+                classes[k] = n, ps ^ pairs ^ pairs << bit
+                classes.append((n | bit, pairs))
+    terms = []
+    for n, ps in classes:
+        while ps:
+            p = ps.bit_length() - 1
+            terms.append((p | n, p))
+            ps ^= 1 << p
+    terms.sort()
+    return terms
 
 
 @cache
@@ -380,18 +356,17 @@ def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
 def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
     """An ESOP cover of `on` over m variables as sorted (mask, value)
     pairs: exact, or the Reed-Muller seed reduced by merging each C with
-    a Cx into Cx' (`_merge_terms`).
+    a Cx into Cx', one sweep over the variables (`_merge_terms`).
 
     An exact cover's complemented single literals are flipped positive
     in pairs, lowest first, since the two constant-1 corrections cancel
-    under XOR; a merged cover never holds two, since no two of its terms
+    under XOR; a swept cover never holds two, since no two of its terms
     share their positive variables (see `_merge_terms`).  A flip never
     meets an equal cube: an exact cover has the fewest cubes, and if it
     held both x and x', the constant 1 could replace them (or cancel a 1
     already there) with fewer."""
     if not exact:
-        low = (1 << m) - 1
-        return [(t >> m, t & low) for t in _merge_terms(on, m)]
+        return _merge_terms(on, m)
     cubes = _exact(False, on, m)[1]
     singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
     flip = set(singles[:len(singles) & ~1])
@@ -451,5 +426,6 @@ def minimize_esop(t: ToggleTable,
                   forbidden: frozenset[int] = frozenset()) -> Cover:
     """ESOP cover of the table's `on`; exact in (cubes, literals) for
     tables of width up to 4, forbidden variables included, a Reed-Muller
-    seed reduced by greedy term merging beyond."""
+    seed reduced by one C xor Cx -> Cx' sweep over the variables
+    beyond."""
     return _cover(t, forbidden, CoverMode.ESOP)

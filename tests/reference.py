@@ -8,8 +8,8 @@ time through every stage, and a full decomposition for every one of the
 n! stage orders.  The library's simulator is `verify` alone, so the
 tests read a circuit's output words and an unlowered circuit's
 permutation from `run` and `permutation_of` here.  Beside them are the
-heuristic ESOP minimizer on (mask, value) tuples, whose merge loop
-rescans the sorted pool after every merge, both modes' public
+heuristic ESOP minimizer on (mask, value) tuples, whose sweep scans
+a set for every term's partner at each variable slot, both modes' public
 minimizers as projection, cover and reopening of the forbidden
 variables, one cell and one bit at a time, a gate's kind, lines and
 checks derived on demand, a circuit's bounds check run on every gate, a
@@ -300,7 +300,8 @@ def merge_terms(terms: list[tuple[int, int]],
                 m: int) -> list[tuple[int, int]]:
     """Greedy pairwise ESOP reduction that restarts from the sorted pool
     after every merge: the smallest term with a partner merges with its
-    first partner."""
+    first partner.  Only `normalize_single_negatives` uses it, on a
+    cover whose flips made two terms equal."""
     pool: set[tuple[int, int]] = set()
     for t in terms:
         pool.symmetric_difference_update((t,))
@@ -317,6 +318,26 @@ def merge_terms(terms: list[tuple[int, int]],
                     break
             if changed:
                 break
+    return sorted(pool)
+
+
+def sweep_terms(terms: list[tuple[int, int]],
+                m: int) -> list[tuple[int, int]]:
+    """The heuristic ESOP reduction of a Reed-Muller seed: for each
+    variable slot i, lowest first, every term (P, N) without the
+    variable whose partner (P + i, N) is in the pool merges with it into
+    (P, N + i), C xor Cx giving Cx'; the pool is scanned as a set."""
+    pool: set[tuple[int, int]] = set()
+    for t in terms:
+        pool.symmetric_difference_update((t,))
+    for i in range(m):
+        bit = 1 << i
+        for mask, value in sorted(pool):
+            partner = (mask | bit, value | bit)
+            if not mask & bit and partner in pool:
+                pool.remove((mask, value))
+                pool.remove(partner)
+                pool.symmetric_difference_update(((mask | bit, value),))
     return sorted(pool)
 
 
@@ -362,10 +383,10 @@ def _cover(mode: CoverMode, values: Sequence[int], m: int,
 def minimize_esop_heuristic(values: Sequence[int], m: int,
                             forbidden: frozenset[int] = frozenset()) -> Cover:
     """`minimize_esop` on a grid wider than the exact cap: the Reed-Muller
-    terms of the function, merged."""
+    terms of the function, swept."""
     return _cover(CoverMode.ESOP, values, m, forbidden,
                   lambda vs, k: normalize_single_negatives(
-                      merge_terms(pprm_terms(vs, k), k), k))
+                      sweep_terms(pprm_terms(vs, k), k), k))
 
 
 def minimize_esop_exact(values: Sequence[int], m: int,

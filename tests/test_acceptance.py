@@ -38,7 +38,7 @@ from qmap_synth import (
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import main
 from qmap_synth.errors import CascadeInfeasible, NoFeasibleOrder
-from qmap_synth.qmap import _pprm_terms
+from qmap_synth.qmap import _pprm
 
 # circuits produced while checking criterion 4/3, reused by 6 and 8
 _CIRCUIT_POOL: list[Circuit] = []
@@ -249,7 +249,7 @@ def test_criterion_7_cover_validity_oracle():
         assert reference.verify_cover(es, values, width)
         for state in range(1 << width):
             assert sum((state & c.mask) == c.value for c in dis.cubes) <= 1
-        assert len(es) <= len(_pprm_terms(table.on, width))
+        assert len(es) <= _pprm(table.on, width).bit_count()
 
     for bits in range(256):
         check([(bits >> s) & 1 for s in range(8)], 3)

@@ -166,14 +166,14 @@ QASM_SHA256 = {
     ("esop", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
     ("esop", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
     ("esop", 4): "c2801c6cde511328e3a9b20f4d69d6e5df93d281956007ef385c60f4718c6dbe",
-    ("esop", 5): "8348c0c8685447f6c29bab85a9fbb45c284a938977d6c6abec46ac7eafc5b2bc",
-    ("esop", 6): "897e3d1342cd104faf531a5b667d8f18c0356e78635e4472ffcc34f252f81ed3",
-    ("esop", 7): "67c32423174c35156eb70d5cfa6d83fbff101e526581e28d986eb474772d659c",
-    ("esop", 8): "0f98dbe435ae07a6e82b778079de842f7c6af3db676e881c140bb492e735784f",
-    ("esop", 9): "8af27832f54821014a4dd89f7a45625f411e47af31b18270ad8b50bde5ca4eda",
-    ("esop", 10): "ffe0de1dd68e6df165331006abbae80059f4206a5a6ad24e0bf068888ebf87ea",
-    ("esop", 11): "8d20beb89ff92cf98c573049382ebcf9ce2c3d1cb0083463c42f356cd6e8e66f",
-    ("esop", 12): "589396086feb32e0a72fbe273ad5f902d5a458419ce0c5a15f2991d9b299b99f",
+    ("esop", 5): "c843ef67054a2ffd5446f3362420952bf7fa2da6e924d9af2bbfe361a420e79e",
+    ("esop", 6): "d83031074b36c9d0343c2af8a5170d4634ac5ae99cf6a777eb7f37016e23e4c1",
+    ("esop", 7): "a271367f4f4f63724974c1565fc03d0bf9150cb4087deccc93c73f5aeb6749fc",
+    ("esop", 8): "45537ac980c7cbdba1ca274f51a9f0e33c62d30cd8c84ad3be3c871bc93edac8",
+    ("esop", 9): "8959205551ef861b486a43537ac5585174e420ea254db497304bec78e75dae19",
+    ("esop", 10): "a4bebdc0b8fda781e64b1722f6008773695465c8fd66db57652ceb003b6b819c",
+    ("esop", 11): "6b89260fbb1598acdd6818c7715928d6739ceed2d1f96a544efadeeb923f5778",
+    ("esop", 12): "f6a90ad3e4d9fc46e76e91f0445ff5db96a1fd45657e09e72bb8160e0ba7b664",
     ("disjoint", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
     ("disjoint", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
     ("disjoint", 4): "45f1adc356e4324657f451986ce2ec0d5f992e908e8c08c8326009c36064bb84",
@@ -203,7 +203,7 @@ class TestSynthDigest:
         f = relabel(random_feasible_function(5, random.Random(5)),
                     [3, 0, 4, 1, 2])
         assert qasm_sha256(f, mode="esop", order="search") == \
-            "b88ab3463b4f027d1fd2a9ced3c07e06d5945ea87ce4a2f8be7b1ab4bb167512"
+            "c0fcfaf460b0c0465c044df52618fd264b8fb10e6afedbf898fad1364bf18f71"
 
 
 # `synth --diagram`'s stderr on the Gray table: the summary, then one row

@@ -29,7 +29,7 @@ from qmap_synth.qmap import (
     _exact,
     _greedy_disjoint,
     _merge_terms,
-    _pprm_terms,
+    _pprm,
     _remove_var,
     _sizes,
     _truth_vector,
@@ -83,11 +83,6 @@ def values_of(on, m):
     return [on >> s & 1 for s in range(1 << m)]
 
 
-def pairs_of(keys, m):
-    """The (mask, value) pairs of term keys over m variables."""
-    return [(k >> m, k & ((1 << m) - 1)) for k in keys]
-
-
 def cube(width, spec):
     """Build a cube from {var: polarity} pairs."""
     mask = value = 0
@@ -110,8 +105,8 @@ def valid_cover(cover, table):
 
 def pprm_cubes(values, m):
     """The library's Reed-Muller terms of a 0/1 vector as cubes."""
-    terms = _pprm_terms(_truth_vector(values), m)
-    return [Cube(m, mask, value) for mask, value in pairs_of(terms, m)]
+    coeffs = _pprm(_truth_vector(values), m)
+    return [Cube(m, s, s) for s in range(1 << m) if coeffs >> s & 1]
 
 
 # --- independent oracles -----------------------------------------------------
@@ -632,8 +627,10 @@ class TestGreedyDisjointReference:
             reference.greedy_disjoint(values, m)
 
     def test_holds_no_memory_after_return(self):
-        # no table or cache of the cover outlives the call
+        # no table of the cover outlives the call; a first call on
+        # another width-12 vector fills the `_sizes` and `_clear` caches
         rng = random.Random(12)
+        _greedy_disjoint(rng.getrandbits(1 << 12), 12)
         on = rng.getrandbits(1 << 12)
         tracemalloc.start()
         try:
@@ -643,7 +640,7 @@ class TestGreedyDisjointReference:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held < 64 * 1024
+        assert held < 1024
 
     def test_sizes_are_the_states_of_each_bit_count(self):
         for m in range(11):
@@ -657,42 +654,61 @@ class TestGreedyDisjointReference:
 @st.composite
 def seed_vectors(draw):
     """(on, m): a random truth vector over m variables, whose Reed-Muller
-    monomials seed the merge, for m up to 8, the widest stage of the
+    monomials seed the sweep, for m up to 8, the widest stage of the
     benchmark's rand-esop tables."""
     m = draw(st.integers(1, 8))
     return draw(st.integers(0, (1 << (1 << m)) - 1)), m
 
 
+def swept(on, m):
+    """The reference sweep of the truth vector's Reed-Muller seed."""
+    return reference.sweep_terms(reference.pprm_terms(values_of(on, m), m), m)
+
+
+def xor_of(terms, m):
+    """The truth vector of the XOR of (mask, value) terms, cell by cell."""
+    return sum(1 << s for s in range(1 << m)
+               if sum(s & mk == v for mk, v in terms) & 1)
+
+
+def unmerged_pairs(terms, m):
+    """The terms (P, N) whose partner (P + i, N) is also a term, for a
+    slot i outside the mask: the pairs the sweep leaves, if any."""
+    pool = set(terms)
+    return [(mk, v) for mk, v in terms for i in range(m)
+            if not mk >> i & 1 and (mk | 1 << i, v | 1 << i) in pool]
+
+
 class TestMergeTermsReference:
     @settings(max_examples=200, deadline=None)
     @given(seed_vectors())
+    # x0'x1' has the seed 1, x0, x1, x0x1: slot 0 merges 1 xor x0 into
+    # x0' and x1 xor x0x1 into x0'x1, and slot 1 merges those two
+    @example((0b0001, 2))
     def test_same_terms_on_reed_muller_seeds(self, case):
         on, m = case
-        assert pairs_of(_merge_terms(on, m), m) == \
-            reference.merge_terms(pairs_of(_pprm_terms(on, m), m), m)
+        assert _merge_terms(on, m) == swept(on, m)
 
     def test_same_terms_on_every_function_up_to_four_variables(self):
-        # the merged term is not pushed when it enters, since it has no
-        # partner then (the proof is in `_merge_terms`); the reference
-        # rescans the whole pool after each merge
         for m in range(5):
             for on in range(1 << (1 << m)):
-                assert pairs_of(_merge_terms(on, m), m) == \
-                    reference.merge_terms(pairs_of(_pprm_terms(on, m), m), m)
+                assert _merge_terms(on, m) == swept(on, m)
 
-    def test_merged_term_that_gains_a_partner_later(self):
-        # x0'x1' has the seed 1, x0, x1, x0x1: 1 xor x0 gives x0', which
-        # enters with no partner; x1 xor x0x1 then gives x0'x1, the
-        # positive extension of x0', and the two merge into x0'x1'
-        on, m = 0b0001, 2
-        seed = pairs_of(_pprm_terms(on, m), m)
-        assert seed == [(0, 0), (1, 1), (2, 2), (3, 3)]
-        assert pairs_of(_merge_terms(on, m), m) == \
-            reference.merge_terms(seed, m) == [(3, 0)]
+    @settings(max_examples=200, deadline=None)
+    @given(seed_vectors())
+    def test_terms_xor_to_the_function_and_leave_no_pair(self, case):
+        on, m = case
+        terms = _merge_terms(on, m)
+        assert xor_of(terms, m) == on
+        assert unmerged_pairs(terms, m) == []
+        assert len(terms) <= _pprm(on, m).bit_count()
 
     def test_holds_no_memory_after_return(self):
-        # no pool or heap of the merge outlives the call
-        on = random.Random(12).getrandbits(1 << 12)
+        # no class list of the sweep outlives the call; a first call on
+        # another width-12 vector fills the `_clear` masks it reads
+        rng = random.Random(12)
+        _merge_terms(rng.getrandbits(1 << 12), 12)
+        on = rng.getrandbits(1 << 12)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -701,7 +717,7 @@ class TestMergeTermsReference:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held < 64 * 1024
+        assert held < 1024
 
 
 @st.composite
@@ -736,7 +752,7 @@ class TestMinimizeEsopReference:
         assert minimize_esop(table, forbidden=forbidden) == \
             reference.minimize_esop_heuristic(values, m, forbidden)
 
-    # a merged Reed-Muller seed provably holds at most one single
+    # a swept Reed-Muller seed provably holds at most one single
     # negative (see `_merge_terms` and TestSingleNegatives), so only
     # exact covers exercise the reference's normalization
     @settings(max_examples=200, deadline=None)
@@ -771,40 +787,39 @@ class TestMinimizeDisjointReference:
             reference.minimize_disjoint_exact(values, m, forbidden)
 
 
-def all_negative(keys, m):
-    """How many term keys have value 0: the constant and the terms whose
+def all_negative(terms):
+    """How many terms have value 0: the constant and the terms whose
     every literal is complemented."""
-    return sum(1 for k in keys if not k & ((1 << m) - 1))
+    return sum(1 for _, v in terms if not v)
 
 
-def distinct_parts(keys, m):
-    """True iff no two term keys share their positive variables (value
-    bits), and no two share their mask: the invariants of `_merge_terms`'s
+def distinct_parts(terms):
+    """True iff no two terms share their positive variables (value bits),
+    and no two share their mask: the invariants of `_merge_terms`'s
     proof."""
-    pairs = pairs_of(keys, m)
-    return len({v for _, v in pairs}) == len({mk for mk, _ in pairs}) == \
-        len(pairs)
+    return len({v for _, v in terms}) == len({mk for mk, _ in terms}) == \
+        len(terms)
 
 
 class TestSingleNegatives:
     """Why only exact ESOP covers flip complemented single literals: a
-    merged seed holds at most one, and an exact cover's flips never meet
+    swept seed holds at most one, and an exact cover's flips never meet
     an equal cube (the proofs are in `_merge_terms` and `_esop_terms`)."""
 
     def test_merged_seed_of_every_function_up_to_four_variables(self):
         for m in range(5):
             for on in range(1 << (1 << m)):
                 merged = _merge_terms(on, m)
-                assert all_negative(merged, m) <= 1
-                assert distinct_parts(merged, m)
+                assert all_negative(merged) <= 1
+                assert distinct_parts(merged)
 
     @settings(max_examples=100, deadline=None)
     @given(total_functions(5, 10))
     def test_merged_seed_up_to_ten_variables(self, case):
         values, m = case
         merged = _merge_terms(_truth_vector(values), m)
-        assert all_negative(merged, m) <= 1
-        assert distinct_parts(merged, m)
+        assert all_negative(merged) <= 1
+        assert distinct_parts(merged)
 
     def test_exact_covers_up_to_four_variables(self):
         # in both modes, distinct cubes (after the ESOP flips), and no
@@ -891,5 +906,5 @@ class TestPprmReference:
     @given(total_functions())
     def test_same_terms(self, case):
         values, m = case
-        assert pairs_of(_pprm_terms(_truth_vector(values), m), m) == \
+        assert [(c.mask, c.value) for c in pprm_cubes(values, m)] == \
             reference.pprm_terms(values, m)
