@@ -123,7 +123,7 @@ def _diagram(c: Circuit) -> Iterator[str]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    f = parse_truth_table(args.input.read_text())
+    f = parse_truth_table(args.input.read_text(encoding="utf-8-sig"))
     circuit = synthesize(f, mode=args.mode, order=args.order)
     mismatch = verify(circuit, f)
     if mismatch is not None:  # internal invariant, never expected
@@ -132,7 +132,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     qasm = export_qasm(circuit)
     summary = _census_lines(circuit, args.cost_mode)
     if args.out is not None:
-        args.out.write_text(qasm)
+        args.out.write_text(qasm, encoding="utf-8")
         print("\n".join(summary))
     else:
         sys.stdout.write(qasm)
@@ -144,8 +144,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    f = parse_truth_table(args.input.read_text())
-    raw = parse_qasm(args.circuit.read_text())
+    f = parse_truth_table(args.input.read_text(encoding="utf-8-sig"))
+    raw = parse_qasm(args.circuit.read_text(encoding="utf-8-sig"))
     if raw.total_width < f.width:
         print(f"error: circuit has {raw.total_width} lines but the table "
               f"needs {f.width}", file=sys.stderr)
@@ -209,7 +209,7 @@ def _grid_text(t: ToggleTable, overlay_cubes=None) -> str:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    f = parse_truth_table(args.input.read_text())
+    f = parse_truth_table(args.input.read_text(encoding="utf-8-sig"))
     if not 0 <= args.stage < f.width:
         raise StageOutOfRange(
             f"stage {args.stage} not in [0, {f.width})")
@@ -229,17 +229,17 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    circuit = parse_qasm(args.circuit.read_text())
+    circuit = parse_qasm(args.circuit.read_text(encoding="utf-8-sig"))
     qasm = export_qasm(circuit)
     if args.out is not None:
-        args.out.write_text(qasm)
+        args.out.write_text(qasm, encoding="utf-8")
     else:
         sys.stdout.write(qasm)
     return EXIT_OK
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    circuit = parse_qasm(args.circuit.read_text())
+    circuit = parse_qasm(args.circuit.read_text(encoding="utf-8-sig"))
     print("\n".join(_census_lines(circuit, args.cost_mode)))
     return EXIT_OK
 

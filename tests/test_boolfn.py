@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAY4_ROWS, edited_text, gray4_text, random_bijection
@@ -35,6 +35,26 @@ class TestIsBijective:
 
     def test_xor_one_involution(self):
         assert is_bijective([x ^ 1 for x in range(8)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda size: st.tuples(
+        st.permutations(range(size))
+        | st.lists(st.integers(-2, size + 1), min_size=size, max_size=size),
+        st.lists(st.booleans(), min_size=size, max_size=size))))
+    @example(([], []))
+    @example(([0, 0], [False, False]))
+    @example(([1, 0, 1, 3], [False, False, True, False]))
+    @example(([1, 0, 3, 2], [True, False, True, False]))
+    def test_same_verdict_as_the_sorted_table(self, drawn):
+        # some entries as floats equal to them, which a set holds as one
+        values, as_float = drawn
+        table = [float(v) if f else v for v, f in zip(values, as_float)]
+        permutation = sorted(table) == list(range(len(table)))
+        assert is_bijective(table) == permutation
+        if not permutation and len(table) in (2, 4, 8):
+            with pytest.raises(ValueError) as exc:
+                ReversibleFunction(len(table).bit_length() - 1, tuple(table))
+            assert str(exc.value) == "table is not a permutation"
 
 
 class TestParse:
@@ -225,6 +245,7 @@ def outcome(parse, text):
 # format
 RENDERED = render_truth_table(random_bijection(3, random.Random(3)))
 HEAD, *ROWS = RENDERED.splitlines(keepends=True)
+WIDE = render_truth_table(random_bijection(9, random.Random(9)))
 
 
 def with_row(i, row):
@@ -318,7 +339,8 @@ class TestParseFuzz:
 
 
 class TestColumnReader:
-    @pytest.mark.parametrize("n", [*range(1, 9), 16])
+    # widths 9-16 take the outputs' high byte too
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_rendered_text_takes_the_column_path(self, n, monkeypatch):
         # a change to the row format that the reader did not follow
         # would send rendered text to the loop, and fail here
@@ -328,6 +350,33 @@ class TestColumnReader:
         f = random_bijection(n, random.Random(n))
         monkeypatch.setattr(boolfn, "_read_lines", loop)
         assert parse_truth_table(render_truth_table(f)) == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.randoms(use_true_random=False))
+    def test_same_table_and_slices_as_the_constructor(self, n, rng):
+        f = random_bijection(n, rng)
+        g = boolfn._read_columns(render_truth_table(f))
+        assert g == f
+        assert g.slices == ReversibleFunction(n, f.table).slices
+
+    @pytest.mark.parametrize("row", [0, 77, 300, 511])
+    @pytest.mark.parametrize("digit, error", [
+        ("flip", NotBijective),
+        ("٠", TruthTableSyntaxError),
+        ("2", TruthTableSyntaxError),
+    ])
+    def test_high_byte_mutations_of_width_9(self, row, digit, error):
+        # the first output digit is bit 8, in the high byte; a flipped
+        # one makes the row's output another row's
+        head, *rows = WIDE.splitlines(keepends=True)
+        at = rows[row].index(">") + 2
+        new = "10"[int(rows[row][at])] if digit == "flip" else digit
+        rows[row] = rows[row][:at] + new + rows[row][at + 1:]
+        text = head + "".join(rows)
+        assert boolfn._read_columns(text) is None
+        got = outcome(parse_truth_table, text)
+        assert got == outcome(boolfn._read_lines, text)
+        assert got[0] is error
 
     def test_loop_spy_sees_other_layouts(self, monkeypatch):
         seen = []

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import errno
 import os
 import random
@@ -106,6 +107,20 @@ class TestSynth:
             os.close(r)
         assert code == 0
         assert piped.read_bytes() == expected.read_bytes()
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark, which some editors write first, is not
+        # part of the table
+        text = render_truth_table(gray_to_binary_function(4)).encode()
+        plain, marked = tmp_path / "plain.tt", tmp_path / "marked.tt"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        for path in plain, marked:
+            assert main(["synth", "--input", str(path),
+                         "--out", str(path.with_suffix(".qasm"))]) == 0
+        capsys.readouterr()
+        assert (marked.with_suffix(".qasm").read_bytes()
+                == plain.with_suffix(".qasm").read_bytes())
 
     def test_directory_input(self, tmp_path, capsys):
         code = main(["synth", "--input", str(tmp_path)])
