@@ -13,18 +13,21 @@ class Value:
     """Immutable value semantics: ==, hash and repr over `_fields`, in
     order (== only between instances of one class, hash that of the
     field tuple), and assignment or deletion raises AttributeError.  A
-    subclass's `__init__` sets its fields through `_init`, and a derived
-    slot through `object.__setattr__`; derived slots take no part in ==,
-    hash or repr.  No slot is written once `__init__` returns, so a
-    value can be shared across threads.  Pickling and `copy` rebuild an
-    instance through its constructor, which checks the fields and
-    derives the rest again."""
+    subclass's `__init__` sets its fields through `_init`, which stores
+    a list as a tuple, and a derived slot through `object.__setattr__`;
+    derived slots take no part in ==, hash or repr.  No slot is written
+    once `__init__` returns, and no field holds a list its caller can
+    still change, so a value hashes and can be shared across threads.
+    Pickling and `copy` rebuild an instance through its constructor,
+    which checks the fields and derives the rest again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _init(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
+            if isinstance(value, list):
+                value = tuple(value)
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

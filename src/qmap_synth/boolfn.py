@@ -3,9 +3,11 @@
 Bit q0 is the least significant bit of a word; printed words run
 q_{n-1}...q_0 (MSB first).  Functions are stored as flat permutation
 tables indexed by input value, and also as n output slices: slice j is
-one truth-vector int whose bit x is bit j of f(x).  The masks that the
-cascade, the simulator and the minimizers apply to such ints, and the
-variable squeeze that the minimizers apply, live here too.
+one truth-vector int whose bit x is bit j of f(x).  Tables turn into
+bytes and back in one layout on every host, `struct`'s little-endian
+"<H" words.  The masks that the cascade, the simulator and the minimizers
+apply to such ints, and the variable squeeze that the minimizers
+apply, live here too.
 
 Text laid out exactly as `render_truth_table` writes it (the header,
 then every row in ascending input order, each ending in a newline) is
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import re
 import struct
-import sys
-from array import array
 from functools import cache
 from typing import Sequence
 
@@ -88,9 +88,10 @@ class ReversibleFunction(Value):
     and, in `slices`, in bit-sliced form.
 
     slices[j] is the truth vector of output bit j: bit x of it is bit j
-    of f(x).  Each output word is split into its low and high byte (a
-    table has at most 16 bits), highest input first, and each byte maps
-    to the digit of its bit j, so one slice is one `int(digits, 2)`."""
+    of f(x).  The table is packed as little-endian 16-bit words (a
+    table has at most 16 bits), and the low or high byte of each word,
+    highest input first, maps to the digit of its bit j, so one slice
+    is one `int(digits, 2)`."""
 
     _fields = ("width", "table")
     __slots__ = _fields + ("slices",)
@@ -104,13 +105,10 @@ class ReversibleFunction(Value):
         if not is_bijective(table):
             raise ValueError("table is not a permutation")
         self._init(width, table)
-        words = array("H", table).tobytes()
-        # from the last word back; a little-endian word's low byte is first
-        halves = (words[-2::-2], words[-1::-2])
-        if sys.byteorder == "big":
-            halves = halves[::-1]
+        words = struct.pack(f"<{len(table)}H", *table)
+        # from the last word back: its low byte at -2, its high one at -1
         object.__setattr__(self, "slices", tuple(
-            int(halves[j >> 3].translate(_BIT[j & 7]), 2)
+            int(words[(j >> 3) - 2::-2].translate(_BIT[j & 7]), 2)
             for j in range(width)))
 
     def __call__(self, x: int) -> int:
@@ -169,8 +167,8 @@ def _read_columns(text: str) -> ReversibleFunction | None:
     text fails these, so it is refused before it is encoded).  Each
     output column's digits, read as one int of one byte per row, are
     masked to their low bits and shifted to the column's bit of the
-    outputs' low or high byte; above 8 bits each output's two bytes
-    are read as one big-endian word."""
+    outputs' low or high byte; above 8 bits the two bytes are laid out
+    as the constructor's little-endian words and read back as them."""
     header = text[:text.find("\n") + 1]
     n = _WIDTHS.get(header)
     if n is None:
@@ -200,8 +198,8 @@ def _read_columns(text: str) -> ReversibleFunction | None:
         table = tuple(lo)
     else:
         words = bytearray(2 * rows)
-        words[::2], words[1::2] = hi, lo
-        table = struct.unpack(f">{rows}H", words)
+        words[::2], words[1::2] = lo, hi
+        table = struct.unpack(f"<{rows}H", words)
     try:
         return ReversibleFunction(n, table)
     except ValueError:  # not a permutation: the loop names the pair

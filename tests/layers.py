@@ -6,12 +6,14 @@ mode, and print one JSON line per row.
 Each row is the seeded `random_feasible_function(n, Random(n))` from
 conftest.py, rendered as text.  The layers run in this order, each
 timed by `perf_counter` as the best of --repeat calls on the previous
-layer's output: parse (`parse_truth_table`), decompose
-(`cascade._cascade`), minimize (`qmap._stage_terms` per nonzero stage),
-emit (`circuit._emit`), verify (`sim.verify`), export (`export_qasm`)
-and parse_qasm (the exported text read back, as the command line's
-`verify` and `export` do).  `parse_to_export` is the sum of the layers
-from parse to export.  `peak_rss_mb` is the process's peak resident
+layer's output: parse (`parse_truth_table`), construct (the
+`ReversibleFunction` constructor alone, on the parsed table; parse
+includes it), decompose (`cascade._cascade`), minimize
+(`qmap._stage_terms` per nonzero stage), emit (`circuit._emit`), verify
+(`sim.verify`), export (`export_qasm`) and parse_qasm (the exported text
+read back, as the command line's `verify` and `export` do).
+`parse_to_export` is the sum of the layers from parse to export, but
+for construct.  `peak_rss_mb` is the process's peak resident
 set so far, read after parse_qasm, so rows run in one process share
 it: run one process per mode to compare modes.
 """
@@ -26,6 +28,7 @@ import time
 
 from conftest import random_feasible_function
 from qmap_synth import (
+    ReversibleFunction,
     export_qasm,
     parse_qasm,
     parse_truth_table,
@@ -51,6 +54,7 @@ def row(n: int, mode: CoverMode, repeat: int) -> dict:
     text = render_truth_table(random_feasible_function(n, random.Random(n)))
     s = {}
     f, s["parse"] = best(repeat, parse_truth_table, text)
+    _, s["construct"] = best(repeat, ReversibleFunction, n, f.table)
     stages, s["decompose"] = best(repeat, _cascade, f, None)
     covers, s["minimize"] = best(repeat, lambda: [
         (target, _stage_terms(mode, toggle, n, target))
@@ -63,7 +67,8 @@ def row(n: int, mode: CoverMode, repeat: int) -> dict:
     _, s["parse_qasm"] = best(repeat, parse_qasm, qasm)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {"n": n, "mode": mode.value,
-            "parse_to_export": sum(v for k, v in s.items() if k != "parse_qasm"),
+            "parse_to_export": sum(v for k, v in s.items()
+                                   if k not in ("construct", "parse_qasm")),
             **s, "gates": len(circuit.gates),
             "distinct": len(set(circuit.gates)),
             "peak_rss_mb": round(peak_kb / 1024, 1)}

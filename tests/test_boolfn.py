@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,6 +175,21 @@ class TestSlices:
             assert all(f.slices[j] >> x & 1 == f.table[x] >> j & 1
                        for x in range(0, 1 << 16, 97))
 
+    # 1: one byte per word is used; 8: all of the low byte; 9 and 16:
+    # the high byte too
+    @pytest.mark.parametrize("n", [1, 8, 9, 16])
+    def test_same_words_on_a_big_endian_host(self, n, monkeypatch):
+        f = random_bijection(n, random.Random(n))
+        text = render_truth_table(f)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        # bit x of slice j is bit j of f(x)
+        scalar = tuple(
+            int("".join(str(y >> j & 1) for y in reversed(f.table)), 2)
+            for j in range(n))
+        for g in ReversibleFunction(n, f.table), boolfn._read_columns(text):
+            assert g.table == f.table
+            assert [j for j in range(n) if g.slices[j] != scalar[j]] == []
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
@@ -196,6 +212,11 @@ class TestRoundTrip:
     def test_rejects_non_permutation_table(self):
         with pytest.raises(ValueError):
             ReversibleFunction(2, (0, 1, 2, 2))
+
+    def test_rejects_table_of_wrong_length(self):
+        with pytest.raises(ValueError,
+                           match="^table has 3 entries, expected 4$"):
+            ReversibleFunction(2, (0, 1, 2))
 
 
 # pieces of the truth-table grammar, with widths and words that are

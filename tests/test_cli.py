@@ -10,13 +10,16 @@ import pytest
 from conftest import bit_swap_function, random_feasible_function, swap2_function
 from qmap_synth import (
     Circuit,
+    Counterexample,
     Gate,
+    ReversibleFunction,
     gray_to_binary_function,
     identity_function,
     parse_qasm,
     render_truth_table,
     synthesize,
 )
+from qmap_synth import cli
 from qmap_synth.cli import _build_parser, _census_lines, _diagram, main
 
 
@@ -121,6 +124,17 @@ class TestSynth:
         capsys.readouterr()
         assert (marked.with_suffix(".qasm").read_bytes()
                 == plain.with_suffix(".qasm").read_bytes())
+
+    def test_self_check_failure_exit5(self, gray4_file, monkeypatch,
+                                      capsys):
+        # synth checks its circuit before it writes it
+        mismatch = Counterexample(4, 2, 3, 2)
+        monkeypatch.setattr(cli, "verify", lambda circuit, f: mismatch)
+        assert main(["synth", "--input", str(gray4_file)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"synthesis self-check failed: {mismatch}\n")
 
     def test_directory_input(self, tmp_path, capsys):
         code = main(["synth", "--input", str(tmp_path)])
@@ -319,6 +333,14 @@ class TestShow:
         out = capsys.readouterr().out
         assert "A: !q3 q2" in out
         assert "B: q3 !q2" in out
+
+    def test_overlay_of_the_one_bit_not(self, tmp_path, capsys):
+        # its one stage toggles at every state: one cube, no literal
+        path = tmp_path / "not1.tt"
+        path.write_text(render_truth_table(ReversibleFunction(1, (1, 0))))
+        assert main(["show", "--input", str(path), "--stage", "0",
+                     "--overlay"]) == 0
+        assert capsys.readouterr().out.endswith("\n  A: 1\n")
 
     @pytest.mark.parametrize("mode, legend", [
         ("esop", ["A: q3", "B: q4", "C: q5"]),

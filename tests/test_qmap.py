@@ -294,6 +294,14 @@ class TestCubeCells:
         with pytest.raises(ValueError):
             Cube(3, 0b001, 0b010)
 
+    def test_mask_wider_than_width_rejected(self):
+        with pytest.raises(ValueError, match="^mask wider than cube width$"):
+            Cube(2, 0b100, 0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_cube_without_literals_renders_as_one(self, n):
+        assert Cube(n, 0, 0).render() == "1"
+
 
 # --- the worked example ------------------------------------------------------
 

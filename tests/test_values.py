@@ -19,6 +19,8 @@ from qmap_synth import (
     ReversibleFunction,
     StageOrder,
     ToggleTable,
+    synthesize,
+    verify,
 )
 
 # (type, fields, other fields, repr): one instance per type, built
@@ -70,6 +72,30 @@ def test_value_semantics(kind, fields, other, text):
     for twin in (copy.copy(a), copy.deepcopy(a),
                  pickle.loads(pickle.dumps(a))):
         assert twin == a and type(twin) is kind
+
+
+# the fields of each type with a tuple field, that tuple given as a list
+LISTED = [(kind, fields, tuple(list(v) if type(v) is tuple else v
+                               for v in fields))
+          for kind, fields, _, _ in VALUES
+          if any(type(v) is tuple for v in fields)]
+
+
+@pytest.mark.parametrize("kind, fields, listed", LISTED,
+                         ids=[case[0].__name__ for case in LISTED])
+def test_a_list_field_is_stored_as_a_tuple(kind, fields, listed):
+    a = kind(*listed)
+    assert a == kind(*fields) and hash(a) == hash(fields)
+    assert tuple(getattr(a, name) for name in kind._fields) == fields
+
+
+def test_a_list_changed_after_construction_changes_no_value():
+    table = [0, 1, 2, 3]
+    f = ReversibleFunction(2, table)
+    table[0], table[1] = table[1], table[0]
+    assert f.table == (0, 1, 2, 3)
+    circuit = synthesize(f)
+    assert circuit.gates == () and verify(circuit, f) is None
 
 
 def test_derived_slots_stay_out_of_the_value():
