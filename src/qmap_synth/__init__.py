@@ -2,9 +2,9 @@
 
 Compiles a bijective truth table into a NOT/CNOT/Toffoli circuit: the
 function is decomposed into single-target stages, each stage's toggle
-function is minimized on a Karnaugh-style grid (disjoint-SOP or ESOP),
-and the covers are realized as controlled flips and lowered to the
-two-control basis.  A basis-state simulator verifies every result.
+is covered as a disjoint SOP or an ESOP (exact for n <= 4 bits), and
+one loop emits the cubes as gates of the two-control basis; `show`
+draws the Gray-labelled map.  A simulator verifies every result.
 """
 from . import errors
 from .boolfn import (

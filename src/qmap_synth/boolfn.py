@@ -104,8 +104,11 @@ class ReversibleFunction(Value):
                 f"table has {len(table)} entries, expected {1 << width}")
         if not is_bijective(table):
             raise ValueError("table is not a permutation")
+        try:  # a permutation of floats passes the test above
+            words = struct.pack(f"<{len(table)}H", *table)
+        except struct.error:
+            raise ValueError("table entries are not all ints") from None
         self._init(width, table)
-        words = struct.pack(f"<{len(table)}H", *table)
         # from the last word back: its low byte at -2, its high one at -1
         object.__setattr__(self, "slices", tuple(
             int(words[(j >> 3) - 2::-2].translate(_BIT[j & 7]), 2)

@@ -16,11 +16,12 @@ only drawn, by the `show` command.  Covers come in two flavours:
   number of times and each 0-cell an even number of times.
 
 This module alone decides how a table becomes a cover: `_CORES` maps
-each `CoverMode` to its int core, and `_terms` holds the width rule.
-On tables of up to 4 variables (EXACT_WIDTH_CAP) both minimizers are
-exact in (cube count, then total literal count).  The table width
-counts every variable, forbidden ones included, so a width-5 table with
-one forbidden variable is not exact even though its cover has 4 free
+each (mode, path) pair to its int core, and `_terms` picks the path
+from the table's width.  On tables of up to 4 variables
+(EXACT_WIDTH_CAP) the exact path applies, optimal in (cube count, then
+total literal count), in both modes.  The table width counts every
+variable, forbidden ones included, so a width-5 table with one
+forbidden variable is not exact even though its cover has 4 free
 variables.  The exact engine is one recurrence over the cofactor
 decomposition  f = P xor x'Q xor xR  of every subfunction, on
 truth-vector ints.  It memoizes the optimal key and cover of every
@@ -206,6 +207,20 @@ def _exact(disjoint: bool, f: int,
     return hit
 
 
+def _esop_exact(on: int, m: int) -> list[tuple[int, int]]:
+    """The exact ESOP cover of `on` over m <= 4 variables as sorted
+    (mask, value) pairs.  Its complemented single literals are flipped
+    positive in pairs, lowest first, as the two constant-1 corrections
+    cancel under XOR (a swept cover never holds two: `_merge_terms`).
+    A flip never meets an equal cube: an exact cover has the fewest
+    cubes, and if it held both x and x', the constant 1 could replace
+    them (or cancel a 1 already there) with fewer."""
+    cubes = _exact(False, on, m)[1]
+    singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
+    flip = set(singles[:len(singles) & ~1])
+    return sorted((mk, mk if mk in flip else v) for mk, v in cubes)
+
+
 # --- heuristic minimization ------------------------------------------------
 
 def _pprm(on: int, m: int) -> int:
@@ -345,43 +360,22 @@ def can_avoid_variable(entries: Sequence[int], width: int, var: int) -> bool:
 
 # --- public minimizers ------------------------------------------------------
 
-def _disjoint_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
-    """A disjoint SOP cover of `on` over m variables as sorted
-    (mask, value) pairs: exact, or largest-block-first greedy."""
-    if exact:
-        return sorted(_exact(True, on, m)[1])
-    return sorted(_greedy_disjoint(on, m))
-
-
-def _esop_terms(on: int, m: int, exact: bool) -> list[tuple[int, int]]:
-    """An ESOP cover of `on` over m variables as sorted (mask, value)
-    pairs: exact, or the Reed-Muller seed reduced by merging each C with
-    a Cx into Cx', one sweep over the variables (`_merge_terms`).
-
-    An exact cover's complemented single literals are flipped positive
-    in pairs, lowest first, since the two constant-1 corrections cancel
-    under XOR; a swept cover never holds two, since no two of its terms
-    share their positive variables (see `_merge_terms`).  A flip never
-    meets an equal cube: an exact cover has the fewest cubes, and if it
-    held both x and x', the constant 1 could replace them (or cancel a 1
-    already there) with fewer."""
-    if not exact:
-        return _merge_terms(on, m)
-    cubes = _exact(False, on, m)[1]
-    singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
-    flip = set(singles[:len(singles) & ~1])
-    return sorted((mk, mk if mk in flip else v) for mk, v in cubes)
-
-
-_CORES = {CoverMode.DISJOINT: _disjoint_terms, CoverMode.ESOP: _esop_terms}
+# (mode, exact path) -> its core; `_terms` alone picks the path
+_CORES = {
+    (CoverMode.DISJOINT, True): lambda on, m: sorted(_exact(True, on, m)[1]),
+    (CoverMode.DISJOINT, False): lambda on, m: sorted(_greedy_disjoint(on, m)),
+    (CoverMode.ESOP, True): _esop_exact,
+    (CoverMode.ESOP, False): _merge_terms,
+}
 
 
 def _terms(mode: CoverMode, on: int, m: int,
            width: int) -> list[tuple[int, int]]:
     """The mode's cover of `on` over the m variables left of a table
-    `width` wide, as sorted (mask, value) pairs: exact when the table,
-    its projected variables included, is at most EXACT_WIDTH_CAP wide."""
-    return _CORES[mode](on, m, width <= EXACT_WIDTH_CAP)
+    `width` wide, as sorted (mask, value) pairs: the exact core when
+    the table, its projected variables included, is at most
+    EXACT_WIDTH_CAP wide, else the mode's heuristic."""
+    return _CORES[mode, width <= EXACT_WIDTH_CAP](on, m)
 
 
 def _stage_terms(mode: CoverMode, toggle: int, n: int,

@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError,
                            match="^table has 3 entries, expected 4$"):
             ReversibleFunction(2, (0, 1, 2))
+
+    def test_rejects_permutation_of_floats(self):
+        # {1.0, 0.0} == {0, 1}, so only packing the words refuses it
+        with pytest.raises(ValueError,
+                           match="^table entries are not all ints$"):
+            ReversibleFunction(1, (1.0, 0.0))
+
+    def test_int_like_entries_build_the_int_value(self):
+        f = ReversibleFunction(2, (1, 0, 3, 2))
+        for table in ((True, False, 3, 2),
+                      tuple(np.array(f.table, dtype=np.int64)),
+                      tuple(np.array(f.table, dtype=np.uint8))):
+            g = ReversibleFunction(2, table)
+            assert g == f and hash(g) == hash(f) and g.slices == f.slices
 
 
 # pieces of the truth-table grammar, with widths and words that are

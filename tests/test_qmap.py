@@ -10,22 +10,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import random_feasible_function
 from qmap_synth import (
     Cover,
     CoverMode,
     Cube,
     build_qmap,
     decompose,
+    gray_to_binary_function,
     minimize_disjoint,
     minimize_esop,
+    synthesize,
 )
+from qmap_synth import qmap
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import _grid_text, _gray_sequence
 from qmap_synth.qmap import (
+    _CORES,
     _COVERS,
     _LEVELS,
-    _disjoint_terms,
-    _esop_terms,
     _exact,
     _greedy_disjoint,
     _merge_terms,
@@ -812,7 +815,7 @@ def distinct_parts(terms):
 class TestSingleNegatives:
     """Why only exact ESOP covers flip complemented single literals: a
     swept seed holds at most one, and an exact cover's flips never meet
-    an equal cube (the proofs are in `_merge_terms` and `_esop_terms`)."""
+    an equal cube (the proofs are in `_merge_terms` and `_esop_exact`)."""
 
     def test_merged_seed_of_every_function_up_to_four_variables(self):
         for m in range(5):
@@ -836,7 +839,8 @@ class TestSingleNegatives:
         digest = hashlib.sha256()
         for m in range(5):
             for on in range(1 << (1 << m)):
-                covers = _disjoint_terms(on, m, True), _esop_terms(on, m, True)
+                covers = (_CORES[CoverMode.DISJOINT, True](on, m),
+                          _CORES[CoverMode.ESOP, True](on, m))
                 for cubes in covers:
                     singles = [mk for mk, _ in cubes if mk.bit_count() == 1]
                     assert len(set(cubes)) == len(cubes)
@@ -844,6 +848,35 @@ class TestSingleNegatives:
                 digest.update(repr(covers).encode())
         assert digest.hexdigest() == (
             "3b57a913042735e8c08e9e328fcec07b5d7973aefca00a6ef0a2993442842cfe")
+
+
+class TestCores:
+    def test_one_core_per_mode_and_path(self):
+        assert set(_CORES) == {(mode, exact) for mode in CoverMode
+                               for exact in (True, False)}
+
+    def test_synthesize_asks_the_exact_engine_for_at_most_three_variables(
+            self, monkeypatch):
+        # a stage of an n-bit function is covered over n - 1 variables,
+        # and only tables up to EXACT_WIDTH_CAP wide take the exact path,
+        # so `synthesize` never covers a 4-variable function exactly;
+        # with the memo emptied, every call the recursion makes is seen
+        monkeypatch.setattr(qmap, "_COVERS", {})
+        monkeypatch.setattr(qmap, "_LEVELS", {})
+        exact, widths = qmap._exact, []
+
+        def spy(disjoint, f, m):
+            widths.append(m)
+            return exact(disjoint, f, m)
+
+        monkeypatch.setattr(qmap, "_exact", spy)
+        for n in range(1, 9):
+            for f in (random_feasible_function(n, random.Random(n)),
+                      gray_to_binary_function(n)):
+                for mode in CoverMode:
+                    for order in ("natural", "search"):
+                        synthesize(f, mode=mode, order=order)
+        assert widths and max(widths) <= 3
 
 
 class TestRemoveVarReference:
