@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .boolfn import parse_truth_table
 from .cascade import ToggleTable, decompose
-from .circuit import Circuit, CostModel, GateKind, cost, synthesize
+from .circuit import Circuit, CostModel, cost, synthesize
 from .errors import (
     AncillaNotRestored,
     CascadeInfeasible,
@@ -93,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _census_lines(c: Circuit, cost_mode: str) -> list[str]:
-    counts = c.census()
-    census = " ".join(f"{k.value}={counts[k.value]}" for k in GateKind)
+    census = " ".join(f"{k}={n}" for k, n in c.census().items())
     value = cost(c, CostModel(mode=cost_mode))  # type: ignore[arg-type]
     return [
         f"lines: {c.data_width} data + {c.ancilla_count} ancilla",

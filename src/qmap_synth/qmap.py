@@ -157,54 +157,52 @@ def build_qmap(t: ToggleTable) -> ToggleTable:
 # sides, so they must be 1 in both cofactors), which makes Q and R the
 # exact set differences and keeps all terms disjoint.  Of the P that
 # reach the minimum, the first in ascending order is taken (the min of
-# (key, P) pairs).  The key and cover of every function on fewer than
-# EXACT_WIDTH_CAP variables are memoized, 2 + 4 + 16 + 256 = 278 per
-# mode at most (about 220 kB for both modes by tracemalloc), whatever a
-# caller minimizes, and so are each level's keys and wrapped keys.  A
-# 4-variable function's cover is computed on each call, from at most
-# 256 splits over the level-3 keys (4-15 µs warm disjoint, 45-75 µs
-# ESOP): a memo of all 65,536 in both modes would hold about 29 MB
-# (tracemalloc, extrapolated from 4,096), and `synthesize` never asks
-# for one, since its stages forbid the target.
-
-# (disjoint, f, m) -> (key, cover) and (disjoint, m) -> (keys, wrapped
-# keys) of all functions on m variables; filled lazily, and a concurrent
-# fill writes equal values, so no lock is needed
-_COVERS: dict[tuple[bool, int, int],
-              tuple[int, tuple[tuple[int, int], ...]]] = {}
-_LEVELS: dict[tuple[bool, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# (key, P) pairs).  `_exact` memoizes the key and cover of every
+# function on fewer than EXACT_WIDTH_CAP variables, 2 + 4 + 16 + 256 = 278
+# per mode at most (about 230 kB for both modes by tracemalloc), whatever
+# a caller minimizes, and `_level` memoizes each level's keys and wrapped
+# keys; both memos are `functools.cache`, which is thread-safe.  A
+# 4-variable function's cover is computed on each call, from at most 256
+# splits over the level-3 keys (4-15 µs warm disjoint, 45-75 µs ESOP): a
+# memo of all 65,536 in both modes would hold about 29 MB (tracemalloc,
+# extrapolated from 4,096), and `synthesize` never asks for one, since
+# its stages forbid the target.
 
 
-def _exact(disjoint: bool, f: int,
+@cache
+def _level(disjoint: bool, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The optimal keys of every function on m variables, by truth
+    vector, and the same keys with one literal added per cube."""
+    keys = tuple(_exact(disjoint, g, m)[0] for g in range(1 << (1 << m)))
+    return keys, tuple(k + (k >> 7) for k in keys)
+
+
+def _split(disjoint: bool, f: int,
            m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The optimal key of f over m <= 4 variables and one cover reaching
     it, as (mask, value) pairs: the cubes of P, then of Q and R with the
     top variable added negative and positive."""
-    hit = _COVERS.get((disjoint, f, m))
-    if hit is not None:
-        return hit
     if m == 0:
-        hit = f << 7, ((0, 0),) if f else ()  # one cube with no literal
-    else:
-        bit = 1 << (m - 1)  # the top variable; also each cofactor's cells
-        level = _LEVELS.get((disjoint, m - 1))
-        if level is None:
-            keys = tuple(_exact(disjoint, g, m - 1)[0]
-                         for g in range(1 << bit))
-            level = _LEVELS[disjoint, m - 1] = \
-                keys, tuple(k + (k >> 7) for k in keys)  # a literal per cube
-        keys, wrapped = level
-        f0, f1 = f & ((1 << bit) - 1), f >> bit
-        allowed = f0 & f1 if disjoint else (1 << bit) - 1
-        key, p = min((keys[p] + wrapped[p ^ f0] + wrapped[p ^ f1], p)
-                     for p in range(allowed + 1) if p & allowed == p)
-        cubes, q, r = (_exact(disjoint, g, m - 1)[1]
-                       for g in (p, p ^ f0, p ^ f1))
-        hit = key, (cubes + tuple((mk | bit, v) for mk, v in q)
-                    + tuple((mk | bit, v | bit) for mk, v in r))
-    if m < EXACT_WIDTH_CAP:
-        _COVERS[disjoint, f, m] = hit
-    return hit
+        return f << 7, ((0, 0),) if f else ()  # one cube with no literal
+    bit = 1 << (m - 1)  # the top variable; also each cofactor's cells
+    keys, wrapped = _level(disjoint, m - 1)
+    f0, f1 = f & ((1 << bit) - 1), f >> bit
+    allowed = f0 & f1 if disjoint else (1 << bit) - 1
+    key, p = min((keys[p] + wrapped[p ^ f0] + wrapped[p ^ f1], p)
+                 for p in range(allowed + 1) if p & allowed == p)
+    cubes, q, r = (_exact(disjoint, g, m - 1)[1]
+                   for g in (p, p ^ f0, p ^ f1))
+    return key, (cubes + tuple((mk | bit, v) for mk, v in q)
+                 + tuple((mk | bit, v | bit) for mk, v in r))
+
+
+_memo = cache(_split)
+
+
+def _exact(disjoint: bool, f: int,
+           m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`_split`, memoized on fewer than EXACT_WIDTH_CAP variables."""
+    return (_memo if m < EXACT_WIDTH_CAP else _split)(disjoint, f, m)
 
 
 def _esop_exact(on: int, m: int) -> list[tuple[int, int]]:

@@ -115,6 +115,14 @@ class TestParse:
         with pytest.raises(TruthTableSyntaxError):
             parse_truth_table("0 -> 0\n1 -> 1\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1), ("\n# only comments\n\n", 3)])
+    def test_no_header_in_a_text_without_rows(self, text, line):
+        with pytest.raises(TruthTableSyntaxError) as exc:
+            parse_truth_table(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: missing .width header"
+
     def test_unknown_directive(self):
         with pytest.raises(TruthTableSyntaxError):
             parse_truth_table(".depth 2\n")

@@ -386,6 +386,11 @@ class TestExportAndCost:
         code = main(["export", "--circuit", str(out)])
         assert code == 0
         assert capsys.readouterr().out == out.read_text()
+        again = tmp_path / "again.qasm"
+        code = main(["export", "--circuit", str(out), "--out", str(again)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert again.read_bytes() == out.read_bytes()
 
     def test_cost_counts(self, gray4_file, tmp_path, capsys):
         out = tmp_path / "gray.qasm"

@@ -25,12 +25,13 @@ from qmap_synth import (
 from qmap_synth import qmap
 from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import _grid_text, _gray_sequence
+from qmap_synth.errors import TargetReadWrite
 from qmap_synth.qmap import (
     _CORES,
-    _COVERS,
-    _LEVELS,
     _exact,
     _greedy_disjoint,
+    _level,
+    _memo,
     _merge_terms,
     _pprm,
     _remove_var,
@@ -587,6 +588,15 @@ class TestForbiddenVariable:
                 rf"^variable q{var} is outside the table's 3 variables$")):
             minimize(table, forbidden=frozenset(forbidden))
 
+    def test_target_read_write_names_stage_and_target(self):
+        # raised only by the benchmark's rebuild of `synthesize`, when a
+        # stage's cover cannot avoid its target
+        err = TargetReadWrite(stage=2, target=1)
+        assert (err.stage, err.target) == (2, 1)
+        assert str(err) == (
+            "stage 2: every cover of the toggle function reads its own "
+            "target q1, which the gate model cannot express")
+
     def test_every_variable_forbidden(self):
         # a constant function cares about no variable: with all of them
         # projected out, the cover is the constant-1 cube over m = 0
@@ -861,8 +871,8 @@ class TestCores:
         # and only tables up to EXACT_WIDTH_CAP wide take the exact path,
         # so `synthesize` never covers a 4-variable function exactly;
         # with the memo emptied, every call the recursion makes is seen
-        monkeypatch.setattr(qmap, "_COVERS", {})
-        monkeypatch.setattr(qmap, "_LEVELS", {})
+        _memo.cache_clear()
+        _level.cache_clear()
         exact, widths = qmap._exact, []
 
         def spy(disjoint, f, m):
@@ -911,8 +921,8 @@ class TestExactCubesReference:
         # one width-4 minimize per mode fills the memo with the key and
         # cover of every function on at most 3 variables, 2 + 4 + 16 + 256
         # per mode, and later width-4 calls add nothing
-        _COVERS.clear()
-        _LEVELS.clear()
+        _memo.cache_clear()
+        _level.cache_clear()
         table = make_table(values_of(0x6996, 4), 4)
         tracemalloc.start()
         try:
@@ -922,14 +932,14 @@ class TestExactCubesReference:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(_COVERS) == 2 * (2 + 4 + 16 + 256)
+        assert _memo.cache_info().currsize == 2 * (2 + 4 + 16 + 256)
         assert held < 300_000
         rng = random.Random(4)
         for on in rng.sample(range(1 << 16), 300):
             table = make_table(values_of(on, 4), 4)
             for minimize in (minimize_esop, minimize_disjoint):
                 assert valid_cover(minimize(table), table)
-        assert len(_COVERS) == 2 * (2 + 4 + 16 + 256)
+        assert _memo.cache_info().currsize == 2 * (2 + 4 + 16 + 256)
 
     @settings(max_examples=300, deadline=None)
     @given(total_functions(max_m=4), st.sampled_from(["esop", "disjoint"]))
