@@ -42,10 +42,10 @@ of the terms' positive variables, and at each variable, lowest first,
 one AND per group merges every pair C, Cx into Cx'.  No two terms of
 its cover share their positive variables, so it holds at most one
 complemented single literal, and only exact ESOP covers flip theirs
-positive in pairs.  The cores take the truth vector and return sorted
-(mask, value) pairs; `_cover`, behind the public minimizers and
-`show --overlay`, builds `Cube`s from them, and `synthesize` emits
-them as they are.
+positive in pairs.  The cores return (mask, value) pairs in the order
+they build them, which keeps cubes sharing complemented variables
+together for `_emit` to cancel their X gates; `_cover` (behind the
+public minimizers and `show --overlay`) and `synthesize` keep it.
 """
 from __future__ import annotations
 
@@ -206,8 +206,8 @@ def _exact(disjoint: bool, f: int,
 
 
 def _esop_exact(on: int, m: int) -> list[tuple[int, int]]:
-    """The exact ESOP cover of `on` over m <= 4 variables as sorted
-    (mask, value) pairs.  Its complemented single literals are flipped
+    """The exact ESOP cover of `on` over m <= 4 variables, in `_exact`'s
+    order.  Its complemented single literals are flipped
     positive in pairs, lowest first, as the two constant-1 corrections
     cancel under XOR (a swept cover never holds two: `_merge_terms`).
     A flip never meets an equal cube: an exact cover has the fewest
@@ -216,7 +216,7 @@ def _esop_exact(on: int, m: int) -> list[tuple[int, int]]:
     cubes = _exact(False, on, m)[1]
     singles = sorted(mk for mk, v in cubes if not v and mk.bit_count() == 1)
     flip = set(singles[:len(singles) & ~1])
-    return sorted((mk, mk if mk in flip else v) for mk, v in cubes)
+    return [(mk, mk if mk in flip else v) for mk, v in cubes]
 
 
 # --- heuristic minimization ------------------------------------------------
@@ -232,8 +232,8 @@ def _pprm(on: int, m: int) -> int:
 
 def _merge_terms(on: int, m: int) -> list[tuple[int, int]]:
     """The positive-polarity Reed-Muller seed of `on` reduced by one
-    sweep over the variable slots, lowest first, as sorted (mask, value)
-    pairs.
+    sweep over the variable slots, lowest first, as (mask, value) pairs,
+    one class of complemented variables after another, in the order made.
 
     Write a term as (P, N), P its positive variables and N its
     complemented ones: its mask is P | N and its value P.  The terms are
@@ -279,7 +279,6 @@ def _merge_terms(on: int, m: int) -> list[tuple[int, int]]:
             p = ps.bit_length() - 1
             terms.append((p | n, p))
             ps ^= 1 << p
-    terms.sort()
     return terms
 
 
@@ -360,36 +359,36 @@ def can_avoid_variable(entries: Sequence[int], width: int, var: int) -> bool:
 
 # (mode, exact path) -> its core; `_terms` alone picks the path
 _CORES = {
-    (CoverMode.DISJOINT, True): lambda on, m: sorted(_exact(True, on, m)[1]),
-    (CoverMode.DISJOINT, False): lambda on, m: sorted(_greedy_disjoint(on, m)),
+    (CoverMode.DISJOINT, True): lambda on, m: _exact(True, on, m)[1],
+    (CoverMode.DISJOINT, False): _greedy_disjoint,
     (CoverMode.ESOP, True): _esop_exact,
     (CoverMode.ESOP, False): _merge_terms,
 }
 
 
 def _terms(mode: CoverMode, on: int, m: int,
-           width: int) -> list[tuple[int, int]]:
+           width: int) -> Sequence[tuple[int, int]]:
     """The mode's cover of `on` over the m variables left of a table
-    `width` wide, as sorted (mask, value) pairs: the exact core when
-    the table, its projected variables included, is at most
-    EXACT_WIDTH_CAP wide, else the mode's heuristic."""
+    `width` wide, in the core's order: the exact core when the table,
+    its projected variables included, is at most EXACT_WIDTH_CAP wide,
+    else the mode's heuristic."""
     return _CORES[mode, width <= EXACT_WIDTH_CAP](on, m)
 
 
 def _stage_terms(mode: CoverMode, toggle: int, n: int,
-                 target: int) -> list[tuple[int, int]]:
-    """The cover `synthesize` emits for a stage's toggle over n bits,
-    which a decomposed stage never reads at its target: the target is
-    projected out, so variable j of a pair is bit j + (j >= target)."""
+                 target: int) -> Sequence[tuple[int, int]]:
+    """The cover `synthesize` emits, in the core's order, for a stage's
+    toggle over n bits, which a stage never reads at its target: the
+    target is projected out, so variable j is bit j + (j >= target)."""
     return _terms(mode, _remove_var(toggle, n, target), n - 1, n)
 
 
 def _cover(t: ToggleTable, forbidden: frozenset[int],
            mode: CoverMode) -> Cover:
     """The mode's cover of the table, no cube reading a forbidden
-    variable.  All are range-checked before any is projected out,
-    highest first, and their slots reopen lowest first, which keeps the
-    sorted pairs in order; ValueError names the first that fails."""
+    variable, its cubes in the core's order.  All are range-checked
+    before any is projected out, highest first, and their slots reopen
+    lowest first; ValueError names the first that fails."""
     on, m = t.on, t.width
     removed = sorted(forbidden)
     for var in removed:

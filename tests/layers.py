@@ -13,7 +13,9 @@ includes it), decompose (`cascade._cascade`), minimize
 (`sim.verify`), export (`export_qasm`) and parse_qasm (the exported text
 read back, as the command line's `verify` and `export` do).
 `parse_to_export` is the sum of the layers from parse to export, but
-for construct.  `peak_rss_mb` is the process's peak resident
+for construct.  `gates` is the circuit's length, and `x`, `cx` and
+`ccx` its census (`Circuit.census`): emit, verify and export all
+scale with the gate count.  `peak_rss_mb` is the process's peak resident
 set so far, read after parse_qasm, so rows run in one process share
 it: run one process per mode to compare modes.
 """
@@ -66,10 +68,12 @@ def row(n: int, mode: CoverMode, repeat: int) -> dict:
     qasm, s["export"] = best(repeat, export_qasm, circuit)
     _, s["parse_qasm"] = best(repeat, parse_qasm, qasm)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    census = circuit.census()
     return {"n": n, "mode": mode.value,
             "parse_to_export": sum(v for k, v in s.items()
                                    if k not in ("construct", "parse_qasm")),
             **s, "gates": len(circuit.gates),
+            **{kind: census[kind] for kind in ("x", "cx", "ccx")},
             "distinct": len(set(circuit.gates)),
             "peak_rss_mb": round(peak_kb / 1024, 1)}
 

@@ -216,7 +216,7 @@ class TestSynth:
         assert capsys.readouterr().err == "q0:\nq1:\nq2:\nq3:\n"
 
     def test_diagram_peak_memory_is_a_small_multiple_of_the_text(self):
-        # 18,092 gates on 17 lines, 0.9 MB of text, consumed one row at a
+        # 17,122 gates on 17 lines, 0.9 MB of text, consumed one row at a
         # time: the peak is a few rows, where building the whole text
         # at once took 22 times the text
         c = synthesize(random_feasible_function(10, random.Random(10)),
@@ -343,7 +343,7 @@ class TestShow:
         assert capsys.readouterr().out.endswith("\n  A: 1\n")
 
     @pytest.mark.parametrize("mode, legend", [
-        ("esop", ["A: q3", "B: q4", "C: q5"]),
+        ("esop", ["A: q5", "B: q4", "C: q3"]),
         ("disjoint", ["A: !q5 !q4 q3", "B: !q5 q4 !q3", "C: q5 !q4 !q3",
                       "D: q5 q4 q3"]),
     ])

@@ -105,13 +105,13 @@ GRAY5_OVERLAYS = {
 esop cover groups:
 rows: q4 q3 | cols: q2 q1 q0'
         000 001 011 010 110 111 101 100
-     00   .   .   .   .   A   A   A   A
-     01   B   B   B   B  AB  AB  AB  AB
-     11  BC  BC  BC  BC ABC ABC ABC ABC
-     10   C   C   C   C  AC  AC  AC  AC
-  A: q2
+     00   .   .   .   .   C   C   C   C
+     01   B   B   B   B  BC  BC  BC  BC
+     11  AB  AB  AB  AB ABC ABC ABC ABC
+     10   A   A   A   A  AC  AC  AC  AC
+  A: q4
   B: q3
-  C: q4
+  C: q2
 """,
     "disjoint": """
 disjoint cover groups:
@@ -165,26 +165,26 @@ rows: - | cols: q0
 QASM_SHA256 = {
     ("esop", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
     ("esop", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
-    ("esop", 4): "c2801c6cde511328e3a9b20f4d69d6e5df93d281956007ef385c60f4718c6dbe",
-    ("esop", 5): "c843ef67054a2ffd5446f3362420952bf7fa2da6e924d9af2bbfe361a420e79e",
-    ("esop", 6): "d83031074b36c9d0343c2af8a5170d4634ac5ae99cf6a777eb7f37016e23e4c1",
-    ("esop", 7): "a271367f4f4f63724974c1565fc03d0bf9150cb4087deccc93c73f5aeb6749fc",
-    ("esop", 8): "45537ac980c7cbdba1ca274f51a9f0e33c62d30cd8c84ad3be3c871bc93edac8",
-    ("esop", 9): "8959205551ef861b486a43537ac5585174e420ea254db497304bec78e75dae19",
-    ("esop", 10): "a4bebdc0b8fda781e64b1722f6008773695465c8fd66db57652ceb003b6b819c",
-    ("esop", 11): "6b89260fbb1598acdd6818c7715928d6739ceed2d1f96a544efadeeb923f5778",
-    ("esop", 12): "f6a90ad3e4d9fc46e76e91f0445ff5db96a1fd45657e09e72bb8160e0ba7b664",
+    ("esop", 4): "ae33b72b6c96cc1832407c5fc2c196cbaaeb9eb6910c84185d4739b1e65a447c",
+    ("esop", 5): "9ca328ae665abbdcc95272e22971916a6220b51d07252261e2af49e1f74dcb84",
+    ("esop", 6): "ec4ad9e02453c7aaeb5fedf693032f7cc0c6887effc18f27d2e2b315f5a97e83",
+    ("esop", 7): "8a0dcf2fc0e06fff996810b4d391dded3a24f14db8a6c5b0259a338b3da89738",
+    ("esop", 8): "2aeb299b0ffc2f63c4741704e6579a0b8568d0bda0022f0479a76557dc32695f",
+    ("esop", 9): "fce2ba7d47afdb7965ea22400cebf4add9b3109200246243360b7505c13c55ae",
+    ("esop", 10): "c37709e551ccc05da5f602680b49ae5265cadf6140afd56cd366dbc86581fc67",
+    ("esop", 11): "ef004fface4483c247427bf7260b081338b3c4dc5fab945a987b9f29797fe3ee",
+    ("esop", 12): "07354edf326a2a8a143096a80be904c0e27055b1d0789a2bbf1136711bce8a1d",
     ("disjoint", 2): "53acdf2573ff69c7561545518ad4fbe6d5cd3b0310dcd2623158e217b36d1006",
     ("disjoint", 3): "f1a184d591dee988e123c59266d943897a70af495b8c0773de474893c9c8a8ba",
-    ("disjoint", 4): "45f1adc356e4324657f451986ce2ec0d5f992e908e8c08c8326009c36064bb84",
-    ("disjoint", 5): "7de47d7a465059c67e12c54bb231a94a9460db3b3d92ee96b2d0c12627501c4d",
-    ("disjoint", 6): "0008e455a17c8a8f9efed1b05bf018ccdddfaa7c2293914b993b1ca34af277aa",
-    ("disjoint", 7): "011096edde54432d3ddf5a357f5f152848621f3c327f040ac18f31055992745e",
-    ("disjoint", 8): "508e432b71e1375e03f0f9eddc01a846f9ba2b3050712b06d91e505fec0e309a",
-    ("disjoint", 9): "eb5c038256905434f8c98c56c480bc97cd3571ff624e2bbc40c8674dafd8efc1",
-    ("disjoint", 10): "29998e53e9478d779fb3d3be9761c117dc68d079c4addbe616fb8ed947cda0e8",
-    ("disjoint", 11): "49644d8f4140924895d602bee89b88b1f329c31d3107931de6202928f18db189",
-    ("disjoint", 12): "0db96280ca1d8efce97e0d5204d1fb1f73cf979b16d5723bf15598486fa71670",
+    ("disjoint", 4): "91c303fb19c66d2e720d65ec4123efb42ac8b15c59895d50e0d0ec2248a5f958",
+    ("disjoint", 5): "da308067db1e44b9487ee8fa6cf5e8c5629c3958b4ebadf061993813503483ae",
+    ("disjoint", 6): "93b69333ececb6307ac3a0c20304b5a1f8ee07762c6fc86af0346376da5c91dc",
+    ("disjoint", 7): "6a0726b08a577bcb923400ae3ac0ca9fec3b9634337401b1bbc0a87553f11ec0",
+    ("disjoint", 8): "2901e6a6c4764adf25119e85c040d6b06a784f4e133d5893a4bba2ff14ab7aa8",
+    ("disjoint", 9): "a676b9c9ea6d79996ec11cf5cae33c19c41baa05018b093de3ad21c735fe8c51",
+    ("disjoint", 10): "b87b5df02c12d69ce24ff503ad2c0f8459f21658355e5a81683998339c8dd2a6",
+    ("disjoint", 11): "684dea8c1e6c19c480eaeb6d426ad63d6ccd323bb7fbb4fbd3a3967eb2cdd399",
+    ("disjoint", 12): "4748541c0312b0043decd207500eed6b962c60c7204359447125e664bf9c35f1",
 }
 
 
@@ -203,7 +203,7 @@ class TestSynthDigest:
         f = relabel(random_feasible_function(5, random.Random(5)),
                     [3, 0, 4, 1, 2])
         assert qasm_sha256(f, mode="esop", order="search") == \
-            "c0fcfaf460b0c0465c044df52618fd264b8fb10e6afedbf898fad1364bf18f71"
+            "cf08e3d08a91e39d4b8496a683dba379562622d941c266502f9a6c7ec03391a4"
 
 
 # `synth --diagram`'s stderr on the Gray table: the summary, then one row

@@ -27,6 +27,7 @@ from qmap_synth.cascade import ToggleTable
 from qmap_synth.cli import _grid_text, _gray_sequence
 from qmap_synth.errors import TargetReadWrite
 from qmap_synth.qmap import (
+    EXACT_WIDTH_CAP,
     _CORES,
     _exact,
     _greedy_disjoint,
@@ -36,6 +37,7 @@ from qmap_synth.qmap import (
     _pprm,
     _remove_var,
     _sizes,
+    _stage_terms,
     _truth_vector,
     can_avoid_variable,
 )
@@ -701,6 +703,8 @@ def unmerged_pairs(terms, m):
 
 
 class TestMergeTermsReference:
+    # the reference sweeps a set pool and returns it sorted, so the
+    # terms are compared as sorted lists; TestCoreOrder pins the order
     @settings(max_examples=200, deadline=None)
     @given(seed_vectors())
     # x0'x1' has the seed 1, x0, x1, x0x1: slot 0 merges 1 xor x0 into
@@ -708,12 +712,12 @@ class TestMergeTermsReference:
     @example((0b0001, 2))
     def test_same_terms_on_reed_muller_seeds(self, case):
         on, m = case
-        assert _merge_terms(on, m) == swept(on, m)
+        assert sorted(_merge_terms(on, m)) == swept(on, m)
 
     def test_same_terms_on_every_function_up_to_four_variables(self):
         for m in range(5):
             for on in range(1 << (1 << m)):
-                assert _merge_terms(on, m) == swept(on, m)
+                assert sorted(_merge_terms(on, m)) == swept(on, m)
 
     @settings(max_examples=200, deadline=None)
     @given(seed_vectors())
@@ -739,6 +743,16 @@ class TestMergeTermsReference:
         finally:
             tracemalloc.stop()
         assert held < 1024
+
+
+def same_cubes(cover, expected):
+    """True iff the covers hold the same cubes in the same mode, in any
+    order: the references return their set pools sorted, and the
+    minimizers keep the core's order (TestCoreOrder)."""
+    def key(c):
+        return c.width, c.mask, c.value
+    return cover.mode is expected.mode and \
+        sorted(map(key, cover.cubes)) == sorted(map(key, expected.cubes))
 
 
 @st.composite
@@ -770,8 +784,9 @@ class TestMinimizeEsopReference:
     def test_same_cover_on_heuristic_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
-        assert minimize_esop(table, forbidden=forbidden) == \
-            reference.minimize_esop_heuristic(values, m, forbidden)
+        expected = reference.minimize_esop_heuristic(values, m, forbidden)
+        assert same_cubes(minimize_esop(table, forbidden=forbidden),
+                          expected)
 
     # a swept Reed-Muller seed provably holds at most one single
     # negative (see `_merge_terms` and TestSingleNegatives), so only
@@ -782,8 +797,9 @@ class TestMinimizeEsopReference:
     def test_same_cover_on_exact_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
-        assert minimize_esop(table, forbidden=forbidden) == \
-            reference.minimize_esop_exact(values, m, forbidden)
+        expected = reference.minimize_esop_exact(values, m, forbidden)
+        assert same_cubes(minimize_esop(table, forbidden=forbidden),
+                          expected)
 
 
 class TestMinimizeDisjointReference:
@@ -795,8 +811,9 @@ class TestMinimizeDisjointReference:
     def test_same_cover_on_heuristic_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
-        assert minimize_disjoint(table, forbidden=forbidden) == \
-            reference.minimize_disjoint_heuristic(values, m, forbidden)
+        expected = reference.minimize_disjoint_heuristic(values, m, forbidden)
+        assert same_cubes(minimize_disjoint(table, forbidden=forbidden),
+                          expected)
 
     @settings(max_examples=200, deadline=None)
     @given(grids_with_forbidden(1, 4))
@@ -804,8 +821,9 @@ class TestMinimizeDisjointReference:
     def test_same_cover_on_exact_grids(self, case):
         values, m, forbidden = case
         table = make_table(values, m)
-        assert minimize_disjoint(table, forbidden=forbidden) == \
-            reference.minimize_disjoint_exact(values, m, forbidden)
+        expected = reference.minimize_disjoint_exact(values, m, forbidden)
+        assert same_cubes(minimize_disjoint(table, forbidden=forbidden),
+                          expected)
 
 
 def all_negative(terms):
@@ -857,7 +875,7 @@ class TestSingleNegatives:
                     assert len(set(singles)) == len(singles)
                 digest.update(repr(covers).encode())
         assert digest.hexdigest() == (
-            "3b57a913042735e8c08e9e328fcec07b5d7973aefca00a6ef0a2993442842cfe")
+            "16302a97d3b892ca8d6df9ad9e3355c086523804f8faa894cfa7a7d6ac7b396e")
 
 
 class TestCores:
@@ -887,6 +905,97 @@ class TestCores:
                     for order in ("natural", "search"):
                         synthesize(f, mode=mode, order=order)
         assert widths and max(widths) <= 3
+
+
+def seeded_vectors(m, count, seed):
+    """`count` seeded truth vectors over m variables, one to three
+    random vectors ORed, so that denser ones grow bigger cubes."""
+    rng = random.Random(seed)
+    size = 1 << m
+    out = []
+    for k in range(count):
+        on = 0
+        for _ in range(1 + k % 3):
+            on |= rng.getrandbits(size)
+        out.append(on)
+    return out
+
+
+def in_sweep_order(terms):
+    """True iff the swept terms come class by class, each class of
+    complemented variables N one run, the classes in ascending N, and
+    each class's positive parts P from the highest.  The sweep makes
+    the classes in ascending N: at slot i it appends each N + i after
+    every class made before it, and every one of those lies below i."""
+    keys = [(mk & ~v, -v) for mk, v in terms]
+    return keys == sorted(keys)
+
+
+def squeeze(x, var):
+    """Close variable slot `var`: the slots above it move down one."""
+    return x & ((1 << var) - 1) | x >> 1 & -(1 << var)
+
+
+class TestCoreOrder:
+    """Each stage's cover reaches `_emit` in the order its core builds
+    it, not sorted by (mask, value): the sweep keeps each class of
+    complemented variables together, and the exact recursion each
+    cofactor's cubes, so neighbouring cubes share negative literals and
+    `_emit` cancels their X pairs (tests/test_circuit.py counts them)."""
+
+    def test_merged_classes_up_to_four_variables(self):
+        for m in range(5):
+            for on in range(1 << (1 << m)):
+                assert in_sweep_order(_merge_terms(on, m))
+
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_merged_classes_up_to_ten_variables(self, m):
+        for on in seeded_vectors(m, 12, m):
+            terms = _merge_terms(on, m)
+            assert in_sweep_order(terms)
+            assert len({mk & ~v for mk, v in terms}) > 1  # not vacuous
+
+    def test_exact_masks_follow_the_recursion(self):
+        # every function on up to 3 variables, and a seeded sample of
+        # those on 4; the ESOP flips change values, never masks
+        rng = random.Random(4)
+        cases = [(on, m) for m in range(4) for on in range(1 << (1 << m))]
+        cases += [(on, 4) for on in rng.sample(range(1 << 16), 4096)]
+        for on, m in cases:
+            assert list(_CORES[CoverMode.DISJOINT, True](on, m)) == \
+                list(_exact(True, on, m)[1])
+            assert [mk for mk, _ in _CORES[CoverMode.ESOP, True](on, m)] == \
+                [mk for mk, _ in _exact(False, on, m)[1]]
+
+    def test_greedy_seeds_ascend(self):
+        # each cube is seeded at the lowest uncovered 1-cell, which its
+        # value is, and it covers every 1-cell below the next seed
+        greedy = _CORES[CoverMode.DISJOINT, False]
+        for m in range(11):
+            for on in seeded_vectors(m, 6, 100 + m):
+                seeds = [v for _, v in greedy(on, m)]
+                assert all(a < b for a, b in zip(seeds, seeds[1:]))
+        assert greedy is _greedy_disjoint
+
+    def test_stage_covers_are_the_cores_lists(self):
+        # `synthesize` and `minimize_*` with the target forbidden (then
+        # its slot closed) hand on the core's list as it is
+        for n in range(2, 9):
+            for f in (random_feasible_function(n, random.Random(n)),
+                      gray_to_binary_function(n)):
+                for t in decompose(f):
+                    toggle = _remove_var(t.on, n, t.target)
+                    for mode, minimize in ((CoverMode.ESOP, minimize_esop),
+                                           (CoverMode.DISJOINT,
+                                            minimize_disjoint)):
+                        core = list(_CORES[mode, n <= EXACT_WIDTH_CAP](
+                            toggle, n - 1))
+                        assert list(_stage_terms(mode, t.on, n,
+                                                 t.target)) == core
+                        cover = minimize(t, forbidden=frozenset((t.target,)))
+                        assert [(squeeze(c.mask, t.target),
+                                 squeeze(c.value, t.target))
+                                for c in cover.cubes] == core
 
 
 class TestRemoveVarReference:
